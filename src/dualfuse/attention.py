@@ -91,27 +91,28 @@ def channel_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return normed * gain.reshape(c, 1, 1) + bias.reshape(c, 1, 1)
 
 
-def project_qkv(x: Tensor, p: TransformerBlockParams) -> AttentionTriplet:
+def project_qkv(x: Tensor, qkv_point: Tensor, qkv_depth: Tensor,
+                log_scale: Tensor) -> AttentionTriplet:
     """Pointwise then depthwise projection of a C x H x W map into Q/K/V.
 
-    Spatial dims are flattened row-major; K is returned pre-transposed
-    as (C, HW).
+    ``qkv_point`` is the (3C, C, 1, 1) pointwise kernel and ``qkv_depth`` the
+    (3C, 3, 3) depthwise one. Spatial dims are flattened row-major; K is
+    returned pre-transposed as (C, HW).
     """
     if x.ndim != 3:
         raise DimensionError("project_qkv expects a CxHxW map, got %r" % (x.shape,))
     c, h, w = x.shape
-    if p.channels != c:
+    if qkv_point.shape[1] != c:
         raise DimensionError("params built for %d channels, input has %d"
-                             % (p.channels, c))
+                             % (qkv_point.shape[1], c))
     if h < 3 or w < 3:
         raise ContractError("spatial dims must be >= 3 for the depthwise 3x3")
-    qkv = ad.depthwise_conv2d(ad.conv2d(x, p.qkv_point, stride=1, pad=0),
-                              p.qkv_depth)
+    qkv = ad.depthwise_conv2d(ad.conv2d(x, qkv_point, pad=0), qkv_depth)
     flat = qkv.reshape(3 * c, h * w)
     k = flat[c:2 * c]                        # already (C, HW)
     q = flat[0:c].transpose()                # (HW, C)
     v = flat[2 * c:3 * c].transpose()
-    return AttentionTriplet(q=q, k=k, v=v, scale=ad.exp(p.log_scale))
+    return AttentionTriplet(q=q, k=k, v=v, scale=ad.exp(log_scale))
 
 
 def channel_attention(t: AttentionTriplet) -> tuple[Tensor, Tensor]:
@@ -133,19 +134,20 @@ def apply_attention(attn: Tensor, v: Tensor) -> Tensor:
 
 
 def gated_feed_forward(x: Tensor, p: TransformerBlockParams) -> Tensor:
-    gate = ad.depthwise_conv2d(ad.conv2d(x, p.ff_gate_point, stride=1, pad=0),
+    gate = ad.depthwise_conv2d(ad.conv2d(x, p.ff_gate_point, pad=0),
                                p.ff_gate_depth)
-    value = ad.depthwise_conv2d(ad.conv2d(x, p.ff_value_point, stride=1, pad=0),
+    value = ad.depthwise_conv2d(ad.conv2d(x, p.ff_value_point, pad=0),
                                 p.ff_value_depth)
-    return ad.conv2d(ad.gelu(gate) * value, p.ff_out, stride=1, pad=0)
+    return ad.conv2d(ad.gelu(gate) * value, p.ff_out, pad=0)
 
 
 def transformer_block(x: Tensor, p: TransformerBlockParams) -> Tensor:
     """Pre-norm residual block: channel attention, then gated feed-forward."""
     c, h, w = x.shape
-    trip = project_qkv(channel_norm(x, p.norm1_gain, p.norm1_bias), p)
+    trip = project_qkv(channel_norm(x, p.norm1_gain, p.norm1_bias),
+                       p.qkv_point, p.qkv_depth, p.log_scale)
     attended, _ = channel_attention(trip)
     attended = attended.transpose().reshape(c, h, w)
-    x = x + ad.conv2d(attended, p.attn_out, stride=1, pad=0)
+    x = x + ad.conv2d(attended, p.attn_out, pad=0)
     ff = gated_feed_forward(channel_norm(x, p.norm2_gain, p.norm2_bias), p)
     return x + ff

@@ -465,14 +465,14 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU (engine-wide choice, exact erf not needed)."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * x * x * x)
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
     _count(4 * out.size)
 
     def backward(g):
         if a.requires_grad:
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
             grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
             a._accumulate(g * grad)
 
@@ -689,143 +689,94 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int | None = None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, pad: int | None = None) -> Tensor:
     """Cross-correlation of a C_in cube with a C_out x C_in x k x k kernel.
 
-    ``pad=None`` selects zero padding that preserves spatial dims at stride 1.
+    ``pad=None`` selects zero padding that preserves spatial dims.
     """
-    if x.ndim != 3 or w.ndim != 4:
-        raise DimensionError("conv2d expects x[C,H,W], w[Co,Ci,k,k]; got %r, %r"
-                             % (x.shape, w.shape))
-    c_in, h, wd = x.shape
-    c_out, c_in_w, kh, kw = w.shape
-    if kh != kw:
-        raise DimensionError("conv2d kernels must be square, got %r" % (w.shape,))
-    if c_in != c_in_w:
-        raise DimensionError("conv2d channel mismatch: input %d vs kernel %d"
-                             % (c_in, c_in_w))
-    k = kh
-    if pad is None:
-        pad = (k - 1) // 2
-    h_out = (h + 2 * pad - k) // stride + 1
-    w_out = (wd + 2 * pad - k) // stride + 1
-    if h_out < 1 or w_out < 1:
-        raise DimensionError("conv2d output would be empty for input %r kernel %d"
-                             % (x.shape, k))
-
-    if k == 1 and stride == 1 and pad == 0:
-        out = (w.data.reshape(c_out, c_in) @ x.data.reshape(c_in, h * wd))
-        out = out.reshape(c_out, h, wd)
-        _count(2 * c_out * c_in * h * wd)
-
-        def backward_1x1(g):
-            gm = g.reshape(c_out, h * wd)
-            if w.requires_grad:
-                w._accumulate((gm @ x.data.reshape(c_in, h * wd).T)
-                              .reshape(w.data.shape))
-            if x.requires_grad:
-                x._accumulate((w.data.reshape(c_out, c_in).T @ gm)
-                              .reshape(x.data.shape))
-
-        return _make(out, (x, w), "conv2d", backward_1x1)
-
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]          # (Ci, Ho, Wo, k, k)
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, h_out * w_out)
-    cols = np.ascontiguousarray(cols)
-    out = (w.data.reshape(c_out, c_in * k * k) @ cols).reshape(c_out, h_out, w_out)
-    _count(2 * c_out * c_in * k * k * h_out * w_out)
-
-    def backward(g):
-        gm = g.reshape(c_out, h_out * w_out)
-        if w.requires_grad:
-            w._accumulate((gm @ cols.T).reshape(w.data.shape))
-        if x.requires_grad:
-            gcols = (w.data.reshape(c_out, c_in * k * k).T @ gm)
-            gcols = gcols.reshape(c_in, k, k, h_out, w_out)
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, i:i + stride * h_out:stride,
-                        j:j + stride * w_out:stride] += gcols[:, i, j]
-            if pad:
-                gxp = gxp[:, pad:-pad, pad:-pad]
-            x._accumulate(gxp)
-
-    return _make(out, (x, w), "conv2d", backward)
+    return _conv(x, w, "conv2d", pad=pad)
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor) -> Tensor:
-    """Per-channel k x k cross-correlation with same zero padding, stride 1."""
-    if x.ndim != 3 or w.ndim != 3:
-        raise DimensionError("depthwise_conv2d expects x[C,H,W], w[C,k,k]; got %r, %r"
-                             % (x.shape, w.shape))
-    c, h, wd = x.shape
-    cw, kh, kw = w.shape
-    if kh != kw:
-        raise DimensionError("depthwise kernels must be square, got %r" % (w.shape,))
-    if c != cw:
-        raise DimensionError("depthwise channel mismatch: input %d vs kernel %d"
-                             % (c, cw))
-    k = kh
-    pad = (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    out = np.einsum("chwij,cij->chw", windows, w.data)
-    _count(2 * c * h * wd * k * k)
-
-    def backward(g):
-        if w.requires_grad:
-            w._accumulate(np.einsum("chwij,chw->cij", windows, g))
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, i:i + h, j:j + wd] += g * w.data[:, i, j][:, None, None]
-            if pad:
-                gxp = gxp[:, pad:-pad, pad:-pad]
-            x._accumulate(gxp)
-
-    return _make(out, (x, w), "depthwise_conv2d", backward)
+    """Per-channel k x k cross-correlation of x[C,H,W] with w[C,k,k], same padding."""
+    return _conv(x, w, "depthwise_conv2d", depthwise=True)
 
 
 def dilated_conv2d(x: Tensor, w: Tensor, dilation: int) -> Tensor:
-    """Dilated 3x3 cross-correlation with same zero padding, stride 1."""
-    if x.ndim != 3 or w.ndim != 4:
-        raise DimensionError("dilated_conv2d expects x[C,H,W], w[Co,Ci,k,k]")
+    """Dilated k x k cross-correlation with same zero padding."""
+    return _conv(x, w, "dilated_conv2d", dilation=dilation)
+
+
+def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
+          dilation: int = 1, depthwise: bool = False) -> Tensor:
+    """Shifted-tap cross-correlation behind the three public conv ops.
+
+    Tap (i, j) of output pixel (y, x) reads padded input pixel
+    (y + dilation * i, x + dilation * j). Dense weights are w[Co,Ci,k,k] and
+    contract all taps in one matmul; depthwise weights are w[C,k,k] and scale
+    each tap per channel. ``pad=None`` keeps the spatial dims.
+    """
+    if x.ndim != 3 or w.ndim != (3 if depthwise else 4):
+        raise DimensionError("%s expects x[C,H,W] and a %dD kernel; got %r, %r"
+                             % (op, 3 if depthwise else 4, x.shape, w.shape))
     c_in, h, wd = x.shape
-    c_out, c_in_w, k, k2 = w.shape
-    if k != k2:
-        raise DimensionError("dilated kernels must be square, got %r" % (w.shape,))
-    if c_in != c_in_w:
-        raise DimensionError("dilated_conv2d channel mismatch: %d vs %d"
-                             % (c_in, c_in_w))
-    pad = dilation * (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    # gather the k*k dilated taps as shifted views
-    taps = np.empty((c_in, k, k, h, wd))
-    for i in range(k):
-        for j in range(k):
-            taps[:, i, j] = xp[:, i * dilation:i * dilation + h,
-                               j * dilation:j * dilation + wd]
-    out = np.einsum("cijhw,ocij->ohw", taps, w.data)
-    _count(2 * c_out * c_in * k * k * h * wd)
+    k = w.shape[-1]
+    if w.shape[-2] != k:
+        raise DimensionError("%s kernels must be square, got %r" % (op, w.shape))
+    if w.shape[-3] != c_in:
+        raise DimensionError("%s channel mismatch: input %d vs kernel %d"
+                             % (op, c_in, w.shape[-3]))
+    if dilation < 1:
+        raise ContractError("%s dilation must be >= 1, got %r" % (op, dilation))
+    c_out = c_in if depthwise else w.shape[0]
+    span = dilation * (k - 1) + 1
+    if pad is None:
+        pad = (span - 1) // 2
+    h_out = h + 2 * pad - span + 1
+    w_out = wd + 2 * pad - span + 1
+    if h_out < 1 or w_out < 1:
+        raise DimensionError("%s output would be empty for input %r kernel %d"
+                             % (op, x.shape, k))
+
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    # every tap as one strided view (Ci, Ho, Wo, k, k); the last row read,
+    # (h_out - 1) + dilation * (k - 1), is the last row of xp
+    sc, sy, sx = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp, (c_in, h_out, w_out, k, k),
+        (sc, sy, sx, sy * dilation, sx * dilation), writeable=False)
+    _count(2 * c_out * (1 if depthwise else c_in) * k * k * h_out * w_out)
+    if depthwise:
+        out = np.zeros((c_out, h_out, w_out))
+        for i in range(k):
+            for j in range(k):
+                out += w.data[:, i, j, None, None] * taps[..., i, j]
+    else:
+        # a free view when k == 1, one im2col copy otherwise
+        cols = taps.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, h_out * w_out)
+        wm = w.data.reshape(c_out, c_in * k * k)
+        out = (wm @ cols).reshape(c_out, h_out, w_out)
 
     def backward(g):
-        if w.requires_grad:
-            w._accumulate(np.einsum("cijhw,ohw->ocij", taps, g))
+        if w.requires_grad and depthwise:
+            gw = [np.einsum("chw,chw->c", taps[..., i, j], g)
+                  for i in range(k) for j in range(k)]
+            w._accumulate(np.stack(gw, axis=1).reshape(w.data.shape))
+        elif w.requires_grad:
+            w._accumulate((g.reshape(c_out, -1) @ cols.T).reshape(w.data.shape))
         if x.requires_grad:
+            if not depthwise:
+                gcols = (wm.T @ g.reshape(c_out, -1)).reshape(c_in, k, k, h_out, w_out)
             gxp = np.zeros_like(xp)
-            gtaps = np.einsum("ocij,ohw->cijhw", w.data, g)
             for i in range(k):
                 for j in range(k):
-                    gxp[:, i * dilation:i * dilation + h,
-                        j * dilation:j * dilation + wd] += gtaps[:, i, j]
-            gxp = gxp[:, pad:-pad, pad:-pad] if pad else gxp
-            x._accumulate(gxp)
+                    gxp[:, dilation * i:dilation * i + h_out,
+                        dilation * j:dilation * j + w_out] += (
+                        g * w.data[:, i, j, None, None] if depthwise
+                        else gcols[:, i, j])
+            x._accumulate(gxp[:, pad:pad + h, pad:pad + wd])
 
-    return _make(out, (x, w), "dilated_conv2d", backward)
+    return _make(out, (x, w), op, backward)
 
 
 def pad_reflect2d(x: Tensor, pad: int) -> Tensor:

@@ -168,7 +168,7 @@ def shallow_extract(img: Tensor, p: ShallowParams) -> FeatureMap:
         raise ContractError("shallow_extract wants a 1xHxW image, got %r"
                             % (img.shape,))
     c = p.embed_w.shape[0]
-    embedded = ad.conv2d(img, p.embed_w, stride=1, pad=0) \
+    embedded = ad.conv2d(img, p.embed_w, pad=0) \
         + p.embed_b.reshape(c, 1, 1)
     return FeatureMap(transformer_block(embedded, p.block), "shallow")
 
@@ -198,8 +198,8 @@ def channel_mix(mamba_feat: FeatureMap, trans_out: FeatureMap,
                              % (mamba_feat.shape, trans_out.shape))
     c = mamba_feat.shape[0]
     both = ad.concat([mamba_feat.data, trans_out.data], axis=0)
-    mixed = ad.conv2d(both, ip.mix1_w, stride=1, pad=0) + ip.mix1_b.reshape(c, 1, 1)
-    mixed = ad.conv2d(mixed, ip.mix3_w, stride=1, pad=1) + ip.mix3_b.reshape(c, 1, 1)
+    mixed = ad.conv2d(both, ip.mix1_w, pad=0) + ip.mix1_b.reshape(c, 1, 1)
+    mixed = ad.conv2d(mixed, ip.mix3_w, pad=1) + ip.mix3_b.reshape(c, 1, 1)
     return FeatureMap(mixed, "shallow")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .model import ModelParams, build_model
 from .optim import AdamState
 from .params import named_parameters
@@ -52,8 +52,11 @@ def _decode_array(payload: bytes) -> np.ndarray:
     if len(payload) < 1:
         raise CheckpointError("empty array payload")
     ndim = payload[0]
-    dims = struct.unpack_from("<%dI" % ndim, payload, 1)
-    data = np.frombuffer(payload, dtype="<f8", offset=1 + 4 * ndim)
+    try:
+        dims = struct.unpack_from("<%dI" % ndim, payload, 1)
+        data = np.frombuffer(payload, dtype="<f8", offset=1 + 4 * ndim)
+    except (struct.error, ValueError) as exc:
+        raise CheckpointError("malformed array payload: %s" % exc) from exc
     expected = int(np.prod(dims)) if dims else 1
     if data.size != expected:
         raise CheckpointError("array payload size mismatch")
@@ -92,6 +95,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
+    if len(blob) < 8:
+        raise CheckpointError("truncated header")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != VERSION:
         raise CheckpointError("unsupported checkpoint version %d" % version)
@@ -102,7 +107,10 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError("truncated record at byte %d" % pos)
         (klen,) = struct.unpack_from("<I", blob, pos)
         pos += 4
-        key = blob[pos:pos + klen].decode("utf-8")
+        try:
+            key = blob[pos:pos + klen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError("record key at byte %d is not UTF-8" % pos) from exc
         pos += klen
         if pos + 4 > len(blob):
             raise CheckpointError("truncated record %r" % key)
@@ -116,9 +124,12 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     if "config" not in records or "counters" not in records:
         raise CheckpointError("checkpoint missing config/counters records")
-    cfg = parse_config(records["config"].decode("utf-8"))
-    stage1_steps, stage2_steps, adam_steps = \
-        struct.unpack("<QQQ", records["counters"])
+    try:
+        cfg = parse_config(records["config"].decode("utf-8"))
+        stage1_steps, stage2_steps, adam_steps = \
+            struct.unpack("<QQQ", records["counters"])
+    except (UnicodeDecodeError, ConfigError, struct.error) as exc:
+        raise CheckpointError("malformed config/counters record: %s" % exc) from exc
 
     model = build_model(cfg)
     for name, tensor in named_parameters(model):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionTriplet, TransformerBlockParams, \
-    apply_attention, channel_attention, make_transformer_block_params, \
+from .attention import TransformerBlockParams, apply_attention, \
+    channel_attention, make_transformer_block_params, project_qkv, \
     transformer_block
 from .autodiff import ContractError, DimensionError, Tensor
 from .blocks import DualBranchBlockParams, FeatureMap, _require, \
@@ -129,16 +129,6 @@ def prefuse_mamba(feat_a: FeatureMap, feat_b: FeatureMap) -> FeatureMap:
     return FeatureMap(feat_a.data + feat_b.data, "prefused")
 
 
-def _project(x: Tensor, p: CrossModalParams, log_scale: Tensor) -> AttentionTriplet:
-    c, h, w = x.shape
-    qkv = ad.depthwise_conv2d(ad.conv2d(x, p.qkv_point, stride=1, pad=0),
-                              p.qkv_depth)
-    flat = qkv.reshape(3 * c, h * w)
-    return AttentionTriplet(q=flat[0:c].transpose(), k=flat[c:2 * c],
-                            v=flat[2 * c:3 * c].transpose(),
-                            scale=ad.exp(log_scale))
-
-
 def modality_attentions(vis_t: FeatureMap, ir_t: FeatureMap,
                         p: CrossModalParams):
     """Per-modality channel-attention matrices plus retained value matrices.
@@ -151,8 +141,8 @@ def modality_attentions(vis_t: FeatureMap, ir_t: FeatureMap,
     if vis_t.shape != ir_t.shape:
         raise DimensionError("modality features differ: %r vs %r"
                              % (vis_t.shape, ir_t.shape))
-    trip_vis = _project(vis_t.data, p, p.log_scale_vis)
-    trip_ir = _project(ir_t.data, p, p.log_scale_ir)
+    trip_vis = project_qkv(vis_t.data, p.qkv_point, p.qkv_depth, p.log_scale_vis)
+    trip_ir = project_qkv(ir_t.data, p.qkv_point, p.qkv_depth, p.log_scale_ir)
     _, attn_vis = channel_attention(trip_vis)
     _, attn_ir = channel_attention(trip_ir)
     return attn_vis, attn_ir, trip_vis.v, trip_ir.v
@@ -267,8 +257,8 @@ def decode(feat_t: FeatureMap | None, feat_m: FeatureMap | None,
     if stacked.shape[0] != expected_in:
         raise DimensionError("decoder built for %d input channels, got %d"
                              % (expected_in, stacked.shape[0]))
-    merged = ad.conv2d(stacked, p.merge_w, stride=1, pad=0) \
+    merged = ad.conv2d(stacked, p.merge_w, pad=0) \
         + p.merge_b.reshape(c, 1, 1)
     refined = transformer_block(merged, p.block)
-    out = ad.conv2d(refined, p.out_w, stride=1, pad=0) + p.out_b.reshape(1, 1, 1)
+    out = ad.conv2d(refined, p.out_w, pad=0) + p.out_b.reshape(1, 1, 1)
     return ad.sigmoid(out)

@@ -33,9 +33,6 @@ class LossBreakdown:
     ssim_or_grad: Tensor
     total: Tensor
 
-    def floats(self) -> tuple[float, float, float]:
-        return (self.intensity.item(), self.ssim_or_grad.item(), self.total.item())
-
 
 def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
     """Normalized 2-D Gaussian, the SSIM local averaging window."""
@@ -66,7 +63,7 @@ def ssim(x: Tensor, y: Tensor) -> Tensor:
     win = Tensor(_WINDOW[None, None])
 
     def blur(img):
-        return ad.conv2d(img, win, stride=1, pad=0)
+        return ad.conv2d(img, win, pad=0)
 
     mu_x = blur(x)
     mu_y = blur(y)
@@ -89,8 +86,8 @@ def sobel_grad(x: Tensor) -> Tensor:
         raise ContractError("sobel_grad needs at least a 3x3 image, got %r"
                             % (x.shape,))
     padded = ad.pad_reflect2d(x, 1)
-    gx = ad.conv2d(padded, Tensor(SOBEL_X[None, None]), stride=1, pad=0)
-    gy = ad.conv2d(padded, Tensor(SOBEL_Y[None, None]), stride=1, pad=0)
+    gx = ad.conv2d(padded, Tensor(SOBEL_X[None, None]), pad=0)
+    gy = ad.conv2d(padded, Tensor(SOBEL_Y[None, None]), pad=0)
     return ad.absolute(gx) + ad.absolute(gy)
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from .autodiff import Tensor
 
 
@@ -43,11 +41,3 @@ def trainable_parameters(obj) -> list[tuple[str, Tensor]]:
 def zero_grads(obj) -> None:
     for _, t in named_parameters(obj):
         t.grad = None
-
-
-def count_parameters(obj) -> int:
-    return sum(t.size for _, t in trainable_parameters(obj))
-
-
-def all_finite(obj) -> bool:
-    return all(np.all(np.isfinite(t.data)) for _, t in named_parameters(obj))

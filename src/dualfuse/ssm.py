@@ -188,11 +188,11 @@ def ssm_block(x: Tensor, p: SsmBlockParams) -> Tensor:
         raise DimensionError("block built for %d channels, input has %d"
                              % (p.channels, x.shape[0]))
     normed = channel_norm(x, p.norm_gain, p.norm_bias)
-    main = ad.conv2d(normed, p.in_proj, stride=1, pad=0)
+    main = ad.conv2d(normed, p.in_proj, pad=0)
     main = ad.silu(ad.depthwise_conv2d(main, p.conv_depth))
     main = cross_scan_2d(main, p.scan)
-    gate = ad.silu(ad.conv2d(normed, p.gate_proj, stride=1, pad=0))
-    return x + ad.conv2d(main * gate, p.out_proj, stride=1, pad=0)
+    gate = ad.silu(ad.conv2d(normed, p.gate_proj, pad=0))
+    return x + ad.conv2d(main * gate, p.out_proj, pad=0)
 
 
 def conv_substitute_block(x: Tensor, p: ConvSubstituteParams) -> Tensor:
@@ -202,8 +202,8 @@ def conv_substitute_block(x: Tensor, p: ConvSubstituteParams) -> Tensor:
         raise DimensionError("block built for %d channels, input has %d"
                              % (p.channels, x.shape[0]))
     normed = channel_norm(x, p.norm_gain, p.norm_bias)
-    main = ad.conv2d(normed, p.in_proj, stride=1, pad=0)
+    main = ad.conv2d(normed, p.in_proj, pad=0)
     main = ad.silu(ad.depthwise_conv2d(main, p.conv_depth))
     main = ad.depthwise_conv2d(main, p.conv_mix)
-    gate = ad.silu(ad.conv2d(normed, p.gate_proj, stride=1, pad=0))
-    return x + ad.conv2d(main * gate, p.out_proj, stride=1, pad=0)
+    gate = ad.silu(ad.conv2d(normed, p.gate_proj, pad=0))
+    return x + ad.conv2d(main * gate, p.out_proj, pad=0)

@@ -17,13 +17,17 @@ def make_params(channels, seed=0):
     return attn.make_transformer_block_params(np.random.default_rng(seed), channels)
 
 
+def qkv(p):
+    return p.qkv_point, p.qkv_depth, p.log_scale
+
+
 # ---------------------------------------------------------------------------
 # project_qkv
 # ---------------------------------------------------------------------------
 
 def test_project_qkv_zero_input_gives_zero_triplet():
     p = make_params(3)
-    trip = attn.project_qkv(Tensor(np.zeros((3, 4, 4))), p)
+    trip = attn.project_qkv(Tensor(np.zeros((3, 4, 4))), *qkv(p))
     assert not trip.q.data.any()
     assert not trip.k.data.any()
     assert not trip.v.data.any()
@@ -35,13 +39,13 @@ def test_project_qkv_identity_projection_c1(rng):
     p.qkv_depth.data[:] = 0.0
     p.qkv_depth.data[:, 1, 1] = 1.0            # depthwise identity tap
     x = rng.uniform(-1, 1, (1, 4, 4))
-    trip = attn.project_qkv(Tensor(x), p)
+    trip = attn.project_qkv(Tensor(x), *qkv(p))
     assert_close(trip.q.data[:, 0], x.ravel())
 
 
 def test_project_qkv_shapes():
     p = make_params(4)
-    trip = attn.project_qkv(Tensor(np.zeros((4, 8, 8))), p)
+    trip = attn.project_qkv(Tensor(np.zeros((4, 8, 8))), *qkv(p))
     assert trip.q.shape == (64, 4)
     assert trip.k.shape == (4, 64)
     assert trip.v.shape == (64, 4)
@@ -50,13 +54,13 @@ def test_project_qkv_shapes():
 def test_project_qkv_channel_mismatch():
     p = make_params(4)
     with pytest.raises(DimensionError):
-        attn.project_qkv(Tensor(np.zeros((3, 8, 8))), p)
+        attn.project_qkv(Tensor(np.zeros((3, 8, 8))), *qkv(p))
 
 
 def test_project_qkv_needs_3x3_spatial():
     p = make_params(2)
     with pytest.raises(ContractError):
-        attn.project_qkv(Tensor(np.zeros((2, 2, 8))), p)
+        attn.project_qkv(Tensor(np.zeros((2, 2, 8))), *qkv(p))
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,14 @@ def test_matmul_shape_mismatch():
 def test_conv2d_identity_1x1():
     x = Tensor(np.arange(9.0).reshape(1, 3, 3))
     w = Tensor(np.ones((1, 1, 1, 1)))
-    assert_close(ad.conv2d(x, w, stride=1, pad=0).data, x.data)
+    assert_close(ad.conv2d(x, w, pad=0).data, x.data)
 
 
 def test_conv2d_ones_kernel_constant_interior():
     v = 0.7
     x = Tensor(np.full((1, 5, 5), v))
     w = Tensor(np.ones((1, 1, 3, 3)))
-    out = ad.conv2d(x, w, stride=1, pad=1)
+    out = ad.conv2d(x, w, pad=1)
     assert out.shape == (1, 5, 5)
     assert_close(out.data[0, 2, 2], 9 * v)
 
@@ -69,15 +69,13 @@ def test_conv2d_ones_kernel_constant_interior():
 def test_conv2d_against_six_loop_oracle(rng):
     x = rng.uniform(-1, 1, (2, 5, 5))
     w = rng.uniform(-1, 1, (3, 2, 3, 3))
-    got = ad.conv2d(Tensor(x), Tensor(w), stride=1, pad=1).data
+    got = ad.conv2d(Tensor(x), Tensor(w), pad=1).data
     assert_close(got, conv2d_oracle(x, w, 1, 1), tol=1e-12)
-
-
-def test_conv2d_strided_against_oracle(rng):
-    x = rng.uniform(-1, 1, (2, 6, 6))
-    w = rng.uniform(-1, 1, (1, 2, 3, 3))
-    got = ad.conv2d(Tensor(x), Tensor(w), stride=2, pad=1).data
-    assert_close(got, conv2d_oracle(x, w, 2, 1), tol=1e-12)
+    # the SSIM window: valid 11x11, the most taps any conv sees
+    x = rng.uniform(-1, 1, (1, 14, 13))
+    w = rng.uniform(-1, 1, (1, 1, 11, 11))
+    got = ad.conv2d(Tensor(x), Tensor(w), pad=0).data
+    assert_close(got, conv2d_oracle(x, w, 1, 0), tol=1e-12)
 
 
 def test_conv2d_channel_mismatch():
@@ -89,7 +87,7 @@ def test_conv2d_same_padding_preserves_shape(rng):
     for k, c in ((1, 2), (3, 3)):
         x = Tensor(rng.uniform(-1, 1, (c, 7, 5)))
         w = Tensor(rng.uniform(-1, 1, (c, c, k, k)))
-        assert ad.conv2d(x, w, stride=1, pad=(k - 1) // 2).shape == (c, 7, 5)
+        assert ad.conv2d(x, w, pad=(k - 1) // 2).shape == (c, 7, 5)
 
 
 def test_depthwise_conv2d_against_oracle(rng):
@@ -102,15 +100,23 @@ def test_depthwise_conv2d_against_oracle(rng):
         assert_close(got[c], ref[0], tol=1e-12)
 
 
-def test_dilated_conv2d_matches_inserted_zero_kernel(rng):
-    # dilation-2 3x3 == ordinary 5x5 kernel with zeros between taps
+@pytest.mark.parametrize("dilation", [1, 2, 4])
+def test_dilated_conv2d_matches_inserted_zero_kernel(rng, dilation):
+    # dilation-d 3x3 == ordinary (2d+1)x(2d+1) kernel with zeros between taps
     x = rng.uniform(-1, 1, (2, 6, 6))
     w = rng.uniform(-1, 1, (2, 2, 3, 3))
-    w_big = np.zeros((2, 2, 5, 5))
-    w_big[:, :, ::2, ::2] = w
-    got = ad.dilated_conv2d(Tensor(x), Tensor(w), dilation=2).data
-    ref = conv2d_oracle(x, w_big, 1, 2)
+    span = 2 * dilation + 1
+    w_big = np.zeros((2, 2, span, span))
+    w_big[:, :, ::dilation, ::dilation] = w
+    got = ad.dilated_conv2d(Tensor(x), Tensor(w), dilation=dilation).data
+    ref = conv2d_oracle(x, w_big, 1, dilation)
     assert_close(got, ref, tol=1e-12)
+
+
+def test_dilated_conv2d_rejects_dilation_below_one():
+    with pytest.raises(ContractError, match="dilation"):
+        ad.dilated_conv2d(Tensor(np.zeros((1, 5, 5))),
+                          Tensor(np.zeros((1, 1, 3, 3))), dilation=0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +249,7 @@ def test_forward_determinism(rng):
     w = rng.uniform(-1, 1, (4, 4, 3, 3))
 
     def run():
-        out = ad.conv2d(Tensor(x), Tensor(w), stride=1, pad=1)
+        out = ad.conv2d(Tensor(x), Tensor(w), pad=1)
         out = ad.silu(out)
         return ad.softmax(out.reshape(4, 36), axis=1).data
 

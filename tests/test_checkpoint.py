@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualfuse import checkpoint as ckpt_mod
 from dualfuse import params
@@ -76,10 +78,11 @@ def test_truncated_file(tmp_path):
     save_checkpoint(path, cfg, build_model(cfg), AdamState(), 1, 0)
     with open(path, "rb") as fh:
         blob = fh.read()
-    with open(path, "wb") as fh:
-        fh.write(blob[:len(blob) // 2])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    for cut in (len(blob) // 2, 4, 5, 6, 7):     # mid-record, mid-version
+        with open(path, "wb") as fh:
+            fh.write(blob[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 def test_unsupported_version(tmp_path):
@@ -88,3 +91,37 @@ def test_unsupported_version(tmp_path):
         fh.write(ckpt_mod.MAGIC + (99).to_bytes(4, "little"))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_blob(tmp_path_factory):
+    cfg = RunConfig(channels=1, crop=16, batch=1, seed=3)
+    model = build_model(cfg)
+    adam = AdamState(step_count=2)
+    adam.ensure(params.trainable_parameters(model))
+    path = str(tmp_path_factory.mktemp("ckpt") / "tiny.tmam")
+    save_checkpoint(path, cfg, model, adam, 1, 1)
+    with open(path, "rb") as fh:
+        return path, fh.read()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_raises_only_checkpoint_error(tiny_blob, data):
+    path, blob = tiny_blob
+    # the config text and the record headers sit near the front, so half the
+    # overwrites land in the first kilobyte; two overwrites of "channels = 1"
+    # give at most 91 channels, which keeps every rebuilt model small
+    where = st.one_of(st.integers(0, 1023), st.integers(0, len(blob) - 1))
+    edits = data.draw(st.lists(st.tuples(where, st.integers(0, 255)),
+                               max_size=2))
+    mutated = bytearray(blob)
+    for pos, value in edits:
+        mutated[pos] = value
+    mutated = mutated[:data.draw(st.integers(0, len(blob)))]
+    with open(path, "wb") as fh:
+        fh.write(mutated)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

@@ -5,7 +5,8 @@ import pytest
 
 from dualfuse import autodiff as ad
 from dualfuse import blocks, fusion, params
-from dualfuse.attention import AttentionTriplet, channel_attention
+from dualfuse.attention import AttentionTriplet, channel_attention, \
+    project_qkv
 from dualfuse.autodiff import ContractError, DimensionError, Tensor
 from dualfuse.blocks import FeatureMap
 from hypothesis import given, settings
@@ -86,8 +87,8 @@ def test_modality_attentions_match_dense_oracle(rng):
     ir = fmap(rng.uniform(-1, 1, (3, 4, 4)), "transformer")
     a_vis, a_ir, v_vis, v_ir = fusion.modality_attentions(vis, ir, p)
     # oracle consumes the same projected triplets, computed densely
-    trip_v = fusion._project(vis.data, p, p.log_scale_vis)
-    trip_i = fusion._project(ir.data, p, p.log_scale_ir)
+    trip_v = project_qkv(vis.data, p.qkv_point, p.qkv_depth, p.log_scale_vis)
+    trip_i = project_qkv(ir.data, p.qkv_point, p.qkv_depth, p.log_scale_ir)
     _, ref_v = dense_attention_oracle(trip_v.q.data, trip_v.k.data,
                                       trip_v.v.data, trip_v.scale.item())
     _, ref_i = dense_attention_oracle(trip_i.q.data, trip_i.k.data,
