@@ -50,10 +50,6 @@ def set_debug_checks(enabled: bool) -> None:
     _debug_checks = bool(enabled)
 
 
-def debug_checks_enabled() -> bool:
-    return _debug_checks
-
-
 class no_grad:
     """Context manager that skips graph construction inside its body."""
 
@@ -144,9 +140,6 @@ class Tensor:
     def __repr__(self):
         return "Tensor(op=%s, shape=%r, requires_grad=%s)" % (
             self._op, self.shape, self.requires_grad)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -243,20 +236,8 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
 def toposort(root: Tensor) -> list:
@@ -388,9 +369,9 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; at ties the gradient routes to the first operand."""
     out = np.maximum(a.data, b.data)
     _count(out.size)
-    mask = (a.data >= b.data).astype(np.float64)
 
     def backward(g):
+        mask = (a.data >= b.data).astype(np.float64)
         if a.requires_grad:
             a._accumulate(_unbroadcast(g * mask, a.data.shape))
         if b.requires_grad:
@@ -402,11 +383,10 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 def absolute(a: Tensor) -> Tensor:
     out = np.abs(a.data)
     _count(out.size)
-    sign = np.sign(a.data)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * sign)
+            a._accumulate(g * np.sign(a.data))
 
     return _make(out, (a,), "abs", backward)
 
@@ -494,11 +474,10 @@ def softplus(a: Tensor) -> Tensor:
     x = a.data
     out = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
     _count(2 * out.size)
-    s = _sigmoid_np(x)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * s)
+            a._accumulate(g * _sigmoid_np(x))
 
     return _make(out, (a,), "softplus", backward)
 
@@ -787,10 +766,10 @@ def pad_reflect2d(x: Tensor, pad: int) -> Tensor:
     if pad >= h or pad >= w:
         raise ContractError("reflect pad %d too large for %dx%d image" % (pad, h, w))
     out = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
-    idx = np.pad(np.arange(h * w).reshape(h, w), pad, mode="reflect").ravel()
 
     def backward(g):
         if x.requires_grad:
+            idx = np.pad(np.arange(h * w).reshape(h, w), pad, mode="reflect").ravel()
             gflat = g.reshape(c, -1)
             buf = np.zeros((c, h * w))
             for ch in range(c):
@@ -804,6 +783,19 @@ def pad_reflect2d(x: Tensor, pad: int) -> Tensor:
 # selective-scan recurrence
 # ---------------------------------------------------------------------------
 
+def _recur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First-order linear recurrence b[t] += a[t-1] * b[t-1] along axis 0.
+
+    Runs in place over row views of ``b`` (which may be a reversed view) and
+    returns it; ``a`` has one row fewer than ``b``.
+    """
+    prev = b[0]
+    for a_t, b_t in zip(a, b[1:]):
+        b_t += a_t * prev
+        prev = b_t
+    return b
+
+
 def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
                         a: Tensor, d: Tensor) -> Tensor:
     """Input-selective state-space recurrence over one token sequence.
@@ -814,8 +806,9 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
         h_t = exp(delta_t * a) * h_{t-1} + (delta_t * u_t) * b_t
         y_t = <h_t, c_t> + d * u_t        with  h_0 = 0
 
-    The forward loop is the sequential recurrence itself; backward replays it
-    in reverse with the adjoint recursion. Work is linear in L.
+    The forward pass runs the recurrence with ``_recur``; backward runs the
+    adjoint recursion with the same helper in reversed time. Work is linear
+    in L.
     """
     if u.ndim != 2:
         raise DimensionError("selective_scan_core expects u[L,C], got %r"
@@ -835,22 +828,15 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
     ud, dd, bd, cd, ad, sd = u.data, delta.data, b.data, c.data, a.data, d.data
     decay = np.exp(dd[:, :, None] * ad[None])                  # (L,C,N)
     drive = (dd * ud)[:, :, None] * bd[:, None, :]             # (L,C,N)
-    hs = np.empty((length, ch, n))
-    h = np.zeros((ch, n))
-    for t in range(length):
-        h = decay[t] * h + drive[t]
-        hs[t] = h
+    hs = _recur(decay[1:], drive)                             # h_t, in place
     y = np.einsum("lcn,ln->lc", hs, cd) + sd * ud
     _count(10 * length * ch * n + 2 * length * ch)
 
     def backward(g):
-        gdirect = g[:, :, None] * cd[:, None, :]               # (L,C,N)
-        gh_all = np.empty((length, ch, n))
-        gh_next = np.zeros((ch, n))
-        for t in range(length - 1, -1, -1):
-            gh_next = gdirect[t] + gh_next
-            gh_all[t] = gh_next
-            gh_next = gh_next * decay[t]
+        # adjoint gh_t = g_t c_t + decay_{t+1} gh_{t+1}: the same recurrence
+        # run in place over the reversed-time view
+        gh_all = g[:, :, None] * cd[:, None, :]                # (L,C,N)
+        _recur(decay[:0:-1], gh_all[::-1])
         gdu = np.einsum("lcn,ln->lc", gh_all, bd)       # grad wrt (delta * u)
         if u.requires_grad:
             u._accumulate(g * sd + gdu * dd)

@@ -186,24 +186,19 @@ def attention_weighting(vis_t: FeatureMap, ir_t: FeatureMap,
     return combined, w_vis, w_ir
 
 
-def prefuse_transformer(attn: Tensor, v_ir: Tensor, v_vis: Tensor,
-                        height: int, width: int) -> FeatureMap:
-    """Apply one shared attention to both value matrices and sum."""
+def prefuse_transformer(attn_ir: Tensor, attn_vis: Tensor, v_ir: Tensor,
+                        v_vis: Tensor, height: int, width: int) -> FeatureMap:
+    """Apply each modality's attention to its value matrix and sum.
+
+    Cross-modal attention passes the one combined matrix as both
+    attentions; the per-modality ablation passes each modality's own.
+    """
     if v_ir.shape != v_vis.shape:
         raise DimensionError("value matrices differ: %r vs %r"
                              % (v_ir.shape, v_vis.shape))
     if v_ir.shape[0] != height * width:
         raise DimensionError("value rows %d != %d pixels"
                              % (v_ir.shape[0], height * width))
-    mixed = apply_attention(attn, v_ir) + apply_attention(attn, v_vis)
-    c = mixed.shape[1]
-    return FeatureMap(mixed.transpose().reshape(c, height, width), "prefused")
-
-
-def prefuse_transformer_per_modality(attn_vis: Tensor, attn_ir: Tensor,
-                                     v_vis: Tensor, v_ir: Tensor,
-                                     height: int, width: int) -> FeatureMap:
-    """Ablation path: each modality keeps its own attention, results add."""
     mixed = apply_attention(attn_ir, v_ir) + apply_attention(attn_vis, v_vis)
     c = mixed.shape[1]
     return FeatureMap(mixed.transpose().reshape(c, height, width), "prefused")

@@ -21,49 +21,11 @@ REL_TOL = 1e-4
 ABS_FLOOR = 1e-7   # absolute slack for gradients that are themselves ~0
 
 
-def numeric_grads(build, arrays, step: float = FD_STEP):
-    """Central finite differences of the scalar build(*tensors) in each input."""
-    work = [np.array(a, dtype=np.float64) for a in arrays]
-
-    def value() -> float:
-        with no_grad():
-            return build(*[Tensor(a) for a in work]).item()
-
-    grads = []
-    for arr in work:
-        g = np.zeros_like(arr)
-        flat, gflat = arr.ravel(), g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = value()
-            flat[i] = orig - step
-            down = value()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * step)
-        grads.append(g)
-    return grads
-
-
-def analytic_grads(build, arrays):
-    params = [ad.parameter(np.array(a, dtype=np.float64)) for a in arrays]
-    loss = build(*params)
-    loss.backward()
-    return [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
-
-
-def worst_relative_error(analytic, numeric) -> float:
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), ABS_FLOOR / REL_TOL)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
-
-
 def check_case(build, arrays) -> float:
     """Worst elementwise relative error between analytic and numeric grads."""
-    return worst_relative_error(analytic_grads(build, arrays),
-                                numeric_grads(build, arrays))
+    params = [ad.parameter(np.array(a, dtype=np.float64)) for a in arrays]
+    named = [(str(i), p) for i, p in enumerate(params)]
+    return check_model_grads(lambda: build(*params), named)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +146,18 @@ def primitive_cases():
         return (_cotangent(rng, lambda x: ad.pad_reflect2d(x, 1)),
                 [_u(rng, (2, 3, 4))])
 
-    def scan_case(rng):
-        length, ch, n = 4, 3, 2
-        u = _u(rng, (length, ch))
-        delta = rng.uniform(0.05, 0.8, size=(length, ch))
-        b = _u(rng, (length, n))
-        c = _u(rng, (length, n))
-        a = rng.uniform(-1.5, -0.2, size=(ch, n))
-        d = _u(rng, (ch,))
-        return _cotangent(rng, ad.selective_scan_core), [u, delta, b, c, a, d]
+    def scan(length):
+        # L=1 runs the recurrence loop zero times, L=2 once
+        def scan_case(rng):
+            ch, n = 3, 2
+            u = _u(rng, (length, ch))
+            delta = rng.uniform(0.05, 0.8, size=(length, ch))
+            b = _u(rng, (length, n))
+            c = _u(rng, (length, n))
+            a = rng.uniform(-1.5, -0.2, size=(ch, n))
+            d = _u(rng, (ch,))
+            return _cotangent(rng, ad.selective_scan_core), [u, delta, b, c, a, d]
+        return scan_case
 
     return [
         ("add", binary(ad.add)),
@@ -226,7 +191,9 @@ def primitive_cases():
         ("depthwise_conv2d", depthwise_case),
         ("dilated_conv2d", dilated_case),
         ("pad_reflect2d", pad_reflect_case),
-        ("selective_scan_core", scan_case),
+        ("selective_scan_core", scan(4)),
+        ("selective_scan_core_L1", scan(1)),
+        ("selective_scan_core_L2", scan(2)),
     ]
 
 

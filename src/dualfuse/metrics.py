@@ -194,7 +194,8 @@ def _vif_single(ref: np.ndarray, dist: np.ndarray) -> float:
 
 def metric_vif(fused: np.ndarray, src_a: np.ndarray, src_b: np.ndarray) -> float:
     """Sum of the pixel-domain multi-scale VIF of the fused image against
-    each source."""
+    each source. The 4-scale pyramid needs images of at least 41x41;
+    smaller ones raise ContractError."""
     fused = _check_u8(fused, "fused")
     src_a = _check_u8(src_a, "source a")
     src_b = _check_u8(src_b, "source b")

@@ -19,7 +19,7 @@ from .config import RunConfig
 from .data import ImagePair
 from .fusion import DecoderParams, FusionParams, decode, fuse_features, \
     make_cross_modal_params, make_decoder_params, prefuse_mamba, \
-    prefuse_transformer, prefuse_transformer_per_modality
+    prefuse_transformer
 
 
 @dataclass
@@ -120,10 +120,8 @@ def fuse_pair(img_a: Tensor, img_b: Tensor, m: ModelParams, cfg: RunConfig,
         if cfg.cross_modal_attention:
             combined, _, _ = fusion_mod.attention_weighting(
                 trans_b, trans_a, attn_vis, attn_ir, cross.weights)
-            pre_t = prefuse_transformer(combined, v_ir, v_vis, h, w)
-        else:
-            pre_t = prefuse_transformer_per_modality(attn_vis, attn_ir,
-                                                     v_vis, v_ir, h, w)
+            attn_ir = attn_vis = combined
+        pre_t = prefuse_transformer(attn_ir, attn_vis, v_ir, v_vis, h, w)
 
     fused_t, fused_m = fuse_features(pre_t, pre_m, m.fusion)
     return decode(fused_t, fused_m, m.decoder)

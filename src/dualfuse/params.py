@@ -36,8 +36,3 @@ def named_parameters(obj, prefix: str = "") -> list[tuple[str, Tensor]]:
 
 def trainable_parameters(obj) -> list[tuple[str, Tensor]]:
     return [(n, t) for n, t in named_parameters(obj) if t.requires_grad]
-
-
-def zero_grads(obj) -> None:
-    for _, t in named_parameters(obj):
-        t.grad = None

@@ -130,7 +130,8 @@ def test_criterion_3_attention_oracles():
                                                 Tensor(v_i), Tensor(beta)))
     combined, _, _ = fusion.attention_weighting(None, None, a_v, a_i, None,
                                                 weights_override=(0.35, 0.65))
-    got = fusion.prefuse_transformer(combined, Tensor(v_i), Tensor(v_v), h, w)
+    got = fusion.prefuse_transformer(combined, combined, Tensor(v_i),
+                                     Tensor(v_v), h, w)
     _, ref_av = dense_attention_oracle(q_v, k_v, v_v, alpha)
     _, ref_ai = dense_attention_oracle(q_i, k_i, v_i, beta)
     ref_a = 0.35 * ref_av + 0.65 * ref_ai

@@ -160,7 +160,7 @@ def test_prefuse_transformer_zero_value_path(rng):
     c, h, w = 3, 4, 5
     attn = random_row_stochastic(rng, c)
     v_ir = rng.uniform(-1, 1, (h * w, c))
-    out = fusion.prefuse_transformer(Tensor(attn), Tensor(v_ir),
+    out = fusion.prefuse_transformer(Tensor(attn), Tensor(attn), Tensor(v_ir),
                                      Tensor(np.zeros((h * w, c))), h, w)
     expect = (v_ir @ attn.T).T.reshape(c, h, w)
     assert_close(out.data.data, expect, tol=1e-12)
@@ -171,7 +171,8 @@ def test_prefuse_transformer_equal_values_double(rng):
     c, h, w = 2, 3, 3
     attn = random_row_stochastic(rng, c)
     v = rng.uniform(-1, 1, (h * w, c))
-    out = fusion.prefuse_transformer(Tensor(attn), Tensor(v), Tensor(v), h, w)
+    out = fusion.prefuse_transformer(Tensor(attn), Tensor(attn), Tensor(v),
+                                     Tensor(v), h, w)
     expect = 2 * (v @ attn.T).T.reshape(c, h, w)
     assert_close(out.data.data, expect, tol=1e-12)
 
@@ -181,7 +182,8 @@ def test_prefuse_transformer_distributes(rng):
     attn = random_row_stochastic(rng, c)
     x = rng.uniform(-1, 1, (h * w, c))
     y = rng.uniform(-1, 1, (h * w, c))
-    got = fusion.prefuse_transformer(Tensor(attn), Tensor(x), Tensor(y), h, w)
+    got = fusion.prefuse_transformer(Tensor(attn), Tensor(attn), Tensor(x),
+                                     Tensor(y), h, w)
     expect = (x @ attn.T + y @ attn.T).T.reshape(c, h, w)
     assert_close(got.data.data, expect, tol=1e-12)
 
@@ -193,11 +195,22 @@ def test_per_modality_prefuse_degradation(rng):
     a_ir = random_row_stochastic(rng, c)
     v_vis = rng.uniform(-1, 1, (h * w, c))
     v_ir = rng.uniform(-1, 1, (h * w, c))
-    out = fusion.prefuse_transformer_per_modality(
-        Tensor(a_vis), Tensor(a_ir), Tensor(v_vis), Tensor(v_ir), h, w)
+    out = fusion.prefuse_transformer(
+        Tensor(a_ir), Tensor(a_vis), Tensor(v_ir), Tensor(v_vis), h, w)
     expect = (v_ir @ a_ir.T + v_vis @ a_vis.T).T.reshape(c, h, w)
     assert_close(out.data.data, expect, tol=1e-12)
     assert out.provenance == "prefused"
+
+
+def test_prefuse_transformer_guards(rng):
+    # per-modality attentions get the same value-shape checks as a shared one
+    a_ir = Tensor(random_row_stochastic(rng, 2))
+    a_vis = Tensor(random_row_stochastic(rng, 2))
+    v = Tensor(rng.uniform(-1, 1, (6, 2)))
+    with pytest.raises(DimensionError):
+        fusion.prefuse_transformer(a_ir, a_vis, v, Tensor(np.zeros((4, 2))), 2, 3)
+    with pytest.raises(DimensionError):
+        fusion.prefuse_transformer(a_ir, a_vis, v, v, 2, 2)
 
 
 def test_eq_chain_matches_dense_oracle(rng):
@@ -214,7 +227,8 @@ def test_eq_chain_matches_dense_oracle(rng):
     w1, w2 = 0.3, 0.7
     combined, _, _ = fusion.attention_weighting(
         None, None, a_v, a_i, None, weights_override=(w1, w2))
-    got = fusion.prefuse_transformer(combined, Tensor(v_i), Tensor(v_v), 2, 3)
+    got = fusion.prefuse_transformer(combined, combined, Tensor(v_i),
+                                     Tensor(v_v), 2, 3)
     # dense oracle for the whole chain
     _, ref_av = dense_attention_oracle(q_v, k_v, v_v, alpha)
     _, ref_ai = dense_attention_oracle(q_i, k_i, v_i, beta)
@@ -263,7 +277,7 @@ def test_gradient_reaches_weighting_head(rng):
     a_vis, a_ir, v_vis, v_ir = fusion.modality_attentions(vis, ir, p.cross)
     combined, _, _ = fusion.attention_weighting(vis, ir, a_vis, a_ir,
                                                 p.cross.weights)
-    pre_t = fusion.prefuse_transformer(combined, v_ir, v_vis, 4, 4)
+    pre_t = fusion.prefuse_transformer(combined, combined, v_ir, v_vis, 4, 4)
     pre_m = fusion.prefuse_mamba(fmap(rng.uniform(-1, 1, (c, 4, 4))),
                                  fmap(rng.uniform(-1, 1, (c, 4, 4))))
     fused_t, fused_m = fusion.fuse_features(pre_t, pre_m, p)

@@ -121,10 +121,15 @@ def test_vif_self_fusion_is_two():
     assert_close(metrics.metric_vif(img, img, img), 2.0, tol=1e-9)
 
 
-def test_vif_rejects_small_images():
-    img = np.zeros((32, 32), dtype=np.uint8)
-    with pytest.raises(ContractError):
-        metrics.metric_vif(img, img, img)
+@pytest.mark.parametrize("size", [32, 40, 41])
+def test_vif_rejects_small_images(size):
+    # 41x41 is the smallest image the 4-scale pyramid accepts
+    img = natural_image(size)
+    if size < 41:
+        with pytest.raises(ContractError):
+            metrics.metric_vif(img, img, img)
+    else:
+        assert np.isfinite(metrics.metric_vif(img, img, img))
 
 
 def test_vif_degrades_with_noise(rng):
