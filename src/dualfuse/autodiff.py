@@ -16,6 +16,8 @@ Engine-wide conventions:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -796,6 +798,28 @@ def _recur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
+def _recur_chunked(within: np.ndarray, boundary: np.ndarray,
+                   h: np.ndarray) -> np.ndarray:
+    """``_recur`` over a chunk-interleaved layout, in place; returns ``h``.
+
+    Row [i, k] of ``h`` (t, K, ...) is token k*t + i of a K*t token sequence.
+    ``within`` (t-1, K, ...) holds the coefficients of tokens 1..t-1 of every
+    chunk and ``boundary`` (K-1, ...) those of token 0 of chunks 1..K-1. The
+    K*t-step loop becomes three loops of about t, K and t steps on rows K
+    times wider: every chunk from a zero state at once, the true state at
+    each chunk end, then each chunk's incoming state, decayed, added to its
+    rows 0..t-2. With one token per chunk (t = 1) the first and last loops
+    run zero times.
+    """
+    _recur(within, h)
+    _recur(boundary * np.prod(within[:, 1:], axis=0), h[-1])
+    carry = boundary * h[-1, :-1]
+    for w_i, h_i in zip(within[:, 1:], h[:-1, 1:]):
+        h_i += carry
+        carry *= w_i
+    return h
+
+
 def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
                         a: Tensor, d: Tensor) -> Tensor:
     """Input-selective state-space recurrence over one token sequence.
@@ -806,9 +830,15 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
         h_t = exp(delta_t * a) * h_{t-1} + (delta_t * u_t) * b_t
         y_t = <h_t, c_t> + d * u_t        with  h_0 = 0
 
-    The forward pass runs the recurrence with ``_recur``; backward runs the
-    adjoint recursion with the same helper in reversed time. Work is linear
-    in L.
+    The (L, C, N) arrays live in a chunk-interleaved layout (t, L/t, C, N):
+    token k*t + i is row [i, k], where the chunk length t is the largest
+    divisor of L not above sqrt(L) (1 for a prime L). They are built from
+    reshape/transpose views of the (L, C) and (L, N) inputs, and only the
+    small outputs and gradients are permuted back to token order. The
+    forward pass runs the recurrence with ``_recur_chunked``; backward runs
+    the adjoint recursion with the same helper on mirror-reversed views, so
+    both take about 2t + L/t steps (3*sqrt(L) for square maps such as
+    32x32 and 64x64). Work is linear in L.
     """
     if u.ndim != 2:
         raise DimensionError("selective_scan_core expects u[L,C], got %r"
@@ -825,32 +855,46 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
     if a.shape != (ch, n) or d.shape != (ch,):
         raise DimensionError("a must be (C,N), d must be (C,)")
 
+    t = max(i for i in range(1, math.isqrt(length) + 1) if length % i == 0)
+
+    def lay(x):          # (L, X) token order -> (t, L/t, X) view
+        return x.reshape(-1, t, x.shape[1]).swapaxes(0, 1)
+
+    def unlay(x):        # (t, L/t, X) -> (L, X) token order
+        return x.swapaxes(0, 1).reshape(length, -1)
+
     ud, dd, bd, cd, ad, sd = u.data, delta.data, b.data, c.data, a.data, d.data
-    decay = np.exp(dd[:, :, None] * ad[None])                  # (L,C,N)
-    drive = (dd * ud)[:, :, None] * bd[:, None, :]             # (L,C,N)
-    hs = _recur(decay[1:], drive)                             # h_t, in place
-    y = np.einsum("lcn,ln->lc", hs, cd) + sd * ud
+    # order="C" stores the (t,K,C,N) results in layout order: rows are
+    # contiguous, not K blocks one chunk apart
+    decay = np.multiply(lay(dd)[..., None], ad, order="C")
+    np.exp(decay, out=decay)
+    drive = np.multiply(lay(dd * ud)[..., None], lay(bd)[:, :, None], order="C")
+    hs = _recur_chunked(decay[1:], decay[0, 1:], drive)       # h_t, in place
+    y = unlay((hs @ lay(cd)[..., None])[..., 0]) + sd * ud
     _count(10 * length * ch * n + 2 * length * ch)
 
     def backward(g):
         # adjoint gh_t = g_t c_t + decay_{t+1} gh_{t+1}: the same recurrence
-        # run in place over the reversed-time view
-        gh_all = g[:, :, None] * cd[:, None, :]                # (L,C,N)
-        _recur(decay[:0:-1], gh_all[::-1])
-        gdu = np.einsum("lcn,ln->lc", gh_all, bd)       # grad wrt (delta * u)
+        # run in place over the mirror-reversed (reversed-time) views
+        gl = lay(g)
+        gh_all = np.multiply(gl[..., None], lay(cd)[:, :, None], order="C")
+        _recur_chunked(decay[:0:-1, ::-1], decay[0, :0:-1], gh_all[::-1, ::-1])
+        gdu = unlay(np.einsum("ikcn,ikn->ikc", gh_all, lay(bd)))   # d(delta*u)
         if u.requires_grad:
             u._accumulate(g * sd + gdu * dd)
         if delta.requires_grad or a.requires_grad:
-            h_prev = np.concatenate([np.zeros((1, ch, n)), hs[:-1]], axis=0)
-            gda = gh_all * h_prev * decay
+            gda = gh_all * decay                  # times h_{t-1}, in place
+            gda[1:] *= hs[:-1]
+            gda[0, 1:] *= hs[-1, :-1]
+            gda[0, 0] = 0.0
             if delta.requires_grad:
-                delta._accumulate(gdu * ud + (gda * ad[None]).sum(axis=2))
+                delta._accumulate(gdu * ud + unlay(np.einsum("ikcn,cn->ikc", gda, ad)))
             if a.requires_grad:
-                a._accumulate(np.einsum("lcn,lc->cn", gda, dd))
+                a._accumulate(np.einsum("ikcn,ikc->cn", gda, lay(dd)))
         if b.requires_grad:
-            b._accumulate(np.einsum("lcn,lc->ln", gh_all, dd * ud))
+            b._accumulate(unlay(np.einsum("ikcn,ikc->ikn", gh_all, lay(dd * ud))))
         if c.requires_grad:
-            c._accumulate(np.einsum("lc,lcn->ln", g, hs))
+            c._accumulate(unlay(np.einsum("ikc,ikcn->ikn", gl, hs)))
         if d.requires_grad:
             d._accumulate((g * ud).sum(axis=0))
 

@@ -10,6 +10,8 @@ round trip reproduces forward outputs bit-for-bit.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -78,16 +80,30 @@ def _records(model: ModelParams, adam: AdamState, cfg: RunConfig,
 def save_checkpoint(path: str, cfg: RunConfig, model: ModelParams,
                     adam: AdamState, stage1_steps: int,
                     stage2_steps: int) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for key, payload in _records(model, adam, cfg, stage1_steps,
-                                     stage2_steps):
-            kb = key.encode("utf-8")
-            fh.write(struct.pack("<I", len(kb)))
-            fh.write(kb)
-            fh.write(struct.pack("<I", len(payload)))
-            fh.write(payload)
+    """Write atomically: ``path + ".tmp"`` is filled, fsynced and renamed
+    over ``path``, so a failed or interrupted save leaves any previous
+    checkpoint at ``path`` untouched. The directory is not fsynced, so the
+    rename itself may not survive a power loss."""
+    tmp = path + ".tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            for key, payload in _records(model, adam, cfg, stage1_steps,
+                                         stage2_steps):
+                kb = key.encode("utf-8")
+                fh.write(struct.pack("<I", len(kb)))
+                fh.write(kb)
+                fh.write(struct.pack("<I", len(payload)))
+                fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -86,6 +86,8 @@ def read_pgm(path: str) -> np.ndarray:
         width, height, maxval = int(token()), int(token()), int(token())
     except ValueError:
         raise ParseError("non-numeric PGM header field", pos)
+    if width < 0 or height < 0:
+        raise ParseError("negative PGM size %dx%d" % (width, height), pos)
     if maxval != 255:
         raise ParseError("only 8-bit PGM supported, maxval=%d" % maxval, pos)
     pos += 1   # single whitespace after maxval
@@ -129,6 +131,8 @@ def read_png(path: str) -> np.ndarray:
         if len(data) != length:
             raise ParseError("truncated chunk payload", pos + 8)
         if ctype == b"IHDR":
+            if length != 13:
+                raise ParseError("IHDR length %d, want 13" % length, pos)
             width, height, depth, color_type, comp, filt, interlace = \
                 struct.unpack(">IIBBBBB", data)
             if depth != 8:

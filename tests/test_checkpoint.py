@@ -1,5 +1,7 @@
 """Checkpoint format: bit-exact round trips, corruption handling."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,51 @@ def test_truncated_file(tmp_path):
             fh.write(blob[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    cfg = small_config()
+    model = build_model(cfg)
+    path = str(tmp_path / "a.tmam")
+    save_checkpoint(path, cfg, model, AdamState(), 1, 0)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    real_records = ckpt_mod._records
+
+    def failing_records(*args):
+        records = real_records(*args)
+        yield next(records)
+        yield next(records)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ckpt_mod, "_records", failing_records)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, cfg, model, AdamState(), 2, 0)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.tmam"]
+
+
+def test_failed_rename_raises_original_error(tmp_path, monkeypatch):
+    # the temp file is already gone when cleanup runs; the rename's error,
+    # not a FileNotFoundError from the cleanup, must reach the caller
+    cfg = small_config()
+    model = build_model(cfg)
+    path = str(tmp_path / "a.tmam")
+    save_checkpoint(path, cfg, model, AdamState(), 1, 0)
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    def failing_replace(src, dst):
+        os.unlink(src)
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(ckpt_mod.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        save_checkpoint(path, cfg, model, AdamState(), 2, 0)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.tmam"]
 
 
 def test_unsupported_version(tmp_path):

@@ -5,6 +5,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualfuse import data
 from dualfuse.autodiff import ContractError
@@ -37,6 +39,14 @@ def test_pgm_truncated_raster_reports_offset(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"P5\n4 4\n255\n" + bytes(7))     # 9 bytes short
     with pytest.raises(ParseError, match="byte offset"):
+        data.read_pgm(path)
+
+
+def test_pgm_negative_size(tmp_path):
+    path = str(tmp_path / "n.pgm")
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n-1 -1\n255\n" + bytes(4))
+    with pytest.raises(ParseError, match="negative"):
         data.read_pgm(path)
 
 
@@ -113,12 +123,77 @@ def test_png_decoder_handles_all_filters(tmp_path, rng):
     assert np.array_equal(data.read_png(path), img)
 
 
+def test_png_short_ihdr(tmp_path):
+    path = str(tmp_path / "s.png")
+    data.write_png(path, np.zeros((3, 4), dtype=np.uint8))
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    blob[11] = 12                       # IHDR length field: 13 -> 12
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    with pytest.raises(ParseError, match="IHDR"):
+        data.read_png(path)
+
+
 def test_png_bad_signature(tmp_path):
     path = str(tmp_path / "bad.png")
     with open(path, "wb") as fh:
         fh.write(b"NOTPNG!!rest")
     with pytest.raises(ParseError):
         data.read_png(path)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: on any bytes a reader returns an image or raises ParseError
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def image_blobs(tmp_path_factory):
+    rng = np.random.default_rng(5)
+    folder = tmp_path_factory.mktemp("fuzz")
+    blobs = {}
+    for name, writer, img in [
+            ("x.pgm", data.write_pgm, rng.integers(0, 256, (3, 4))),
+            ("gray.png", data.write_png, rng.integers(0, 256, (3, 4))),
+            ("rgb.png", data.write_png, rng.integers(0, 256, (2, 3, 3)))]:
+        path = str(folder / name)
+        writer(path, img.astype(np.uint8))
+        with open(path, "rb") as fh:
+            blobs[name] = path, fh.read()
+    return blobs
+
+
+def _decode_mutated(data_st, path, blob, reader):
+    # the headers sit in the first 40 bytes (PNG: signature and IHDR), so
+    # half the overwrites land there, half of them with header text bytes
+    where = st.one_of(st.integers(0, min(40, len(blob) - 1)),
+                      st.integers(0, len(blob) - 1))
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(b"-+0123456789 \n"))
+    edits = data_st.draw(st.lists(st.tuples(where, byte), max_size=3))
+    mutated = bytearray(blob)
+    for pos, value in edits:
+        mutated[pos] = value
+    cut = data_st.draw(st.one_of(st.just(len(blob)),
+                                 st.integers(0, len(blob))))
+    with open(path, "wb") as fh:
+        fh.write(mutated[:cut])
+    try:
+        img = reader(path)
+    except ParseError:
+        return
+    assert isinstance(img, np.ndarray) and img.dtype == np.uint8
+
+
+@settings(max_examples=500, deadline=None)
+@given(data_st=st.data())
+def test_mutated_pgm_decodes_or_raises_parse_error(image_blobs, data_st):
+    _decode_mutated(data_st, *image_blobs["x.pgm"], data.read_pgm)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data_st=st.data(), name=st.sampled_from(["gray.png", "rgb.png"]))
+def test_mutated_png_decodes_or_raises_parse_error(image_blobs, data_st, name):
+    _decode_mutated(data_st, *image_blobs[name], data.read_png)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,16 @@ def test_scan_matches_literal_recurrence_oracle(rng):
     assert_close(got, scan_oracle(x, p), tol=1e-10)
 
 
+@pytest.mark.parametrize("length", [36, 49, 97, 98, 120, 1024])
+def test_scan_matches_oracle_for_every_chunk_shape(length, rng):
+    # square (36, 49), prime (97: chunk length 1), 2 x prime (98), a
+    # non-square composite (120) and a long sequence (1024)
+    p = make_scan(channels=3, state_dim=4, seed=7)
+    x = rng.uniform(-1, 1, (length, 3))
+    got = ssm.selective_scan(Tensor(x), p).data
+    assert_close(got, scan_oracle(x, p), tol=1e-10)
+
+
 def test_scan_rejects_empty_and_mismatched():
     p = make_scan(channels=3)
     with pytest.raises(ContractError):
