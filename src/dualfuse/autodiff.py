@@ -16,6 +16,7 @@ Engine-wide conventions:
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -38,8 +39,32 @@ class GraphStateError(EngineError):
 
 
 class NonFiniteError(EngineError):
-    """An op produced NaN or Inf while debug checks were active."""
+    """An op produced NaN or Inf while debug checks were active, or a NaN or
+    Inf gradient reached the optimizer."""
 
+
+# glibc serves a block above M_MMAP_THRESHOLD with a fresh mmap whose pages
+# all fault in on first touch, and raises that threshold (and the trim
+# threshold) only after freeing such a block. Left to that, the scan's 4 MB
+# temporaries fault ~1,250 times per call unless a larger block happened to
+# be freed earlier in the process; with fixed thresholds they reuse heap
+# pages from the second call on. 32 MB is the ceiling of glibc's own
+# adjustment and 64 MB the trim threshold it pairs with it.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3       # glibc <malloc.h>
+
+
+def _pin_malloc_thresholds() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):    # no glibc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_pin_malloc_thresholds()
 
 _debug_checks = False
 _grad_enabled = True
@@ -420,13 +445,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow in exp for large |x|
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, both from e = e^-|x|, so
+    # exp never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu(a: Tensor) -> Tensor:
@@ -693,9 +715,12 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
     """Shifted-tap cross-correlation behind the three public conv ops.
 
     Tap (i, j) of output pixel (y, x) reads padded input pixel
-    (y + dilation * i, x + dilation * j). Dense weights are w[Co,Ci,k,k] and
-    contract all taps in one matmul; depthwise weights are w[C,k,k] and scale
-    each tap per channel. ``pad=None`` keeps the spatial dims.
+    (y + dilation * i, x + dilation * j). Dense weights are w[Co,Ci,k,k],
+    depthwise weights w[C,k,k] scale each tap per channel; ``pad=None`` keeps
+    the spatial dims. The arithmetic runs in ``_correlate`` on flat padded
+    rows. Backward takes the weight gradient per tap from the same rows and
+    the x-gradient as the correlation of the cotangent with the flipped
+    kernel (in and out channels swapped) under pad span - 1 - pad.
     """
     if x.ndim != 3 or w.ndim != (3 if depthwise else 4):
         raise DimensionError("%s expects x[C,H,W] and a %dD kernel; got %r, %r"
@@ -719,45 +744,104 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
         raise DimensionError("%s output would be empty for input %r kernel %d"
                              % (op, x.shape, k))
 
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    # every tap as one strided view (Ci, Ho, Wo, k, k); the last row read,
-    # (h_out - 1) + dilation * (k - 1), is the last row of xp
-    sc, sy, sx = xp.strides
-    taps = np.lib.stride_tricks.as_strided(
-        xp, (c_in, h_out, w_out, k, k),
-        (sc, sy, sx, sy * dilation, sx * dilation), writeable=False)
     _count(2 * c_out * (1 if depthwise else c_in) * k * k * h_out * w_out)
-    if depthwise:
-        out = np.zeros((c_out, h_out, w_out))
-        for i in range(k):
-            for j in range(k):
-                out += w.data[:, i, j, None, None] * taps[..., i, j]
-    else:
-        # a free view when k == 1, one im2col copy otherwise
-        cols = taps.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, h_out * w_out)
-        wm = w.data.reshape(c_out, c_in * k * k)
-        out = (wm @ cols).reshape(c_out, h_out, w_out)
+    out, xf = _correlate(x.data, w.data, pad, dilation, depthwise)
 
     def backward(g):
-        if w.requires_grad and depthwise:
-            gw = [np.einsum("chw,chw->c", taps[..., i, j], g)
-                  for i in range(k) for j in range(k)]
-            w._accumulate(np.stack(gw, axis=1).reshape(w.data.shape))
-        elif w.requires_grad:
-            w._accumulate((g.reshape(c_out, -1) @ cols.T).reshape(w.data.shape))
+        if w.requires_grad:
+            wp = wd + 2 * pad
+            gf = g
+            if w_out < wp:                       # zero wrap-around columns
+                gf = np.zeros((c_out, h_out, wp))
+                gf[:, :, :w_out] = g
+            gf = gf.reshape(c_out, -1)[:, :(h_out - 1) * wp + w_out]
+            taps = _taps(xf, k, dilation, wp, gf.shape[1])
+            if depthwise:        # per channel (1, n) @ (n, 1): (k, k, C)
+                gwt = (taps[..., None, :] @ gf[..., None])[..., 0, 0]
+                w._accumulate(gwt.transpose(2, 0, 1))
+            else:                # (Co, n) @ (n, Ci): (k, k, Co, Ci)
+                w._accumulate((gf @ taps.swapaxes(-1, -2)).transpose(2, 3, 0, 1))
         if x.requires_grad:
+            # outputs beyond span - 1 pixels of padding read no input
+            cut = max(0, pad - span + 1)
+            flipped = w.data[..., ::-1, ::-1]
             if not depthwise:
-                gcols = (wm.T @ g.reshape(c_out, -1)).reshape(c_in, k, k, h_out, w_out)
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, dilation * i:dilation * i + h_out,
-                        dilation * j:dilation * j + w_out] += (
-                        g * w.data[:, i, j, None, None] if depthwise
-                        else gcols[:, i, j])
-            x._accumulate(gxp[:, pad:pad + h, pad:pad + wd])
+                flipped = flipped.swapaxes(0, 1)
+            x._accumulate(_correlate(g[:, cut:h_out - cut, cut:w_out - cut],
+                                     flipped, span - 1 - pad + cut, dilation,
+                                     depthwise)[0])
 
     return _make(out, (x, w), op, backward)
+
+
+# Bytes of tap slices copied for one im2col matmul: the copy and the
+# matmul's operands then stay in L2 (blocks of 256 KB to 1 MB timed alike on
+# the 32x32 and 64x64 model shapes; whole-plane copies of 1-7 MB ran up to
+# 2x slower at 64x64).
+_IM2COL_BYTES = 1 << 19
+
+
+def _taps(xf: np.ndarray, k: int, dilation: int, wp: int, n: int) -> np.ndarray:
+    """(k, k, C, n) view of flat rows ``xf`` (C-contiguous): [i, j] holds
+    every row's n values from offset dilation * (i*Wp + j) on."""
+    item = xf.itemsize
+    return np.ndarray((k, k, xf.shape[0], n), xf.dtype, xf, 0,
+                      (dilation * wp * item, dilation * item, xf.strides[0], item))
+
+
+def _correlate(xd: np.ndarray, wk: np.ndarray, pad: int, dilation: int,
+               depthwise: bool):
+    """Cross-correlate x[Ci,H,W] with wk[Co,Ci,k,k] (or wk[C,k,k]) on flat rows.
+
+    Each channel's zero-padded plane is one flat row of Hp*Wp values, so tap
+    (i, j) of every output pixel at once is the contiguous slice at offset
+    dilation * (i*Wp + j). Outputs are computed on a wide grid of Wp columns
+    per row, n = (Ho - 1)*Wp + Wo values (the last slice ends at the end of
+    the row), and the Wp - Wo columns that wrap round into the next row are
+    dropped. Dense kernels with at least as many input channels as taps add
+    one (Co,Ci) @ (Ci,n) product per tap; a 1x1 kernel with pad 0 is one
+    matmul on a free reshape. Depthwise kernels, and dense ones with more
+    taps than input channels (the 11x11 SSIM window, Sobel), run one matmul
+    per block of outputs over a copy of that block's k*k slices. Returns
+    out[Co,Ho,Wo] and the flat padded input (Ci, Hp*Wp).
+    """
+    c_in, h, wd = xd.shape
+    k = wk.shape[-1]
+    c_out = c_in if depthwise else wk.shape[0]
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    span = dilation * (k - 1) + 1
+    h_out, w_out = hp - span + 1, wp - span + 1
+    n = (h_out - 1) * wp + w_out
+    if pad:
+        xf = np.zeros((c_in, hp * wp))
+        xf.reshape(c_in, hp, wp)[:, pad:pad + h, pad:pad + wd] = xd
+    else:
+        xf = np.ascontiguousarray(xd).reshape(c_in, hp * wp)
+    full = np.empty((c_out, h_out * wp))
+    wide = full[:, :n]
+    if depthwise or c_in < k * k:
+        taps = _taps(xf, k, dilation, wp, n).transpose(2, 0, 1, 3)
+        block = max(1, _IM2COL_BYTES // (k * k * c_in * xf.itemsize))
+        cols = np.empty((c_in, k * k, min(block, n)))
+        if depthwise:        # per channel (1, k*k) @ (k*k, m)
+            wm, out_view = wk.reshape(c_in, 1, k * k), wide[:, None]
+        else:                # (Co, Ci*k*k) @ (Ci*k*k, m)
+            wm, out_view = wk.reshape(c_out, -1), wide
+        for s in range(0, n, block):
+            m = min(block, n - s)
+            rhs = cols[..., :m]
+            np.copyto(rhs.reshape(c_in, k, k, m), taps[..., s:s + m])
+            np.matmul(wm, rhs if depthwise else rhs.reshape(-1, m),
+                      out=out_view[..., s:s + m])
+    else:
+        wt = np.ascontiguousarray(wk.reshape(c_out, c_in, k * k).transpose(2, 0, 1))
+        np.matmul(wt[0], xf[:, :n], out=wide)
+        tmp = np.empty((c_out, n)) if k > 1 else None
+        for t in range(1, k * k):
+            off = dilation * (t // k * wp + t % k)
+            wide += np.matmul(wt[t], xf[:, off:off + n], out=tmp)
+    out = full.reshape(c_out, h_out, wp)[:, :, :w_out]
+    return np.ascontiguousarray(out), xf
 
 
 def pad_reflect2d(x: Tensor, pad: int) -> Tensor:

@@ -143,6 +143,27 @@ def primitive_cases():
         return (_cotangent(rng, lambda x, w: ad.dilated_conv2d(x, w, dilation=4)),
                 [_u(rng, (2, 5, 5)), _u(rng, (2, 2, 3, 3))])
 
+    # conv2d_3x3 and dilated_conv2d have fewer input channels than taps and
+    # copy tap slices; these have Ci = 10 > 9 taps and add one product per
+    # tap, on non-square planes
+    def conv3x3_deep_case(rng):
+        return (_cotangent(rng, lambda x, w: ad.conv2d(x, w, pad=1)),
+                [_u(rng, (10, 3, 4)), _u(rng, (2, 10, 3, 3))])
+
+    def dilated_deep_case(rng):
+        return (_cotangent(rng, lambda x, w: ad.dilated_conv2d(x, w, dilation=2)),
+                [_u(rng, (10, 4, 5)), _u(rng, (2, 10, 3, 3))])
+
+    # valid mode on a non-square plane, and a pad wider than the kernel's
+    # reach, whose outer outputs read no input
+    def conv_valid_case(rng):
+        return (_cotangent(rng, lambda x, w: ad.conv2d(x, w, pad=0)),
+                [_u(rng, (2, 4, 6)), _u(rng, (3, 2, 3, 3))])
+
+    def conv_wide_pad_case(rng):
+        return (_cotangent(rng, lambda x, w: ad.conv2d(x, w, pad=3)),
+                [_u(rng, (2, 3, 4)), _u(rng, (2, 2, 3, 3))])
+
     def pad_reflect_case(rng):
         return (_cotangent(rng, lambda x: ad.pad_reflect2d(x, 1)),
                 [_u(rng, (2, 3, 4))])
@@ -192,6 +213,10 @@ def primitive_cases():
         ("conv2d_3x3", conv3x3_case),
         ("depthwise_conv2d", depthwise_case),
         ("dilated_conv2d", dilated_case),
+        ("conv2d_3x3_deep", conv3x3_deep_case),
+        ("dilated_conv2d_deep", dilated_deep_case),
+        ("conv2d_valid", conv_valid_case),
+        ("conv2d_wide_pad", conv_wide_pad_case),
         ("pad_reflect2d", pad_reflect_case),
         ("selective_scan_core", scan(4)),
         ("selective_scan_core_L1", scan(1)),

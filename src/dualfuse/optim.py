@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ContractError
+from .autodiff import ContractError, NonFiniteError
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -36,10 +36,13 @@ def lr_at_epoch(base_lr: float, decay: float, period: int, epoch: int) -> float:
 
 
 def adam_step(named_params, state: AdamState, lr: float) -> None:
-    """One Adam update over (path, tensor) pairs; grads must be populated."""
+    """One Adam update over (path, tensor) pairs; grads must be populated
+    and finite. Nothing is updated when a check fails."""
     for name, t in named_params:
         if t.grad is None:
             raise ContractError("parameter %r has no gradient" % name)
+        if not np.isfinite(t.grad).all():
+            raise NonFiniteError("parameter %r has a non-finite gradient" % name)
     state.ensure(named_params)
     state.step_count += 1
     t_step = state.step_count

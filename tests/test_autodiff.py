@@ -75,11 +75,20 @@ def test_conv2d_against_six_loop_oracle(rng):
     w = rng.uniform(-1, 1, (3, 2, 3, 3))
     got = ad.conv2d(Tensor(x), Tensor(w), pad=1).data
     assert_close(got, conv2d_oracle(x, w, 1, 1), tol=1e-12)
-    # the SSIM window: valid 11x11, the most taps any conv sees
-    x = rng.uniform(-1, 1, (1, 14, 13))
+    # the SSIM window: valid 11x11, the most taps any conv sees; the 40x30
+    # plane spans more than one im2col block
     w = rng.uniform(-1, 1, (1, 1, 11, 11))
-    got = ad.conv2d(Tensor(x), Tensor(w), pad=0).data
-    assert_close(got, conv2d_oracle(x, w, 1, 0), tol=1e-12)
+    for shape in ((1, 14, 13), (1, 40, 30)):
+        x = rng.uniform(-1, 1, shape)
+        got = ad.conv2d(Tensor(x), Tensor(w), pad=0).data
+        assert_close(got, conv2d_oracle(x, w, 1, 0), tol=1e-12)
+    # more input channels than taps (one product per tap), valid and padded,
+    # on a non-square plane
+    x = rng.uniform(-1, 1, (10, 5, 8))
+    w = rng.uniform(-1, 1, (2, 10, 3, 3))
+    for pad in (0, 1, 3):
+        got = ad.conv2d(Tensor(x), Tensor(w), pad=pad).data
+        assert_close(got, conv2d_oracle(x, w, 1, pad), tol=1e-12)
 
 
 def test_conv2d_channel_mismatch():
@@ -95,26 +104,32 @@ def test_conv2d_same_padding_preserves_shape(rng):
 
 
 def test_depthwise_conv2d_against_oracle(rng):
-    x = rng.uniform(-1, 1, (3, 5, 4))
-    w = rng.uniform(-1, 1, (3, 3, 3))
-    got = ad.depthwise_conv2d(Tensor(x), Tensor(w)).data
-    # oracle: one single-channel conv per channel
-    for c in range(3):
-        ref = conv2d_oracle(x[c:c + 1], w[c][None, None], 1, 1)
-        assert_close(got[c], ref[0], tol=1e-12)
+    # the 16-channel plane spans more than one im2col block
+    for shape in ((3, 5, 4), (16, 20, 30)):
+        x = rng.uniform(-1, 1, shape)
+        w = rng.uniform(-1, 1, (shape[0], 3, 3))
+        got = ad.depthwise_conv2d(Tensor(x), Tensor(w)).data
+        # oracle: one single-channel conv per channel
+        for c in range(shape[0]):
+            ref = conv2d_oracle(x[c:c + 1], w[c][None, None], 1, 1)
+            assert_close(got[c], ref[0], tol=1e-12)
 
 
 @pytest.mark.parametrize("dilation", [1, 2, 4])
 def test_dilated_conv2d_matches_inserted_zero_kernel(rng, dilation):
-    # dilation-d 3x3 == ordinary (2d+1)x(2d+1) kernel with zeros between taps
-    x = rng.uniform(-1, 1, (2, 6, 6))
-    w = rng.uniform(-1, 1, (2, 2, 3, 3))
+    # dilation-d 3x3 == ordinary (2d+1)x(2d+1) kernel with zeros between
+    # taps; the non-square planes are where a row's taps that wrap round
+    # into the next row would show, with fewer and with more input channels
+    # than taps
     span = 2 * dilation + 1
-    w_big = np.zeros((2, 2, span, span))
-    w_big[:, :, ::dilation, ::dilation] = w
-    got = ad.dilated_conv2d(Tensor(x), Tensor(w), dilation=dilation).data
-    ref = conv2d_oracle(x, w_big, 1, dilation)
-    assert_close(got, ref, tol=1e-12)
+    for shape in ((2, 6, 6), (2, 5, 9), (10, 7, 4)):
+        x = rng.uniform(-1, 1, shape)
+        w = rng.uniform(-1, 1, (2, shape[0], 3, 3))
+        w_big = np.zeros((2, shape[0], span, span))
+        w_big[:, :, ::dilation, ::dilation] = w
+        got = ad.dilated_conv2d(Tensor(x), Tensor(w), dilation=dilation).data
+        ref = conv2d_oracle(x, w_big, 1, dilation)
+        assert_close(got, ref, tol=1e-12)
 
 
 def test_dilated_conv2d_rejects_dilation_below_one():
@@ -266,6 +281,51 @@ def test_flop_counter_counts_matmul(rng):
     with FlopCounter() as fc:
         ad.matmul(a, b)
     assert fc.total == 2 * 3 * 4 * 5
+
+
+def test_sigmoid_matches_masked_form_bit_for_bit(rng):
+    def masked(x):                 # the boolean-mask form it replaced
+        pos = x >= 0
+        out = np.empty_like(x)
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    x = np.concatenate([[0.0, -0.0, 30.0, -30.0, 800.0, -800.0],
+                        rng.normal(0.0, 20.0, 1000)])
+    assert np.array_equal(ad._sigmoid_np(x).view(np.int64),
+                          masked(x).view(np.int64))
+
+
+def test_scan_reuses_heap_pages_across_calls():
+    # fixed malloc thresholds: the scan's 4 MB temporaries come from the heap
+    # on every call, not from fresh mmaps that fault in page by page
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = """
+import resource
+import numpy as np
+from dualfuse import autodiff as ad
+rng = np.random.default_rng(0)
+L, C, N = 4096, 16, 8
+args = [ad.Tensor(a) for a in (
+    rng.normal(size=(L, C)), rng.uniform(0.05, 0.5, (L, C)),
+    rng.normal(size=(L, N)), rng.normal(size=(L, N)),
+    -rng.uniform(0.2, 1.5, (C, N)), rng.normal(size=C))]
+faults = []
+with ad.no_grad():
+    ad.selective_scan_core(*args)
+    for _ in range(4):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        ad.selective_scan_core(*args)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults))
+"""
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert int(out) < 100, "a scan call faulted %s times" % out.strip()
 
 
 def test_no_grad_builds_no_graph(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualfuse import optim
-from dualfuse.autodiff import ContractError, parameter
+from dualfuse.autodiff import ContractError, NonFiniteError, parameter
 
 from conftest import assert_close
 
@@ -69,3 +69,16 @@ def test_lr_step_decay_schedule():
     assert optim.lr_at_epoch(base, decay, period, 19) == base
     assert_close(optim.lr_at_epoch(base, decay, period, 20), 3.75e-5, tol=1e-20)
     assert_close(optim.lr_at_epoch(base, decay, period, 40), 1.875e-5, tol=1e-20)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_grad_rejected_before_any_update(bad):
+    good = parameter(np.array([1.0, 2.0]))
+    good.grad = np.array([0.5, 0.5])
+    worse = parameter(np.array([3.0]))
+    worse.grad = np.array([bad])
+    state = optim.AdamState()
+    with pytest.raises(NonFiniteError, match="decoder.w"):
+        optim.adam_step([("shallow.w", good), ("decoder.w", worse)], state, 0.1)
+    assert_close(good.data, [1.0, 2.0])
+    assert state.step_count == 0 and state.m == {} and state.v == {}
