@@ -882,23 +882,32 @@ def _recur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _recur_chunked(within: np.ndarray, boundary: np.ndarray,
-                   h: np.ndarray) -> np.ndarray:
+def _recur_chunked(within: np.ndarray, boundary: np.ndarray, h: np.ndarray,
+                   reverse: bool) -> np.ndarray:
     """``_recur`` over a chunk-interleaved layout, in place; returns ``h``.
 
-    Row [i, k] of ``h`` (t, K, ...) is token k*t + i of a K*t token sequence.
-    ``within`` (t-1, K, ...) holds the coefficients of tokens 1..t-1 of every
-    chunk and ``boundary`` (K-1, ...) those of token 0 of chunks 1..K-1. The
-    K*t-step loop becomes three loops of about t, K and t steps on rows K
-    times wider: every chunk from a zero state at once, the true state at
-    each chunk end, then each chunk's incoming state, decayed, added to its
-    rows 0..t-2. With one token per chunk (t = 1) the first and last loops
-    run zero times.
+    Row [i, k] of ``h`` (t, K, ...) is step i of chunk k. ``within``
+    (t-1, K, ...) holds the coefficients of steps 1..t-1 of every chunk and
+    ``boundary`` (K-1, ...) those of step 0 of the chunk a carry enters.
+    Forward (``reverse`` False), ``h`` is K*t tokens in order and chunk k+1
+    follows chunk k. Reversed (the adjoint), ``h`` is a view that reverses
+    time within each chunk only, and chunk k follows chunk k+1: the chunk
+    axis keeps its forward order, so every row the loops touch is
+    contiguous, and ``boundary[k]`` carries the state from chunk k+1 into
+    chunk k. The K*t-step loop becomes three loops of about t, K and t
+    steps on rows K times wider: every chunk from a zero state at once, the
+    true state at each chunk end, then each chunk's incoming state,
+    decayed, added to its rows 0..t-2. With one step per chunk (t = 1) the
+    first and last loops run zero times.
     """
+    if reverse:         # chunks a carry enters, chunks it leaves
+        dst, src, step = slice(None, -1), slice(1, None), -1
+    else:
+        dst, src, step = slice(1, None), slice(None, -1), 1
     _recur(within, h)
-    _recur(boundary * np.prod(within[:, 1:], axis=0), h[-1])
-    carry = boundary * h[-1, :-1]
-    for w_i, h_i in zip(within[:, 1:], h[:-1, 1:]):
+    _recur((boundary * np.prod(within[:, dst], axis=0))[::step], h[-1, ::step])
+    carry = boundary * h[-1, src]
+    for w_i, h_i in zip(within[:, dst], h[:-1, dst]):
         h_i += carry
         carry *= w_i
     return h
@@ -916,13 +925,25 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
 
     The (L, C, N) arrays live in a chunk-interleaved layout (t, L/t, C, N):
     token k*t + i is row [i, k], where the chunk length t is the largest
-    divisor of L not above sqrt(L) (1 for a prime L). They are built from
-    reshape/transpose views of the (L, C) and (L, N) inputs, and only the
-    small outputs and gradients are permuted back to token order. The
+    divisor of L not above sqrt(L) (1 for a prime L). The (L, C) and (L, N)
+    inputs are copied into that layout, contiguous, and only the small
+    outputs and gradients are permuted back to token order. The outer
+    products that build (L, C, N) arrays (``delta x a`` for the decay,
+    ``(delta*u) x b`` for the drive, ``g x c`` for the adjoint) go through
+    ``np.einsum`` on those copies: each element is still one multiply, but
+    the inner loops run over whole rows instead of N elements. They stay
+    per channel; a block-diagonal GEMM would be as fast but would let a NaN
+    or Inf in one channel reach every other one through ``0 * inf``. The
     forward pass runs the recurrence with ``_recur_chunked``; backward runs
-    the adjoint recursion with the same helper on mirror-reversed views, so
-    both take about 2t + L/t steps (3*sqrt(L) for square maps such as
-    32x32 and 64x64). Work is linear in L.
+    the adjoint recursion with the same helper on views that reverse time
+    within each chunk but keep the chunk axis in forward order, so each row
+    it touches is contiguous (reversing the chunk axis too would make every
+    row a strided view and the sweep about twice as slow). Both take about
+    2t + L/t steps (3*sqrt(L) for square maps such as 32x32 and 64x64). The
+    gradient contractions are batched matmuls: per-token (C, N) x N and
+    C x (C, N) products, and a per-channel (1, L) x (L, N) product for
+    ``a``. The backward closure keeps only ``decay``, ``hs`` and the inputs
+    and rebuilds the laid-out copies it needs. Work is linear in L.
     """
     if u.ndim != 2:
         raise DimensionError("selective_scan_core expects u[L,C], got %r"
@@ -941,29 +962,27 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
 
     t = max(i for i in range(1, math.isqrt(length) + 1) if length % i == 0)
 
-    def lay(x):          # (L, X) token order -> (t, L/t, X) view
-        return x.reshape(-1, t, x.shape[1]).swapaxes(0, 1)
+    def lay(x):          # (L, X) token order -> contiguous (t, L/t, X) copy
+        return np.ascontiguousarray(x.reshape(-1, t, x.shape[1]).swapaxes(0, 1))
 
     def unlay(x):        # (t, L/t, X) -> (L, X) token order
         return x.swapaxes(0, 1).reshape(length, -1)
 
     ud, dd, bd, cd, ad, sd = u.data, delta.data, b.data, c.data, a.data, d.data
-    # order="C" stores the (t,K,C,N) results in layout order: rows are
-    # contiguous, not K blocks one chunk apart
-    decay = np.multiply(lay(dd)[..., None], ad, order="C")
+    decay = np.einsum("ikc,cn->ikcn", lay(dd), ad)
     np.exp(decay, out=decay)
-    drive = np.multiply(lay(dd * ud)[..., None], lay(bd)[:, :, None], order="C")
-    hs = _recur_chunked(decay[1:], decay[0, 1:], drive)       # h_t, in place
+    drive = np.einsum("ikc,ikn->ikcn", lay(dd * ud), lay(bd))
+    hs = _recur_chunked(decay[1:], decay[0, 1:], drive, False)    # h_t, in place
     y = unlay((hs @ lay(cd)[..., None])[..., 0]) + sd * ud
     _count(10 * length * ch * n + 2 * length * ch)
 
     def backward(g):
         # adjoint gh_t = g_t c_t + decay_{t+1} gh_{t+1}: the same recurrence
-        # run in place over the mirror-reversed (reversed-time) views
+        # run in place over views reversed in time within each chunk
         gl = lay(g)
-        gh_all = np.multiply(gl[..., None], lay(cd)[:, :, None], order="C")
-        _recur_chunked(decay[:0:-1, ::-1], decay[0, :0:-1], gh_all[::-1, ::-1])
-        gdu = unlay(np.einsum("ikcn,ikn->ikc", gh_all, lay(bd)))   # d(delta*u)
+        gh_all = np.einsum("ikc,ikn->ikcn", gl, lay(cd))
+        _recur_chunked(decay[:0:-1], decay[0, 1:], gh_all[::-1], True)
+        gdu = unlay((gh_all @ lay(bd)[..., None])[..., 0])        # d(delta*u)
         if u.requires_grad:
             u._accumulate(g * sd + gdu * dd)
         if delta.requires_grad or a.requires_grad:
@@ -974,11 +993,13 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
             if delta.requires_grad:
                 delta._accumulate(gdu * ud + unlay(np.einsum("ikcn,cn->ikc", gda, ad)))
             if a.requires_grad:
-                a._accumulate(np.einsum("ikcn,ikc->cn", gda, lay(dd)))
+                dl = lay(dd).reshape(length, ch)      # layout order, as gda
+                a._accumulate((dl.T[:, None] @ gda.reshape(length, ch, n)
+                               .swapaxes(0, 1))[:, 0])
         if b.requires_grad:
-            b._accumulate(unlay(np.einsum("ikcn,ikc->ikn", gh_all, lay(dd * ud))))
+            b._accumulate(unlay((lay(dd * ud)[:, :, None] @ gh_all)[:, :, 0]))
         if c.requires_grad:
-            c._accumulate(unlay(np.einsum("ikc,ikcn->ikn", gl, hs)))
+            c._accumulate(unlay((gl[:, :, None] @ hs)[:, :, 0]))
         if d.requires_grad:
             d._accumulate((g * ud).sum(axis=0))
 

@@ -7,6 +7,7 @@ described by (config, seed, data).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -43,8 +44,8 @@ class RunConfig:
             raise ConfigError("cross_modal_attention needs the transformer branch")
         if self.mamba_as_conv and not self.mamba_branch:
             raise ConfigError("mamba_as_conv needs the mamba branch enabled")
-        if self.lr <= 0 or self.lr_decay <= 0:
-            raise ConfigError("learning rates and decay must be positive")
+        if not (0 < self.lr < math.inf and 0 < self.lr_decay < math.inf):
+            raise ConfigError("learning rates and decay must be positive and finite")
         if self.lr_decay_every < 1:
             raise ConfigError("lr_decay_every must be >= 1")
         if self.channels < 1 or self.depth < 1 or self.batch < 1:

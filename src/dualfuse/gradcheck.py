@@ -170,7 +170,8 @@ def primitive_cases():
 
     def scan(length):
         # L=1 runs the recurrence loop zero times, L=2 once; L=7 is prime
-        # (chunk length 1), L=12 runs four chunks of three tokens
+        # (chunk length 1), L=12 runs four chunks of three tokens and L=30
+        # six chunks of five, so both carry loops run several steps
         def scan_case(rng):
             ch, n = 3, 2
             u = _u(rng, (length, ch))
@@ -223,6 +224,7 @@ def primitive_cases():
         ("selective_scan_core_L2", scan(2)),
         ("selective_scan_core_L7", scan(7)),
         ("selective_scan_core_L12", scan(12)),
+        ("selective_scan_core_L30", scan(30)),
     ]
 
 

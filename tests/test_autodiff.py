@@ -378,8 +378,8 @@ def test_scan_core_rejects_empty_sequence():
 
 @pytest.mark.parametrize("length", [1, 2, 4, 7, 12, 30, 36, 98])
 def test_recur_chunked_matches_recur_both_directions(length, rng):
-    # the chunked helper on the forward views and on the mirror-reversed
-    # views (the adjoint) equals _recur on token-order arrays
+    # the chunked helper on the forward views and on the views reversed in
+    # time within each chunk (the adjoint) equals _recur on token-order arrays
     shape = (length, 3, 2)
     coef = rng.uniform(0.1, 1.0, shape)
     rows = rng.uniform(-1, 1, shape)
@@ -390,13 +390,13 @@ def test_recur_chunked_matches_recur_both_directions(length, rng):
 
     fwd = ad._recur(coef[1:], rows.copy())
     dl = lay(coef)
-    got = ad._recur_chunked(dl[1:], dl[0, 1:], lay(rows).copy())
+    got = ad._recur_chunked(dl[1:], dl[0, 1:], lay(rows).copy(), False)
     assert_close(got.swapaxes(0, 1).reshape(shape), fwd, tol=1e-12)
 
     bwd = rows.copy()
     ad._recur(coef[:0:-1], bwd[::-1])
     got = lay(rows).copy()
-    ad._recur_chunked(dl[:0:-1, ::-1], dl[0, :0:-1], got[::-1, ::-1])
+    ad._recur_chunked(dl[:0:-1], dl[0, 1:], got[::-1], True)
     assert_close(got.swapaxes(0, 1).reshape(shape), bwd, tol=1e-12)
 
 

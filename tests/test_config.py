@@ -1,6 +1,11 @@
 """Config parsing: typed fields, comments, unknown keys, invariants."""
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualfuse.config import ConfigError, RunConfig, parse_config
 
@@ -55,6 +60,10 @@ def test_bad_types_are_errors():
     "mamba_branch = false\nmamba_as_conv = true\ncross_modal_attention = true\n",
     "lr = 0\n",
     "lr_decay = -0.5\n",
+    "lr = nan\n",
+    "lr = inf\n",
+    "lr = 1e999\n",
+    "lr_decay = nan\n",
     "batch = 0\n",
     "epochs_stage1 = -1\n",
 ])
@@ -67,3 +76,30 @@ def test_round_trip_through_text():
     cfg = RunConfig(channels=6, crop=24, lr=1e-3, interaction=False,
                     data_dir="d", out_dir="o")
     assert parse_config(cfg.to_text()) == cfg
+
+
+_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+_VALUES = st.one_of(st.floats().map(repr), st.integers().map(str),
+                    st.sampled_from(["true", "off"]), st.text())
+# the last branch spells non-finite floats outright: st.floats() alone rarely
+# yields one in a config whose other lines all parse
+_LINES = st.one_of(
+    st.text(),
+    st.builds("{} = {}".format, st.sampled_from(_KEYS), _VALUES),
+    st.builds("{} = {}".format, st.sampled_from(["lr", "lr_decay"]),
+              st.one_of(st.floats().map(repr), st.sampled_from(["nan", "-inf", "1e999"]))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_LINES, max_size=4).map("\n".join))
+def test_parse_config_returns_finite_config_or_config_error(text):
+    # on any text: a RunConfig whose floats are finite, or ConfigError
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float):
+            assert math.isfinite(value), (f.name, value)

@@ -89,6 +89,71 @@ def test_scan_matches_oracle_for_every_chunk_shape(length, rng):
     assert_close(got, scan_oracle(x, p), tol=1e-10)
 
 
+def scan_core_adjoint_oracle(u, delta, b, cm, a, d, g):
+    """Literal token-order adjoint of selective_scan_core with scalar loops.
+
+    Runs the forward recurrence, then gh_t = g_t c_t + decay_{t+1} gh_{t+1}
+    from the last token to the first, and returns the gradients of
+    sum(g * y) w.r.t. (u, delta, b, c, a, d).
+    """
+    length, c = u.shape
+    n = a.shape[1]
+    hs = np.zeros((length + 1, c, n))            # hs[t + 1] = h_t, hs[0] = 0
+    for t in range(length):
+        for ci in range(c):
+            for nn in range(n):
+                hs[t + 1, ci, nn] = (math.exp(delta[t, ci] * a[ci, nn]) * hs[t, ci, nn]
+                                     + delta[t, ci] * u[t, ci] * b[t, nn])
+    gu, gdelta = np.zeros((length, c)), np.zeros((length, c))
+    gb, gc = np.zeros((length, n)), np.zeros((length, n))
+    ga, gd = np.zeros((c, n)), np.zeros(c)
+    gh = np.zeros((c, n))
+    for t in reversed(range(length)):
+        for ci in range(c):
+            gu[t, ci] += g[t, ci] * d[ci]
+            gd[ci] += g[t, ci] * u[t, ci]
+            for nn in range(n):
+                if t + 1 < length:
+                    gh[ci, nn] *= math.exp(delta[t + 1, ci] * a[ci, nn])
+                gh[ci, nn] += g[t, ci] * cm[t, nn]
+                gc[t, nn] += g[t, ci] * hs[t + 1, ci, nn]
+                gu[t, ci] += gh[ci, nn] * delta[t, ci] * b[t, nn]
+                gb[t, nn] += gh[ci, nn] * delta[t, ci] * u[t, ci]
+                decayed = math.exp(delta[t, ci] * a[ci, nn]) * hs[t, ci, nn]
+                gdelta[t, ci] += gh[ci, nn] * (u[t, ci] * b[t, nn] + a[ci, nn] * decayed)
+                ga[ci, nn] += gh[ci, nn] * delta[t, ci] * decayed
+    return gu, gdelta, gb, gc, ga, gd
+
+
+@pytest.mark.parametrize("length", [36, 49, 97, 98, 120, 1024])
+def test_scan_core_gradients_match_literal_adjoint(length, rng):
+    # the chunked adjoint, at the chunk shapes of the forward oracle test
+    c, n = 3, 4
+    arrays = [rng.uniform(-1, 1, (length, c)), rng.uniform(0.05, 0.8, (length, c)),
+              rng.uniform(-1, 1, (length, n)), rng.uniform(-1, 1, (length, n)),
+              rng.uniform(-1.5, -0.2, (c, n)), rng.uniform(-1, 1, c)]
+    g = rng.uniform(-1, 1, (length, c))
+    inputs = [ad.parameter(x.copy()) for x in arrays]
+    (ad.selective_scan_core(*inputs) * Tensor(g)).sum().backward()
+    for got, expect in zip(inputs, scan_core_adjoint_oracle(*arrays, g)):
+        assert_close(got.grad, expect, tol=1e-10)
+
+
+def test_scan_core_keeps_a_nan_in_its_channel(rng):
+    # the decay and drive products are per channel: a NaN in one channel of
+    # delta must not reach another channel's output through 0 * nan
+    length, c, n = 36, 4, 3
+    delta = rng.uniform(0.05, 0.8, (length, c))
+    delta[5, 2] = np.nan
+    a = rng.uniform(-1.5, -0.2, (c, n))
+    y = ad.selective_scan_core(Tensor(rng.uniform(-1, 1, (length, c))), Tensor(delta),
+                               Tensor(rng.uniform(-1, 1, (length, n))),
+                               Tensor(rng.uniform(-1, 1, (length, n))), Tensor(a),
+                               Tensor(np.zeros(c))).data
+    assert np.isnan(y[5:, 2]).all()
+    assert np.isfinite(np.delete(y, 2, axis=1)).all()
+
+
 def test_scan_rejects_empty_and_mismatched():
     p = make_scan(channels=3)
     with pytest.raises(ContractError):
