@@ -4,7 +4,10 @@ Every numeric value in the network flows through this module. A Tensor wraps
 one contiguous float64 numpy array plus an optional gradient buffer; forward
 ops record parent links and a backward closure, and ``backward()`` replays the
 recorded graph in exact reverse topological order, accumulating gradients
-additively into every reachable tensor with ``requires_grad``.
+additively into every reachable tensor with ``requires_grad``. It frees the
+graph as it goes: after a backward pass only leaves (parameters, inputs)
+hold a ``grad``, and interior nodes keep their ``data`` but no gradient,
+closure or parent links.
 
 Engine-wide conventions:
   * float64 everywhere; convolution is cross-correlation (no kernel flip)
@@ -176,10 +179,14 @@ class Tensor:
     # -- backward -----------------------------------------------------------
 
     def backward(self) -> None:
-        """Populate grads of every reachable requires_grad tensor.
+        """Populate grads of every reachable leaf with ``requires_grad``.
 
         The loss must be scalar; running backward twice over the same graph
-        raises GraphStateError.
+        raises GraphStateError. The graph is released as it is consumed:
+        once a node's closure has run, its ``grad``, closure and parent links
+        are cleared, so each intermediate array is freed as soon as the last
+        closure that reads it has run. Only leaves keep their ``grad``;
+        every node keeps its ``data``.
         """
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss, got shape %r"
@@ -193,10 +200,13 @@ class Tensor:
                     "graph already consumed by a previous backward(); "
                     "rebuild the forward pass before differentiating again")
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
                 node._spent = True
+                node.grad = node._backward_fn = None
+                node._parents = ()
 
     # -- operator sugar -----------------------------------------------------
 
@@ -604,13 +614,32 @@ def concat(tensors, axis: int) -> Tensor:
     return _make(out, tuple(tensors), "concat", backward)
 
 
+def _is_basic_index(idx) -> bool:
+    """True for an index of ints, slices and Ellipsis only. Such an index
+    selects each element at most once, so a gradient can add straight into
+    the selected view; an advanced index may repeat elements, whose
+    contributions must be summed with np.add.at."""
+    for part in idx if isinstance(idx, tuple) else (idx,):
+        if not (part is Ellipsis or isinstance(part, slice)
+                or (isinstance(part, (int, np.integer))
+                    and not isinstance(part, bool))):
+            return False
+    return True
+
+
 def take(a: Tensor, idx) -> Tensor:
     out = a.data[idx]
     if np.isscalar(out) or out.ndim == 0:
         out = np.asarray(out)
 
     def backward(g):
-        if a.requires_grad:
+        if not a.requires_grad:
+            return
+        if _is_basic_index(idx):
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[idx] += g
+        else:
             buf = np.zeros_like(a.data)
             np.add.at(buf, idx, g)
             a._accumulate(buf)

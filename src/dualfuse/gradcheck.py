@@ -120,6 +120,14 @@ def primitive_cases():
     def slice_case(rng):
         return (_cotangent(rng, lambda x: x[1:3, :2]), [_u(rng, (4, 3))])
 
+    # an advanced index with a repeated row, whose contributions must add,
+    # and an int index, which adds straight into one row
+    def slice_repeated_case(rng):
+        return (_cotangent(rng, lambda x: x[[0, 2, 0]]), [_u(rng, (4, 3))])
+
+    def slice_int_case(rng):
+        return (_cotangent(rng, lambda x: x[1]), [_u(rng, (4, 3))])
+
     def sum_case(rng):
         return (_cotangent(rng, lambda x: x.sum(axis=1)), [_u(rng, (3, 4))])
 
@@ -208,6 +216,8 @@ def primitive_cases():
         ("flip", flip_case),
         ("concat", concat_case),
         ("slice", slice_case),
+        ("slice_repeated", slice_repeated_case),
+        ("slice_int", slice_int_case),
         ("sum", sum_case),
         ("mean", mean_case),
         ("conv2d_1x1", conv1x1_case),

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,10 @@ from dualfuse.autodiff import (ContractError, DimensionError, FlopCounter,
                                GraphStateError, NonFiniteError, Tensor,
                                no_grad, parameter)
 from dualfuse import gradcheck as gc
+from dualfuse.config import RunConfig
+from dualfuse.losses import stage2_loss
+from dualfuse.model import build_model, fuse_pair, image_to_tensor
+from dualfuse.toydata import make_toy_pairs
 
 from conftest import assert_close, conv2d_oracle
 
@@ -236,6 +242,53 @@ def test_grad_accumulates_across_separate_graphs(rng):
     first = x.grad.copy()
     (x * x).sum().backward()   # fresh graph, same leaf
     assert_close(x.grad, 2 * first, tol=1e-12)
+
+
+def test_backward_releases_interior_nodes(rng):
+    x = parameter(rng.uniform(-1, 1, (3, 4)))
+    w = parameter(rng.uniform(-1, 1, (4, 2)))
+    loss = (ad.tanh(x @ w) * x[1:, :2].sum()).sum()
+    interior = [n for n in ad.toposort(loss) if n._backward_fn is not None]
+    loss.backward()
+    assert x.grad is not None and w.grad is not None
+    for node in interior:
+        assert node.grad is None and node._backward_fn is None
+        assert node._parents == () and node.data is not None
+
+
+def test_backward_frees_graph_arrays_without_collection(rng):
+    # an array only the graph holds dies as backward returns, with no
+    # gc.collect(): no reference cycle keeps the consumed graph alive
+    x = parameter(rng.uniform(-1, 1, (6, 3)))
+    mid = ad.exp(x * x)
+    ref = weakref.ref(mid.data)
+    loss = (mid * x).sum()
+    del mid
+    assert ref() is not None
+    loss.backward()
+    assert ref() is None
+
+
+def test_backward_peak_stays_near_forward_live_memory():
+    # one desk-shape stage-II step: with the graph freed as backward goes,
+    # the backward peak stays close to what forward left live; a graph kept
+    # whole until backward returns peaks at 1.6x
+    cfg = RunConfig(channels=8, crop=32, batch=1, seed=0).validate()
+    model = build_model(cfg)
+    pair = make_toy_pairs(1, 32, seed=0)[0]
+    tracemalloc.start()
+    try:
+        img_a, img_b = image_to_tensor(pair.a), image_to_tensor(pair.b)
+        loss = stage2_loss(fuse_pair(img_a, img_b, model, cfg),
+                           img_a, img_b).total
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * live, "backward peak %.1f MB, %.1f MB live" % (
+        peak / 1e6, live / 1e6)
 
 
 def test_toposort_parents_precede_children(rng):
