@@ -172,9 +172,11 @@ class Tensor:
             self._op, self.shape, self.requires_grad)
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:        # a copy: add and sub pass one g to both
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     # -- backward -----------------------------------------------------------
 
@@ -299,7 +301,7 @@ def toposort(root: Tensor) -> list:
 
 def _make(out_data: np.ndarray, parents: tuple, op: str, backward_fn) -> Tensor:
     """Wrap an op result; record the graph edge unless grads are disabled."""
-    if _debug_checks and not np.all(np.isfinite(out_data)):
+    if _debug_checks and not np.isfinite(out_data).all():
         raise NonFiniteError("op '%s' produced a non-finite value" % op)
     out = Tensor(out_data)
     out._op = op
@@ -671,7 +673,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             if axis is not None and not keepdims:
                 for ax in sorted(axis):
                     gg = np.expand_dims(gg, ax)
-            a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+            a._accumulate(np.broadcast_to(gg, a.data.shape))
 
     return _make(out, (a,), "sum", backward)
 
@@ -689,7 +691,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             if axis is not None and not keepdims:
                 for ax in sorted(axis):
                     gg = np.expand_dims(gg, ax)
-            a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+            a._accumulate(np.broadcast_to(gg, a.data.shape))
 
     return _make(out, (a,), "mean", backward)
 
@@ -796,8 +798,10 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
             flipped = w.data[..., ::-1, ::-1]
             if not depthwise:
                 flipped = flipped.swapaxes(0, 1)
+            # contiguous, so _correlate's kernel reshapes stay BLAS operands
             x._accumulate(_correlate(g[:, cut:h_out - cut, cut:w_out - cut],
-                                     flipped, span - 1 - pad + cut, dilation,
+                                     np.ascontiguousarray(flipped),
+                                     span - 1 - pad + cut, dilation,
                                      depthwise)[0])
 
     return _make(out, (x, w), op, backward)

@@ -99,6 +99,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualfuse",
@@ -126,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck",
                             help="finite-difference gradient suite")
-    p_grad.add_argument("--cases", type=int, default=20)
+    p_grad.add_argument("--cases", type=_positive_int, default=20)
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     p_bench = sub.add_parser("bench", help="linear-complexity measurements")

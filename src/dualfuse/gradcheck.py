@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, no_grad
+from .autodiff import ContractError, Tensor, no_grad
 
 FD_STEP = 1e-4
 REL_TOL = 1e-4
@@ -343,6 +343,9 @@ def check_model_grads(loss_fn, named_params, step: float = FD_STEP,
 
 def run_suite(cases_per_op: int = 20, seed: int = 0, verbose: bool = True):
     """Run the full gradient suite; returns list of (name, worst_err, seconds)."""
+    if cases_per_op < 1:
+        raise ContractError("gradcheck needs at least one case per op, got %r"
+                            % (cases_per_op,))
     results = []
     for name, case_fn in primitive_cases() + loss_cases():
         rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 100000)

@@ -51,3 +51,25 @@ def conv2d_oracle(x, w, stride, pad):
                                                    ox * stride + kx]
                                                 * w[co, ci, ky, kx])
     return out
+
+
+def conv2d_adjoint_oracle(x, w, g, pad, dilation=1):
+    """Loop adjoint of a stride-1 cross-correlation with taps ``dilation``
+    apart: each output's cotangent times each tap, added into the input and
+    weight gradients. Returns (grad_x, grad_w)."""
+    c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    _, h_out, w_out = g.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for co in range(c_out):
+        for ci in range(c_in):
+            for oy in range(h_out):
+                for ox in range(w_out):
+                    for ky in range(k):
+                        for kx in range(k):
+                            iy, ix = oy + dilation * ky, ox + dilation * kx
+                            gxp[ci, iy, ix] += g[co, oy, ox] * w[co, ci, ky, kx]
+                            gw[co, ci, ky, kx] += g[co, oy, ox] * xp[ci, iy, ix]
+    return gxp[:, pad:pad + h, pad:pad + wd], gw

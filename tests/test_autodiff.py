@@ -21,7 +21,7 @@ from dualfuse.losses import stage2_loss
 from dualfuse.model import build_model, fuse_pair, image_to_tensor
 from dualfuse.toydata import make_toy_pairs
 
-from conftest import assert_close, conv2d_oracle
+from conftest import assert_close, conv2d_adjoint_oracle, conv2d_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,59 @@ def test_dilated_conv2d_rejects_dilation_below_one():
                           Tensor(np.zeros((1, 1, 3, 3))), dilation=0)
 
 
+def _conv_grads(conv, x, w, g):
+    """(grad_x, grad_w) of sum(conv(x, w) * g) from the engine."""
+    xt, wt = parameter(x), parameter(w)
+    (conv(xt, wt) * Tensor(g)).sum().backward()
+    return xt.grad, wt.grad
+
+
+def test_conv2d_backward_against_loop_adjoint(rng):
+    # 3x3 with pad 1 and fewer input channels than taps, then the valid
+    # one-channel 11x11 SSIM window (the 40x30 plane's x-gradient spans
+    # several im2col blocks)
+    cases = [((2, 5, 6), (3, 2, 3, 3), 1),
+             ((1, 14, 13), (1, 1, 11, 11), 0),
+             ((1, 40, 30), (1, 1, 11, 11), 0)]
+    for x_shape, w_shape, pad in cases:
+        x = rng.uniform(-1, 1, x_shape)
+        w = rng.uniform(-1, 1, w_shape)
+        shrink = w_shape[-1] - 1 - 2 * pad
+        g = rng.uniform(-1, 1, (w_shape[0], x_shape[1] - shrink,
+                                x_shape[2] - shrink))
+        gx, gw = _conv_grads(lambda a, b: ad.conv2d(a, b, pad=pad), x, w, g)
+        ref_x, ref_w = conv2d_adjoint_oracle(x, w, g, pad)
+        assert_close(gx, ref_x, tol=1e-12)
+        assert_close(gw, ref_w, tol=1e-12)
+
+
+def test_depthwise_conv2d_backward_against_loop_adjoint(rng):
+    # (16, 20, 30) spans two im2col blocks; the oracle runs per channel
+    x = rng.uniform(-1, 1, (16, 20, 30))
+    w = rng.uniform(-1, 1, (16, 3, 3))
+    g = rng.uniform(-1, 1, x.shape)
+    gx, gw = _conv_grads(ad.depthwise_conv2d, x, w, g)
+    for c in range(x.shape[0]):
+        ref_x, ref_w = conv2d_adjoint_oracle(x[c:c + 1], w[c][None, None],
+                                             g[c:c + 1], 1)
+        assert_close(gx[c], ref_x[0], tol=1e-12)
+        assert_close(gw[c], ref_w[0, 0], tol=1e-12)
+
+
+@pytest.mark.parametrize("dilation", [2, 4])
+def test_dilated_conv2d_backward_against_loop_adjoint(rng, dilation):
+    # fewer and more input channels than taps, on non-square planes
+    for x_shape in ((2, 9, 7), (10, 7, 5)):
+        x = rng.uniform(-1, 1, x_shape)
+        w = rng.uniform(-1, 1, (3, x_shape[0], 3, 3))
+        g = rng.uniform(-1, 1, (3,) + x_shape[1:])
+        gx, gw = _conv_grads(
+            lambda a, b: ad.dilated_conv2d(a, b, dilation=dilation), x, w, g)
+        ref_x, ref_w = conv2d_adjoint_oracle(x, w, g, dilation, dilation)
+        assert_close(gx, ref_x, tol=1e-12)
+        assert_close(gw, ref_w, tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # softmax / layer_norm
 # ---------------------------------------------------------------------------
@@ -211,6 +264,25 @@ def test_backward_accumulates_over_shared_use(rng):
     y = x + x          # x used twice: grads must add
     y.sum().backward()
     assert_close(x.grad, 2 * np.ones(4))
+
+
+def test_gradient_buffers_never_alias(rng):
+    # add hands one cotangent object to both operands: each must get its own
+    # buffer, or later contributions to one would show up in the other
+    p = parameter(rng.uniform(-1, 1, (3, 4)))
+    q = parameter(rng.uniform(-1, 1, (3, 4)))
+    (p + q).sum().backward()
+    assert not np.shares_memory(p.grad, q.grad)
+    # interior a = 2x, b = 3x get their first contributions from one add:
+    # d/dx [sum((a + b)^2) + sum(a * b)] = 50x + 12x
+    for swap in (False, True):
+        x = parameter(rng.uniform(-1, 1, (3, 4)))
+        a, b = x * 2.0, x * 3.0
+        terms = [((a + b) * (a + b)).sum(), (a * b).sum()]
+        if swap:
+            terms.reverse()
+        (terms[0] + terms[1]).backward()
+        assert_close(x.grad, 62.0 * x.data, tol=1e-12)
 
 
 def test_backward_requires_scalar():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from dualfuse import cli, data, metrics
+from dualfuse.autodiff import ContractError
+from dualfuse.gradcheck import run_suite
 from dualfuse.toydata import write_toy_dataset
 
 TINY_CONFIG = """
@@ -96,6 +98,16 @@ def test_gradcheck_command_tiny(capsys):
     rc = cli.main(["gradcheck", "--cases", "1"])
     assert rc == 0
     assert "worst relative error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_gradcheck_command_rejects_no_cases(cases, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gradcheck", "--cases", cases])
+    assert exc.value.code == 2
+    assert "--cases" in capsys.readouterr().err
+    with pytest.raises(ContractError, match="at least one case"):
+        run_suite(cases_per_op=int(cases), verbose=False)
 
 
 def test_bench_command(capsys):
