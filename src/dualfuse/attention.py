@@ -124,8 +124,7 @@ def channel_attention(t: AttentionTriplet) -> tuple[Tensor, Tensor]:
     """
     scores = ad.matmul(t.k, t.q) / t.scale
     attn = ad.softmax(scores, axis=1)
-    out = ad.matmul(t.v, attn.transpose())
-    return out, attn
+    return apply_attention(attn, t.v), attn
 
 
 def apply_attention(attn: Tensor, v: Tensor) -> Tensor:

@@ -748,7 +748,7 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
     Tap (i, j) of output pixel (y, x) reads padded input pixel
     (y + dilation * i, x + dilation * j). Dense weights are w[Co,Ci,k,k],
     depthwise weights w[C,k,k] scale each tap per channel; ``pad=None`` keeps
-    the spatial dims. The arithmetic runs in ``_correlate`` on flat padded
+    the spatial dims. The arithmetic runs in ``correlate`` on flat padded
     rows. Backward takes the weight gradient per tap from the same rows and
     the x-gradient as the correlation of the cotangent with the flipped
     kernel (in and out channels swapped) under pad span - 1 - pad.
@@ -776,7 +776,7 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
                              % (op, x.shape, k))
 
     _count(2 * c_out * (1 if depthwise else c_in) * k * k * h_out * w_out)
-    out, xf = _correlate(x.data, w.data, pad, dilation, depthwise)
+    out, xf = correlate(x.data, w.data, pad, dilation, depthwise)
 
     def backward(g):
         if w.requires_grad:
@@ -798,11 +798,11 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
             flipped = w.data[..., ::-1, ::-1]
             if not depthwise:
                 flipped = flipped.swapaxes(0, 1)
-            # contiguous, so _correlate's kernel reshapes stay BLAS operands
-            x._accumulate(_correlate(g[:, cut:h_out - cut, cut:w_out - cut],
-                                     np.ascontiguousarray(flipped),
-                                     span - 1 - pad + cut, dilation,
-                                     depthwise)[0])
+            # contiguous, so correlate's kernel reshapes stay BLAS operands
+            x._accumulate(correlate(g[:, cut:h_out - cut, cut:w_out - cut],
+                                    np.ascontiguousarray(flipped),
+                                    span - 1 - pad + cut, dilation,
+                                    depthwise)[0])
 
     return _make(out, (x, w), op, backward)
 
@@ -822,8 +822,8 @@ def _taps(xf: np.ndarray, k: int, dilation: int, wp: int, n: int) -> np.ndarray:
                       (dilation * wp * item, dilation * item, xf.strides[0], item))
 
 
-def _correlate(xd: np.ndarray, wk: np.ndarray, pad: int, dilation: int,
-               depthwise: bool):
+def correlate(xd: np.ndarray, wk: np.ndarray, pad: int, dilation: int,
+              depthwise: bool):
     """Cross-correlate x[Ci,H,W] with wk[Co,Ci,k,k] (or wk[C,k,k]) on flat rows.
 
     Each channel's zero-padded plane is one flat row of Hp*Wp values, so tap
@@ -836,7 +836,9 @@ def _correlate(xd: np.ndarray, wk: np.ndarray, pad: int, dilation: int,
     matmul on a free reshape. Depthwise kernels, and dense ones with more
     taps than input channels (the 11x11 SSIM window, Sobel), run one matmul
     per block of outputs over a copy of that block's k*k slices. Returns
-    out[Co,Ho,Wo] and the flat padded input (Ci, Hp*Wp).
+    out[Co,Ho,Wo] and the flat padded input (Ci, Hp*Wp). Plain arrays in,
+    no graph node or flop count: the metrics' VIF and Sobel filters call it
+    directly.
     """
     c_in, h, wd = xd.shape
     k = wk.shape[-1]

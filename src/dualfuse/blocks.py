@@ -18,8 +18,7 @@ from . import autodiff as ad
 from .attention import TransformerBlockParams, make_transformer_block_params, \
     transformer_block
 from .autodiff import ContractError, DimensionError, Tensor
-from .ssm import ConvSubstituteParams, SsmBlockParams, conv_substitute_block, \
-    make_conv_substitute_params, make_ssm_block_params, ssm_block
+from .ssm import SsmBlockParams, make_ssm_block_params, ssm_block
 
 PROVENANCES = ("shallow", "transformer", "mamba", "prefused", "fused")
 
@@ -70,8 +69,8 @@ class DualBranchBlockParams:
     ablations can drop either side (interaction needs both)."""
     transformer1: TransformerBlockParams | None
     transformer2: TransformerBlockParams | None
-    mamba1: SsmBlockParams | ConvSubstituteParams | None
-    mamba2: SsmBlockParams | ConvSubstituteParams | None
+    mamba1: SsmBlockParams | None
+    mamba2: SsmBlockParams | None
     interaction: InteractionParams | None
 
 
@@ -111,9 +110,7 @@ def make_dual_branch_params(rng: np.random.Generator, channels: int,
         raise ContractError("at least one branch must stay enabled")
 
     def mamba_params():
-        if mamba_as_conv:
-            return make_conv_substitute_params(rng, channels)
-        return make_ssm_block_params(rng, channels)
+        return make_ssm_block_params(rng, channels, as_conv=mamba_as_conv)
 
     p = DualBranchBlockParams(
         transformer1=make_transformer_block_params(rng, channels)
@@ -150,12 +147,6 @@ def make_shallow_params(rng: np.random.Generator, channels: int) -> ShallowParam
         embed_b=ad.parameter(np.zeros(channels)),
         block=make_transformer_block_params(rng, channels),
     )
-
-
-def _run_mamba(x: Tensor, p) -> Tensor:
-    if isinstance(p, ConvSubstituteParams):
-        return conv_substitute_block(x, p)
-    return ssm_block(x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +211,7 @@ def dual_branch_block(shallow: FeatureMap,
 
     trans1 = FeatureMap(transformer_block(x, p.transformer1), "transformer") \
         if p.transformer1 is not None else None
-    mamba1 = FeatureMap(_run_mamba(x, p.mamba1), "mamba") \
+    mamba1 = FeatureMap(ssm_block(x, p.mamba1), "mamba") \
         if p.mamba1 is not None else None
 
     interact = p.interaction is not None and trans1 is not None \
@@ -239,6 +230,6 @@ def dual_branch_block(shallow: FeatureMap,
             second_in = channel_mix(mamba1, trans_out, p.interaction)
         else:
             second_in = FeatureMap(mamba1.data, "shallow")
-        mamba_out = FeatureMap(_run_mamba(second_in.data, p.mamba2), "mamba")
+        mamba_out = FeatureMap(ssm_block(second_in.data, p.mamba2), "mamba")
 
     return trans_out, mamba_out

@@ -23,8 +23,6 @@ from .autodiff import ContractError, DimensionError, Tensor
 from .blocks import DualBranchBlockParams, FeatureMap, _require, \
     dual_branch_block
 
-ASPP_DILATIONS = (1, 2, 4)
-
 
 @dataclass
 class AsppWeightParams:

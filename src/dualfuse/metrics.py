@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ContractError, DimensionError
+from .autodiff import ContractError, DimensionError, correlate
+from .losses import SOBEL_X, SOBEL_Y, gaussian_window
 
 CSV_HEADER = "image_id,en,sd,sf,mi,vif,qabf"
 
@@ -26,11 +27,6 @@ QABF_SIGMA_A = 0.8
 
 VIF_SIGMA_NSQ = 2.0      # assumed sensor noise variance on the 0..255 scale
 VIF_SCALES = 4
-
-_SOBEL_X = np.array([[-1.0, 0.0, 1.0],
-                     [-2.0, 0.0, 2.0],
-                     [-1.0, 0.0, 1.0]])
-_SOBEL_Y = _SOBEL_X.T.copy()
 
 
 @dataclass
@@ -132,18 +128,9 @@ def metric_mi(fused: np.ndarray, src_a: np.ndarray, src_b: np.ndarray) -> float:
 # visual information fidelity (pixel domain, multi-scale)
 # ---------------------------------------------------------------------------
 
-def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    half = (size - 1) / 2.0
-    coords = np.arange(size, dtype=np.float64) - half
-    g = np.exp(-(coords ** 2) / (2.0 * sigma * sigma))
-    k = np.outer(g, g)
-    return k / k.sum()
-
-
 def _filter_valid(img: np.ndarray, win: np.ndarray) -> np.ndarray:
-    k = win.shape[0]
-    view = np.lib.stride_tricks.sliding_window_view(img, (k, k))
-    return np.einsum("hwij,ij->hw", view, win)
+    """Valid-mode cross-correlation of an H x W image with a k x k window."""
+    return correlate(img[None], win[None, None], 0, 1, False)[0][0]
 
 
 def _vif_single(ref: np.ndarray, dist: np.ndarray) -> float:
@@ -154,7 +141,7 @@ def _vif_single(ref: np.ndarray, dist: np.ndarray) -> float:
     den = 0.0
     for scale in range(1, VIF_SCALES + 1):
         size = 2 ** (VIF_SCALES - scale + 1) + 1
-        win = _gaussian_kernel(size, size / 5.0)
+        win = gaussian_window(size, size / 5.0)
         if scale > 1:
             if ref.shape[0] < size or ref.shape[1] < size:
                 raise ContractError("images too small for the %d-scale pyramid"
@@ -208,10 +195,14 @@ def metric_vif(fused: np.ndarray, src_a: np.ndarray, src_b: np.ndarray) -> float
 # QAB/F edge preservation
 # ---------------------------------------------------------------------------
 
+def _sobel_xy(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sobel x and y responses of an H x W image under reflect padding."""
+    padded = np.pad(np.asarray(img, dtype=np.float64), 1, mode="reflect")
+    return _filter_valid(padded, SOBEL_X), _filter_valid(padded, SOBEL_Y)
+
+
 def _sobel_parts(img: np.ndarray):
-    padded = np.pad(img.astype(np.float64), 1, mode="reflect")
-    gx = _filter_valid(padded, _SOBEL_X)
-    gy = _filter_valid(padded, _SOBEL_Y)
+    gx, gy = _sobel_xy(img)
     strength = np.hypot(gx, gy)
     angle = np.arctan2(gy, gx)
     # fold to (-pi/2, pi/2]: gradient orientation, contrast sign ignored

@@ -61,7 +61,7 @@ def build_model(cfg: RunConfig) -> ModelParams:
     )
 
 
-def encode(img: Tensor, m: ModelParams, cfg: RunConfig):
+def encode(img: Tensor, m: ModelParams):
     """Shallow features then the dual-branch encoder stack.
 
     Returns (transformer_features, mamba_features); a disabled branch yields
@@ -80,9 +80,9 @@ def encode(img: Tensor, m: ModelParams, cfg: RunConfig):
     return trans, mamba
 
 
-def restore(img: Tensor, m: ModelParams, cfg: RunConfig) -> Tensor:
+def restore(img: Tensor, m: ModelParams) -> Tensor:
     """Stage-one path: encode one modality and decode it straight back."""
-    trans, mamba = encode(img, m, cfg)
+    trans, mamba = encode(img, m)
     return decode(trans, mamba, m.decoder)
 
 
@@ -97,8 +97,8 @@ def fuse_pair(img_a: Tensor, img_b: Tensor, m: ModelParams, cfg: RunConfig,
     blocks are bypassed and branch features average, which reduces to plain
     restoration when both inputs agree.
     """
-    trans_a, mamba_a = encode(img_a, m, cfg)
-    trans_b, mamba_b = encode(img_b, m, cfg)
+    trans_a, mamba_a = encode(img_a, m)
+    trans_b, mamba_b = encode(img_b, m)
 
     if not fusion_trained:
         half = Tensor(0.5)

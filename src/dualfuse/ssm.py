@@ -5,7 +5,9 @@ all functions of the current token) is swept along four spatial traversal
 orders of the feature map and summed, giving the sequence model 2-D awareness.
 The block wrapper follows the visual-state-space shape: norm, expanded input
 projection, depthwise conv, SiLU, the four-direction scan, a SiLU-gated side
-branch, output projection, residual add.
+branch, output projection, residual add. The "swap Mamba for a conv"
+ablation keeps that shell and puts a second depthwise 3x3 conv in the
+scan's place.
 """
 
 from __future__ import annotations
@@ -45,30 +47,16 @@ class ScanParams:
 
 @dataclass
 class SsmBlockParams:
-    """Full residual scan block operating on C-channel maps."""
+    """Full residual scan block operating on C-channel maps. Exactly one of
+    ``scan`` and ``conv_mix`` is set; ``scan`` None is the conv ablation."""
     norm_gain: Tensor       # (C,)
     norm_bias: Tensor
     in_proj: Tensor         # (E, C, 1, 1) with E = EXPANSION * C
     gate_proj: Tensor       # (E, C, 1, 1)
     conv_depth: Tensor      # (E, 3, 3)
-    scan: ScanParams        # over E channels
+    scan: ScanParams | None     # over E channels
+    conv_mix: Tensor | None     # (E, 3, 3): takes the scan's place
     out_proj: Tensor        # (C, E, 1, 1)
-
-    @property
-    def channels(self) -> int:
-        return self.out_proj.shape[0]
-
-
-@dataclass
-class ConvSubstituteParams:
-    """Ablation stand-in: the scan replaced by a second depthwise conv."""
-    norm_gain: Tensor
-    norm_bias: Tensor
-    in_proj: Tensor
-    gate_proj: Tensor
-    conv_depth: Tensor
-    conv_mix: Tensor        # (E, 3, 3): takes the scan's place
-    out_proj: Tensor
 
     @property
     def channels(self) -> int:
@@ -110,18 +98,16 @@ def _block_shell(rng: np.random.Generator, channels: int):
 
 
 def make_ssm_block_params(rng: np.random.Generator, channels: int,
-                          state_dim: int = STATE_DIM) -> SsmBlockParams:
-    shell = _block_shell(rng, channels)
-    scan = make_scan_params(rng, EXPANSION * channels, state_dim)
-    return SsmBlockParams(scan=scan, **shell)
-
-
-def make_conv_substitute_params(rng: np.random.Generator,
-                                channels: int) -> ConvSubstituteParams:
+                          state_dim: int = STATE_DIM,
+                          as_conv: bool = False) -> SsmBlockParams:
+    """Shell weights are drawn first, then the scan or ``conv_mix``."""
     shell = _block_shell(rng, channels)
     e = EXPANSION * channels
-    conv_mix = ad.parameter(rng.normal(0.0, 1.0 / 3.0, size=(e, 3, 3)))
-    return ConvSubstituteParams(conv_mix=conv_mix, **shell)
+    if as_conv:
+        conv_mix = ad.parameter(rng.normal(0.0, 1.0 / 3.0, size=(e, 3, 3)))
+        return SsmBlockParams(scan=None, conv_mix=conv_mix, **shell)
+    scan = make_scan_params(rng, e, state_dim)
+    return SsmBlockParams(scan=scan, conv_mix=None, **shell)
 
 
 def selective_scan(x: Tensor, p: ScanParams) -> Tensor:
@@ -182,7 +168,8 @@ def cross_scan_2d(x: Tensor, p: ScanParams) -> Tensor:
 
 
 def ssm_block(x: Tensor, p: SsmBlockParams) -> Tensor:
-    """Residual scan block; preserves the C x H x W shape."""
+    """Residual scan block (or its conv ablation when ``p.scan`` is None);
+    preserves the C x H x W shape."""
     from .attention import channel_norm   # shared per-pixel channel norm
     if x.shape[0] != p.channels:
         raise DimensionError("block built for %d channels, input has %d"
@@ -190,20 +177,9 @@ def ssm_block(x: Tensor, p: SsmBlockParams) -> Tensor:
     normed = channel_norm(x, p.norm_gain, p.norm_bias)
     main = ad.conv2d(normed, p.in_proj, pad=0)
     main = ad.silu(ad.depthwise_conv2d(main, p.conv_depth))
-    main = cross_scan_2d(main, p.scan)
-    gate = ad.silu(ad.conv2d(normed, p.gate_proj, pad=0))
-    return x + ad.conv2d(main * gate, p.out_proj, pad=0)
-
-
-def conv_substitute_block(x: Tensor, p: ConvSubstituteParams) -> Tensor:
-    """Residual conv block with the scan swapped for a depthwise 3x3 mix."""
-    from .attention import channel_norm
-    if x.shape[0] != p.channels:
-        raise DimensionError("block built for %d channels, input has %d"
-                             % (p.channels, x.shape[0]))
-    normed = channel_norm(x, p.norm_gain, p.norm_bias)
-    main = ad.conv2d(normed, p.in_proj, pad=0)
-    main = ad.silu(ad.depthwise_conv2d(main, p.conv_depth))
-    main = ad.depthwise_conv2d(main, p.conv_mix)
+    if p.scan is None:
+        main = ad.depthwise_conv2d(main, p.conv_mix)
+    else:
+        main = cross_scan_2d(main, p.scan)
     gate = ad.silu(ad.conv2d(normed, p.gate_proj, pad=0))
     return x + ad.conv2d(main * gate, p.out_proj, pad=0)

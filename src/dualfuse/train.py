@@ -83,8 +83,8 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
                 img_a = image_to_tensor(pair.a)
                 img_b = image_to_tensor(pair.b)
                 if stage == "I":
-                    pred_a = restore(img_a, model, cfg)
-                    pred_b = restore(img_b, model, cfg)
+                    pred_a = restore(img_a, model)
+                    pred_b = restore(img_b, model)
                     breakdown = stage1_loss(img_a, pred_a, img_b, pred_b)
                 else:
                     fused = fuse_pair(img_a, img_b, model, cfg)

@@ -262,7 +262,7 @@ def test_branches_do_not_collapse_after_stage1(toy_run):
                                         "checkpoint_stage1.tmam"))
     pair = toy_run["pairs"][0]
     with no_grad():
-        trans, mamba = encode(image_to_tensor(pair.a), ckpt.model, ckpt.config)
+        trans, mamba = encode(image_to_tensor(pair.a), ckpt.model)
     t = trans.data.data.reshape(trans.shape[0], -1)
     m = mamba.data.data.reshape(mamba.shape[0], -1)
     corrs = []

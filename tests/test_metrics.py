@@ -5,8 +5,9 @@ import pytest
 
 from dualfuse import metrics
 from dualfuse.autodiff import ContractError, DimensionError
+from dualfuse.losses import SOBEL_X, SOBEL_Y, gaussian_window
 
-from conftest import assert_close
+from conftest import assert_close, conv2d_oracle
 
 
 def natural_image(size=64, seed=0):
@@ -110,6 +111,36 @@ def test_mi_bounded_by_entropy(rng):
         a = rng.integers(0, 256, (12, 12)).astype(np.uint8)
         mi = metrics._mi_pair(f, a)
         assert mi <= min(metrics.metric_en(f), metrics.metric_en(a)) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# filters shared by VIF and QAB/F
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [17, 9, 5, 3])
+def test_vif_window_filter_against_loop_oracle(rng, size):
+    img = rng.integers(0, 256, (45, 50)).astype(np.float64)
+    win = gaussian_window(size, size / 5.0)
+    for x in (img, img[::2, ::2]):
+        assert_close(metrics._filter_valid(x, win),
+                     conv2d_oracle(x[None], win[None, None], 1, 0)[0])
+
+
+def test_sobel_xy_against_loop_oracle(rng):
+    img = rng.integers(0, 256, (7, 9)).astype(np.uint8)
+    padded = np.pad(img.astype(np.float64), 1, mode="reflect")[None]
+    gx, gy = metrics._sobel_xy(img)
+    assert_close(gx, conv2d_oracle(padded, SOBEL_X[None, None], 1, 0)[0])
+    assert_close(gy, conv2d_oracle(padded, SOBEL_Y[None, None], 1, 0)[0])
+
+
+def test_vif_and_qabf_pinned():
+    # a change of filter kernel or window must not move either metric
+    a, b, f = natural_image(64, 1), natural_image(64, 2), natural_image(64, 3)
+    assert metrics.metric_vif(f, a, b) == pytest.approx(0.4042307101146417,
+                                                        rel=1e-12, abs=0)
+    assert metrics.metric_qabf(f, a, b) == pytest.approx(0.2795432147309488,
+                                                         rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

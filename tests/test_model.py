@@ -34,7 +34,7 @@ def test_ablation_configs_construct_and_run(name, rng):
     img_a = image_to_tensor(rng.uniform(0, 1, (16, 16)))
     img_b = image_to_tensor(rng.uniform(0, 1, (16, 16)))
     with no_grad():
-        recon = restore(img_a, model, cfg)
+        recon = restore(img_a, model)
         fused = fuse_pair(img_a, img_b, model, cfg)
     assert recon.shape == (1, 16, 16)
     assert fused.shape == (1, 16, 16)
@@ -74,7 +74,7 @@ def test_encode_returns_both_branches(rng):
     model = build_model(cfg)
     with no_grad():
         trans, mamba = encode(image_to_tensor(rng.uniform(0, 1, (16, 16))),
-                              model, cfg)
+                              model)
     assert trans.provenance == "transformer" and trans.shape == (4, 16, 16)
     assert mamba.provenance == "mamba" and mamba.shape == (4, 16, 16)
 
@@ -85,7 +85,7 @@ def test_stage1_mode_fuse_of_identical_pair_is_restoration(rng):
     x = rng.uniform(0, 1, (16, 16))
     img = image_to_tensor(x)
     with no_grad():
-        restored = restore(img, model, cfg)
+        restored = restore(img, model)
         fused = fuse_pair(img, img, model, cfg, fusion_trained=False)
     assert restored.data.tobytes() == fused.data.tobytes()
 
@@ -95,5 +95,5 @@ def test_deeper_encoder_builds(rng):
     model = build_model(cfg)
     assert len(model.encoder) == 2
     with no_grad():
-        out = restore(image_to_tensor(rng.uniform(0, 1, (16, 16))), model, cfg)
+        out = restore(image_to_tensor(rng.uniform(0, 1, (16, 16))), model)
     assert out.shape == (1, 16, 16)

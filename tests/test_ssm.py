@@ -282,9 +282,21 @@ def test_block_parameter_gradients(rng):
 
 
 def test_conv_substitute_block_runs(rng):
-    p = ssm.make_conv_substitute_params(np.random.default_rng(6), 4)
-    out = ssm.conv_substitute_block(Tensor(rng.uniform(-1, 1, (4, 6, 6))), p)
+    p = ssm.make_ssm_block_params(np.random.default_rng(6), 4, as_conv=True)
+    out = ssm.ssm_block(Tensor(rng.uniform(-1, 1, (4, 6, 6))), p)
     assert out.shape == (4, 6, 6)
+
+
+def test_block_parameter_paths_pinned():
+    # checkpoints store parameters by these paths, in this order
+    shell = ["norm_gain", "norm_bias", "in_proj", "gate_proj", "conv_depth"]
+    conv = ssm.make_ssm_block_params(np.random.default_rng(6), 4, as_conv=True)
+    assert [n for n, _ in params.named_parameters(conv)] == \
+        shell + ["conv_mix", "out_proj"]
+    scan = ssm.make_ssm_block_params(np.random.default_rng(6), 4)
+    assert [n for n, _ in params.named_parameters(scan)] == shell + [
+        "scan.a_log", "scan.delta_w", "scan.delta_bias", "scan.b_w",
+        "scan.c_w", "scan.skip", "out_proj"]
 
 
 # ---------------------------------------------------------------------------
