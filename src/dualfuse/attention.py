@@ -19,22 +19,6 @@ FF_EXPANSION = 2
 
 
 @dataclass
-class AttentionTriplet:
-    """Q/K/V of one channel-attention evaluation; k comes pre-transposed."""
-    q: Tensor          # (HW, C)
-    k: Tensor          # (C, HW)
-    v: Tensor          # (HW, C)
-    scale: Tensor      # positive scalar, exp of an unconstrained parameter
-
-    def __post_init__(self):
-        if self.q.shape != self.v.shape:
-            raise DimensionError("q and v must share shape, got %r vs %r"
-                                 % (self.q.shape, self.v.shape))
-        if self.k.shape != (self.q.shape[1], self.q.shape[0]):
-            raise DimensionError("k must be the transpose shape of q")
-
-
-@dataclass
 class TransformerBlockParams:
     norm1_gain: Tensor      # (C,)
     norm1_bias: Tensor
@@ -91,13 +75,13 @@ def channel_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return normed * gain.reshape(c, 1, 1) + bias.reshape(c, 1, 1)
 
 
-def project_qkv(x: Tensor, qkv_point: Tensor, qkv_depth: Tensor,
-                log_scale: Tensor) -> AttentionTriplet:
+def project_qkv(x: Tensor, qkv_point: Tensor,
+                qkv_depth: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Pointwise then depthwise projection of a C x H x W map into Q/K/V.
 
     ``qkv_point`` is the (3C, C, 1, 1) pointwise kernel and ``qkv_depth`` the
-    (3C, 3, 3) depthwise one. Spatial dims are flattened row-major; K is
-    returned pre-transposed as (C, HW).
+    (3C, 3, 3) depthwise one. Spatial dims are flattened row-major; returns
+    (q, k, v) with q and v (HW, C) and k pre-transposed as (C, HW).
     """
     if x.ndim != 3:
         raise DimensionError("project_qkv expects a CxHxW map, got %r" % (x.shape,))
@@ -112,19 +96,27 @@ def project_qkv(x: Tensor, qkv_point: Tensor, qkv_depth: Tensor,
     k = flat[c:2 * c]                        # already (C, HW)
     q = flat[0:c].transpose()                # (HW, C)
     v = flat[2 * c:3 * c].transpose()
-    return AttentionTriplet(q=q, k=k, v=v, scale=ad.exp(log_scale))
+    return q, k, v
 
 
-def channel_attention(t: AttentionTriplet) -> tuple[Tensor, Tensor]:
+def channel_attention(q: Tensor, k: Tensor, v: Tensor,
+                      scale: Tensor) -> tuple[Tensor, Tensor]:
     """Row-stochastic C x C attention and its application to V.
 
-    Output channel i is the attention-weighted mix sum_j A[i,j] * V[:,j];
-    the matrix is returned alongside for cross-modal reuse. Work is
-    O(HW * C^2), never quadratic in pixel count.
+    Takes project_qkv's (q, k, v) and a positive scalar ``scale`` (the exp
+    of an unconstrained parameter). Output channel i is the
+    attention-weighted mix sum_j A[i,j] * V[:,j]; the matrix is returned
+    alongside for cross-modal reuse. Work is O(HW * C^2), never quadratic
+    in pixel count.
     """
-    scores = ad.matmul(t.k, t.q) / t.scale
+    if q.shape != v.shape:
+        raise DimensionError("q and v must share shape, got %r vs %r"
+                             % (q.shape, v.shape))
+    if k.shape != (q.shape[1], q.shape[0]):
+        raise DimensionError("k must be the transpose shape of q")
+    scores = ad.matmul(k, q) / scale
     attn = ad.softmax(scores, axis=1)
-    return apply_attention(attn, t.v), attn
+    return apply_attention(attn, v), attn
 
 
 def apply_attention(attn: Tensor, v: Tensor) -> Tensor:
@@ -143,9 +135,9 @@ def gated_feed_forward(x: Tensor, p: TransformerBlockParams) -> Tensor:
 def transformer_block(x: Tensor, p: TransformerBlockParams) -> Tensor:
     """Pre-norm residual block: channel attention, then gated feed-forward."""
     c, h, w = x.shape
-    trip = project_qkv(channel_norm(x, p.norm1_gain, p.norm1_bias),
-                       p.qkv_point, p.qkv_depth, p.log_scale)
-    attended, _ = channel_attention(trip)
+    q, k, v = project_qkv(channel_norm(x, p.norm1_gain, p.norm1_bias),
+                          p.qkv_point, p.qkv_depth)
+    attended, _ = channel_attention(q, k, v, ad.exp(p.log_scale))
     attended = attended.transpose().reshape(c, h, w)
     x = x + ad.conv2d(attended, p.attn_out, pad=0)
     ff = gated_feed_forward(channel_norm(x, p.norm2_gain, p.norm2_bias), p)

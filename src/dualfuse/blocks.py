@@ -20,37 +20,6 @@ from .attention import TransformerBlockParams, make_transformer_block_params, \
 from .autodiff import ContractError, DimensionError, Tensor
 from .ssm import SsmBlockParams, make_ssm_block_params, ssm_block
 
-PROVENANCES = ("shallow", "transformer", "mamba", "prefused", "fused")
-
-
-@dataclass
-class FeatureMap:
-    """C x H x W activation tagged with where in the pipeline it came from.
-
-    Mixed features produced by the inter-branch injections re-enter a branch
-    layer exactly like shallow features do, so they carry the "shallow" tag.
-    """
-    data: Tensor
-    provenance: str
-
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ContractError("unknown provenance %r" % (self.provenance,))
-        if self.data.ndim != 3:
-            raise DimensionError("feature maps are CxHxW, got %r"
-                                 % (self.data.shape,))
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
-def _require(fmap: FeatureMap, *allowed: str) -> None:
-    if fmap.provenance not in allowed:
-        raise ContractError("expected provenance in %r, got %r"
-                            % (allowed, fmap.provenance))
-
-
 @dataclass
 class InteractionParams:
     mix_gate_raw: Tensor    # (): global blend gate, sigma(raw) in (0,1)
@@ -153,7 +122,7 @@ def make_shallow_params(rng: np.random.Generator, channels: int) -> ShallowParam
 # operations
 # ---------------------------------------------------------------------------
 
-def shallow_extract(img: Tensor, p: ShallowParams) -> FeatureMap:
+def shallow_extract(img: Tensor, p: ShallowParams) -> Tensor:
     """Embed a single-channel image to C channels and run one attention block."""
     if img.ndim != 3 or img.shape[0] != 1:
         raise ContractError("shallow_extract wants a 1xHxW image, got %r"
@@ -161,43 +130,38 @@ def shallow_extract(img: Tensor, p: ShallowParams) -> FeatureMap:
     c = p.embed_w.shape[0]
     embedded = ad.conv2d(img, p.embed_w, pad=0) \
         + p.embed_b.reshape(c, 1, 1)
-    return FeatureMap(transformer_block(embedded, p.block), "shallow")
+    return transformer_block(embedded, p.block)
 
 
-def positional_blend(mamba_feat: FeatureMap, trans_feat: FeatureMap,
-                     ip: InteractionParams) -> FeatureMap:
+def positional_blend(mamba_feat: Tensor, trans_feat: Tensor,
+                     ip: InteractionParams) -> Tensor:
     """gate * mamba + (1 - gate) * transformer, one global scalar gate.
 
     The same gate serves every channel, pixel and modality, so the blend
     shifts proportions without disturbing the positional encoding itself.
     """
-    _require(mamba_feat, "mamba")
-    _require(trans_feat, "transformer")
     if mamba_feat.shape != trans_feat.shape:
         raise DimensionError("blend operands differ: %r vs %r"
                              % (mamba_feat.shape, trans_feat.shape))
     gate = ip.gate()
-    mixed = gate * mamba_feat.data + (Tensor(1.0) - gate) * trans_feat.data
-    return FeatureMap(mixed, "shallow")
+    return gate * mamba_feat + (Tensor(1.0) - gate) * trans_feat
 
 
-def channel_mix(mamba_feat: FeatureMap, trans_out: FeatureMap,
-                ip: InteractionParams) -> FeatureMap:
+def channel_mix(mamba_feat: Tensor, trans_out: Tensor,
+                ip: InteractionParams) -> Tensor:
     """Concat channels, 1x1 mix down to C, then 3x3 spatial aggregation."""
     if mamba_feat.shape != trans_out.shape:
         raise DimensionError("mix operands differ: %r vs %r"
                              % (mamba_feat.shape, trans_out.shape))
     c = mamba_feat.shape[0]
-    both = ad.concat([mamba_feat.data, trans_out.data], axis=0)
+    both = ad.concat([mamba_feat, trans_out], axis=0)
     mixed = ad.conv2d(both, ip.mix1_w, pad=0) + ip.mix1_b.reshape(c, 1, 1)
-    mixed = ad.conv2d(mixed, ip.mix3_w, pad=1) + ip.mix3_b.reshape(c, 1, 1)
-    return FeatureMap(mixed, "shallow")
+    return ad.conv2d(mixed, ip.mix3_w, pad=1) + ip.mix3_b.reshape(c, 1, 1)
 
 
-def dual_branch_block(shallow: FeatureMap,
-                      p: DualBranchBlockParams,
+def dual_branch_block(x: Tensor, p: DualBranchBlockParams,
                       need_mamba_out: bool = True
-                      ) -> tuple[FeatureMap | None, FeatureMap | None]:
+                      ) -> tuple[Tensor | None, Tensor | None]:
     """Run both branch stacks with the inter-branch injections.
 
     Order matters: the second attention layer consumes the blend of both
@@ -206,30 +170,21 @@ def dual_branch_block(shallow: FeatureMap,
     branches yield None; ``need_mamba_out=False`` skips the second scan
     layer when its output would be discarded anyway.
     """
-    _require(shallow, "shallow")
-    x = shallow.data
-
-    trans1 = FeatureMap(transformer_block(x, p.transformer1), "transformer") \
+    trans1 = transformer_block(x, p.transformer1) \
         if p.transformer1 is not None else None
-    mamba1 = FeatureMap(ssm_block(x, p.mamba1), "mamba") \
-        if p.mamba1 is not None else None
-
-    interact = p.interaction is not None and trans1 is not None \
-        and mamba1 is not None
+    mamba1 = ssm_block(x, p.mamba1) if p.mamba1 is not None else None
+    interact = p.interaction is not None     # built only with both branches
 
     trans_out = None
     if trans1 is not None:
         second_in = positional_blend(mamba1, trans1, p.interaction) \
-            if interact else FeatureMap(trans1.data, "shallow")
-        trans_out = FeatureMap(transformer_block(second_in.data, p.transformer2),
-                               "transformer")
+            if interact else trans1
+        trans_out = transformer_block(second_in, p.transformer2)
 
     mamba_out = None
     if mamba1 is not None and need_mamba_out:
-        if interact:
-            second_in = channel_mix(mamba1, trans_out, p.interaction)
-        else:
-            second_in = FeatureMap(mamba1.data, "shallow")
-        mamba_out = FeatureMap(ssm_block(second_in.data, p.mamba2), "mamba")
+        second_in = channel_mix(mamba1, trans_out, p.interaction) \
+            if interact else mamba1
+        mamba_out = ssm_block(second_in, p.mamba2)
 
     return trans_out, mamba_out

@@ -20,14 +20,11 @@ def measure_channel_attention_flops(pixel_counts, channels: int = 4,
     rng = np.random.default_rng(seed)
     totals = []
     for hw in pixel_counts:
-        trip = attention.AttentionTriplet(
-            q=Tensor(rng.uniform(-1, 1, (hw, channels))),
-            k=Tensor(rng.uniform(-1, 1, (channels, hw))),
-            v=Tensor(rng.uniform(-1, 1, (hw, channels))),
-            scale=Tensor(1.0),
-        )
+        q = Tensor(rng.uniform(-1, 1, (hw, channels)))
+        k = Tensor(rng.uniform(-1, 1, (channels, hw)))
+        v = Tensor(rng.uniform(-1, 1, (hw, channels)))
         with FlopCounter() as fc:
-            attention.channel_attention(trip)
+            attention.channel_attention(q, k, v, Tensor(1.0))
         totals.append(fc.total)
     return totals
 

@@ -20,8 +20,7 @@ from .attention import TransformerBlockParams, apply_attention, \
     channel_attention, make_transformer_block_params, project_qkv, \
     transformer_block
 from .autodiff import ContractError, DimensionError, Tensor
-from .blocks import DualBranchBlockParams, FeatureMap, _require, \
-    dual_branch_block
+from .blocks import DualBranchBlockParams, dual_branch_block
 
 
 @dataclass
@@ -117,33 +116,28 @@ def make_decoder_params(rng: np.random.Generator, channels: int,
 # pre-fusion
 # ---------------------------------------------------------------------------
 
-def prefuse_mamba(feat_a: FeatureMap, feat_b: FeatureMap) -> FeatureMap:
+def prefuse_mamba(feat_a: Tensor, feat_b: Tensor) -> Tensor:
     """Elementwise sum of the two modalities' scan-branch features."""
-    _require(feat_a, "mamba")
-    _require(feat_b, "mamba")
     if feat_a.shape != feat_b.shape:
         raise DimensionError("prefuse operands differ: %r vs %r"
                              % (feat_a.shape, feat_b.shape))
-    return FeatureMap(feat_a.data + feat_b.data, "prefused")
+    return feat_a + feat_b
 
 
-def modality_attentions(vis_t: FeatureMap, ir_t: FeatureMap,
-                        p: CrossModalParams):
+def modality_attentions(vis_t: Tensor, ir_t: Tensor, p: CrossModalParams):
     """Per-modality channel-attention matrices plus retained value matrices.
 
     Returns (attn_vis, attn_ir, values_vis, values_ir); the visible path uses
     one learned scale and the infrared path its twin.
     """
-    _require(vis_t, "transformer")
-    _require(ir_t, "transformer")
     if vis_t.shape != ir_t.shape:
         raise DimensionError("modality features differ: %r vs %r"
                              % (vis_t.shape, ir_t.shape))
-    trip_vis = project_qkv(vis_t.data, p.qkv_point, p.qkv_depth, p.log_scale_vis)
-    trip_ir = project_qkv(ir_t.data, p.qkv_point, p.qkv_depth, p.log_scale_ir)
-    _, attn_vis = channel_attention(trip_vis)
-    _, attn_ir = channel_attention(trip_ir)
-    return attn_vis, attn_ir, trip_vis.v, trip_ir.v
+    q_vis, k_vis, v_vis = project_qkv(vis_t, p.qkv_point, p.qkv_depth)
+    q_ir, k_ir, v_ir = project_qkv(ir_t, p.qkv_point, p.qkv_depth)
+    _, attn_vis = channel_attention(q_vis, k_vis, v_vis, ad.exp(p.log_scale_vis))
+    _, attn_ir = channel_attention(q_ir, k_ir, v_ir, ad.exp(p.log_scale_ir))
+    return attn_vis, attn_ir, v_vis, v_ir
 
 
 def _aspp_encode(x: Tensor, wp: AsppWeightParams) -> Tensor:
@@ -156,7 +150,7 @@ def _aspp_encode(x: Tensor, wp: AsppWeightParams) -> Tensor:
     return y3
 
 
-def attention_weighting(vis_t: FeatureMap, ir_t: FeatureMap,
+def attention_weighting(vis_t: Tensor, ir_t: Tensor,
                         attn_vis: Tensor, attn_ir: Tensor,
                         wp: AsppWeightParams,
                         weights_override: tuple[float, float] | None = None):
@@ -174,8 +168,8 @@ def attention_weighting(vis_t: FeatureMap, ir_t: FeatureMap,
         w_vis = Tensor(float(weights_override[0]))
         w_ir = Tensor(float(weights_override[1]))
     else:
-        enc_vis = _aspp_encode(vis_t.data, wp).mean(axis=(1, 2))   # (C,)
-        enc_ir = _aspp_encode(ir_t.data, wp).mean(axis=(1, 2))
+        enc_vis = _aspp_encode(vis_t, wp).mean(axis=(1, 2))   # (C,)
+        enc_ir = _aspp_encode(ir_t, wp).mean(axis=(1, 2))
         pooled = ad.concat([enc_vis, enc_ir], axis=0).reshape(-1, 1)
         logits = ad.matmul(wp.fc_w, pooled).reshape(2) + wp.fc_b
         weights = ad.softmax(logits, axis=0)
@@ -185,7 +179,7 @@ def attention_weighting(vis_t: FeatureMap, ir_t: FeatureMap,
 
 
 def prefuse_transformer(attn_ir: Tensor, attn_vis: Tensor, v_ir: Tensor,
-                        v_vis: Tensor, height: int, width: int) -> FeatureMap:
+                        v_vis: Tensor, height: int, width: int) -> Tensor:
     """Apply each modality's attention to its value matrix and sum.
 
     Cross-modal attention passes the one combined matrix as both
@@ -199,15 +193,15 @@ def prefuse_transformer(attn_ir: Tensor, attn_vis: Tensor, v_ir: Tensor,
                              % (v_ir.shape[0], height * width))
     mixed = apply_attention(attn_ir, v_ir) + apply_attention(attn_vis, v_vis)
     c = mixed.shape[1]
-    return FeatureMap(mixed.transpose().reshape(c, height, width), "prefused")
+    return mixed.transpose().reshape(c, height, width)
 
 
 # ---------------------------------------------------------------------------
 # fusion blocks and decoder
 # ---------------------------------------------------------------------------
 
-def fuse_features(pre_trans: FeatureMap | None, pre_mamba: FeatureMap | None,
-                  p: FusionParams) -> tuple[FeatureMap | None, FeatureMap | None]:
+def fuse_features(pre_trans: Tensor | None, pre_mamba: Tensor | None,
+                  p: FusionParams) -> tuple[Tensor | None, Tensor | None]:
     """Each pre-fused map passes through its own dual-branch block.
 
     Pre-fused features are two-modality sums, so they enter the blocks
@@ -220,33 +214,25 @@ def fuse_features(pre_trans: FeatureMap | None, pre_mamba: FeatureMap | None,
     half = Tensor(0.5)
     fused_t = fused_m = None
     if pre_trans is not None:
-        _require(pre_trans, "prefused")
-        t_out, _ = dual_branch_block(FeatureMap(pre_trans.data * half, "shallow"),
-                                     p.fuse_trans, need_mamba_out=False)
-        fused_t = FeatureMap(t_out.data, "fused")
+        fused_t, _ = dual_branch_block(pre_trans * half, p.fuse_trans,
+                                       need_mamba_out=False)
     if pre_mamba is not None:
-        _require(pre_mamba, "prefused")
-        _, m_out = dual_branch_block(FeatureMap(pre_mamba.data * half, "shallow"),
-                                     p.fuse_mamba)
-        fused_m = FeatureMap(m_out.data, "fused")
+        _, fused_m = dual_branch_block(pre_mamba * half, p.fuse_mamba)
     return fused_t, fused_m
 
 
-def decode(feat_t: FeatureMap | None, feat_m: FeatureMap | None,
+def decode(feat_t: Tensor | None, feat_m: Tensor | None,
            p: DecoderParams) -> Tensor:
     """Merge branch features and render a single-channel image in [0, 1]."""
     present = [f for f in (feat_t, feat_m) if f is not None]
     if not present:
         raise ContractError("decode needs at least one feature map")
-    for f in present:
-        _require(f, "fused", "transformer", "mamba")
     if len(present) == 2 and present[0].shape != present[1].shape:
         raise DimensionError("decoder inputs differ: %r vs %r"
                              % (present[0].shape, present[1].shape))
     c = p.merge_w.shape[0]
     expected_in = p.merge_w.shape[1]
-    stacked = ad.concat([f.data for f in present], axis=0) \
-        if len(present) > 1 else present[0].data
+    stacked = ad.concat(present, axis=0) if len(present) > 1 else present[0]
     if stacked.shape[0] != expected_in:
         raise DimensionError("decoder built for %d input channels, got %d"
                              % (expected_in, stacked.shape[0]))

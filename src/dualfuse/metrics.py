@@ -133,28 +133,32 @@ def _filter_valid(img: np.ndarray, win: np.ndarray) -> np.ndarray:
     return correlate(img[None], win[None, None], 0, 1, False)[0][0]
 
 
-def _vif_single(ref: np.ndarray, dist: np.ndarray) -> float:
-    """Pixel-domain VIF over a 4-level Gaussian pyramid with GSM variances."""
-    ref = ref.astype(np.float64)
-    dist = dist.astype(np.float64)
-    num = 0.0
-    den = 0.0
+def _vif_scales(img: np.ndarray) -> list:
+    """Per pyramid scale: (image, window, local mean, local mean square)."""
+    img = img.astype(np.float64)
+    scales = []
     for scale in range(1, VIF_SCALES + 1):
         size = 2 ** (VIF_SCALES - scale + 1) + 1
         win = gaussian_window(size, size / 5.0)
-        if scale > 1:
-            if ref.shape[0] < size or ref.shape[1] < size:
-                raise ContractError("images too small for the %d-scale pyramid"
-                                    % VIF_SCALES)
-            ref = _filter_valid(ref, win)[::2, ::2]
-            dist = _filter_valid(dist, win)[::2, ::2]
-        if ref.shape[0] < size or ref.shape[1] < size:
+        if scale > 1:       # the previous scale's check covers this window
+            img = _filter_valid(img, win)[::2, ::2]
+        if img.shape[0] < size or img.shape[1] < size:
             raise ContractError("images too small for the %d-scale pyramid"
                                 % VIF_SCALES)
-        mu_r = _filter_valid(ref, win)
-        mu_d = _filter_valid(dist, win)
-        var_r = _filter_valid(ref * ref, win) - mu_r * mu_r
-        var_d = _filter_valid(dist * dist, win) - mu_d * mu_d
+        scales.append((img, win, _filter_valid(img, win),
+                       _filter_valid(img * img, win)))
+    return scales
+
+
+def _vif_single(ref_scales: list, dist_scales: list) -> float:
+    """Pixel-domain VIF over a 4-level Gaussian pyramid with GSM variances;
+    both arguments come from ``_vif_scales``."""
+    num = 0.0
+    den = 0.0
+    for (ref, win, mu_r, sq_r), (dist, _, mu_d, sq_d) in zip(ref_scales,
+                                                             dist_scales):
+        var_r = sq_r - mu_r * mu_r
+        var_d = sq_d - mu_d * mu_d
         cov = _filter_valid(ref * dist, win) - mu_r * mu_d
         var_r = np.maximum(var_r, 0.0)
         var_d = np.maximum(var_d, 0.0)
@@ -188,7 +192,9 @@ def metric_vif(fused: np.ndarray, src_a: np.ndarray, src_b: np.ndarray) -> float
     src_b = _check_u8(src_b, "source b")
     if fused.shape != src_a.shape or fused.shape != src_b.shape:
         raise DimensionError("vif operands must share shape")
-    return _vif_single(src_a, fused) + _vif_single(src_b, fused)
+    fused_scales = _vif_scales(fused)
+    return _vif_single(_vif_scales(src_a), fused_scales) \
+        + _vif_single(_vif_scales(src_b), fused_scales)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion as fusion_mod
-from .autodiff import ContractError, Tensor
-from .blocks import FeatureMap, ShallowParams, dual_branch_block, \
+from .autodiff import ContractError, Tensor, no_grad
+from .blocks import ShallowParams, dual_branch_block, \
     make_dual_branch_params, make_shallow_params
 from .config import RunConfig
 from .data import ImagePair
@@ -67,6 +67,8 @@ def encode(img: Tensor, m: ModelParams):
     Returns (transformer_features, mamba_features); a disabled branch yields
     None. With depth > 1 the branch outputs are summed to feed the next block.
     """
+    # looked up at call time: a module-level binding would keep the
+    # unwrapped function when a tracer patches blocks.shallow_extract
     from .blocks import shallow_extract
     feat = shallow_extract(img, m.shallow)
     trans = mamba = None
@@ -74,9 +76,9 @@ def encode(img: Tensor, m: ModelParams):
         trans, mamba = dual_branch_block(feat, block)
         if i + 1 < len(m.encoder):
             if trans is not None and mamba is not None:
-                feat = FeatureMap(trans.data + mamba.data, "shallow")
+                feat = trans + mamba
             else:
-                feat = FeatureMap((trans or mamba).data, "shallow")
+                feat = trans if trans is not None else mamba
     return trans, mamba
 
 
@@ -102,10 +104,8 @@ def fuse_pair(img_a: Tensor, img_b: Tensor, m: ModelParams, cfg: RunConfig,
 
     if not fusion_trained:
         half = Tensor(0.5)
-        trans = FeatureMap((trans_a.data + trans_b.data) * half, "transformer") \
-            if trans_a is not None else None
-        mamba = FeatureMap((mamba_a.data + mamba_b.data) * half, "mamba") \
-            if mamba_a is not None else None
+        trans = (trans_a + trans_b) * half if trans_a is not None else None
+        mamba = (mamba_a + mamba_b) * half if mamba_a is not None else None
         return decode(trans, mamba, m.decoder)
 
     pre_m = prefuse_mamba(mamba_a, mamba_b) if mamba_a is not None else None
@@ -146,7 +146,6 @@ def image_to_tensor(img: np.ndarray) -> Tensor:
 def fuse_pair_arrays(pair: ImagePair, m: ModelParams, cfg: RunConfig,
                      fusion_trained: bool = True) -> np.ndarray:
     """Fuse one pair and return the [0, 1] float image (H, W)."""
-    from .autodiff import no_grad
     with no_grad():
         out = fuse_pair(image_to_tensor(pair.a), image_to_tensor(pair.b),
                         m, cfg, fusion_trained=fusion_trained)

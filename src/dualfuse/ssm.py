@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .attention import channel_norm
 from .autodiff import ContractError, DimensionError, Tensor
 
 STATE_DIM = 8
@@ -170,7 +171,6 @@ def cross_scan_2d(x: Tensor, p: ScanParams) -> Tensor:
 def ssm_block(x: Tensor, p: SsmBlockParams) -> Tensor:
     """Residual scan block (or its conv ablation when ``p.scan`` is None);
     preserves the C x H x W shape."""
-    from .attention import channel_norm   # shared per-pixel channel norm
     if x.shape[0] != p.channels:
         raise DimensionError("block built for %d channels, input has %d"
                              % (p.channels, x.shape[0]))

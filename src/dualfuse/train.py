@@ -61,10 +61,6 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
     else:
         tree = stage2_parameter_tree(model)
     named = [pair for section in tree for pair in trainable_parameters(section)]
-    # de-duplicate shared tensors while keeping deterministic order
-    seen: set = set()
-    named = [(n, t) for n, t in named
-             if not (id(t) in seen or seen.add(id(t)))]
     adam = AdamState()
     steps = 0
     for epoch in range(epochs):

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from dualfuse import attention, complexity, fusion, gradcheck, metrics, ssm
-from dualfuse.attention import AttentionTriplet, channel_attention
+from dualfuse.attention import channel_attention
 from dualfuse.autodiff import Tensor, no_grad
-from dualfuse.blocks import FeatureMap, make_interaction_params, \
-    positional_blend
+from dualfuse.blocks import make_interaction_params, positional_blend
 from dualfuse.checkpoint import load_checkpoint
 from dualfuse.config import RunConfig
 from dualfuse.losses import stage2_loss
@@ -113,8 +112,8 @@ def test_criterion_3_attention_oracles():
         q = rng.uniform(-1, 1, (hw, c))
         k = rng.uniform(-1, 1, (c, hw))
         v = rng.uniform(-1, 1, (hw, c))
-        out, a = channel_attention(AttentionTriplet(Tensor(q), Tensor(k),
-                                                    Tensor(v), Tensor(alpha)))
+        out, a = channel_attention(Tensor(q), Tensor(k), Tensor(v),
+                                   Tensor(alpha))
         ref_out, ref_a = dense_attention_oracle(q, k, v, alpha)
         assert np.max(np.abs(a.data - ref_a)) <= 1e-10
         assert np.max(np.abs(out.data - ref_out)) <= 1e-10
@@ -124,10 +123,10 @@ def test_criterion_3_attention_oracles():
     q_i, k_i = rng.uniform(-1, 1, (h * w, c)), rng.uniform(-1, 1, (c, h * w))
     v_v, v_i = rng.uniform(-1, 1, (h * w, c)), rng.uniform(-1, 1, (h * w, c))
     alpha, beta = 1.4, 0.6
-    _, a_v = channel_attention(AttentionTriplet(Tensor(q_v), Tensor(k_v),
-                                                Tensor(v_v), Tensor(alpha)))
-    _, a_i = channel_attention(AttentionTriplet(Tensor(q_i), Tensor(k_i),
-                                                Tensor(v_i), Tensor(beta)))
+    _, a_v = channel_attention(Tensor(q_v), Tensor(k_v), Tensor(v_v),
+                               Tensor(alpha))
+    _, a_i = channel_attention(Tensor(q_i), Tensor(k_i), Tensor(v_i),
+                               Tensor(beta))
     combined, _, _ = fusion.attention_weighting(None, None, a_v, a_i, None,
                                                 weights_override=(0.35, 0.65))
     got = fusion.prefuse_transformer(combined, combined, Tensor(v_i),
@@ -136,16 +135,16 @@ def test_criterion_3_attention_oracles():
     _, ref_ai = dense_attention_oracle(q_i, k_i, v_i, beta)
     ref_a = 0.35 * ref_av + 0.65 * ref_ai
     ref = (v_i @ ref_a.T + v_v @ ref_a.T).T.reshape(c, h, w)
-    assert np.max(np.abs(got.data.data - ref)) <= 1e-10
+    assert np.max(np.abs(got.data - ref)) <= 1e-10
     # 1000-case row-stochastic fuzz
     for _ in range(1000):
         hw = int(rng.integers(1, 9))
         c = int(rng.integers(1, 6))
-        _, a = channel_attention(AttentionTriplet(
+        _, a = channel_attention(
             Tensor(rng.uniform(-4, 4, (hw, c))),
             Tensor(rng.uniform(-4, 4, (c, hw))),
             Tensor(rng.uniform(-4, 4, (hw, c))),
-            Tensor(float(rng.uniform(0.1, 5.0)))))
+            Tensor(float(rng.uniform(0.1, 5.0))))
         assert np.all(a.data >= 0)
         assert np.max(np.abs(a.data.sum(axis=1) - 1.0)) < 1e-6
 
@@ -183,19 +182,17 @@ def test_criterion_5_interaction_and_ablations(tmp_path):
     rng = np.random.default_rng(3)
     # global gate boundary behavior
     ip = make_interaction_params(np.random.default_rng(0), 3)
-    m = FeatureMap(Tensor(rng.uniform(-1, 1, (3, 4, 4))), "mamba")
-    t = FeatureMap(Tensor(rng.uniform(-1, 1, (3, 4, 4))), "transformer")
+    m = Tensor(rng.uniform(-1, 1, (3, 4, 4)))
+    t = Tensor(rng.uniform(-1, 1, (3, 4, 4)))
     ip.mix_gate_raw.data[()] = -20.0
-    assert np.max(np.abs(positional_blend(m, t, ip).data.data
-                         - t.data.data)) < 1e-8
+    assert np.max(np.abs(positional_blend(m, t, ip).data - t.data)) < 1e-8
     ip.mix_gate_raw.data[()] = 20.0
-    assert np.max(np.abs(positional_blend(m, t, ip).data.data
-                         - m.data.data)) < 1e-8
+    assert np.max(np.abs(positional_blend(m, t, ip).data - m.data)) < 1e-8
     # weighting convexity and row-stochastic combination
     cross = fusion.make_cross_modal_params(np.random.default_rng(1), 3)
     for _ in range(50):
-        vis = FeatureMap(Tensor(rng.uniform(-2, 2, (3, 5, 5))), "transformer")
-        ir = FeatureMap(Tensor(rng.uniform(-2, 2, (3, 5, 5))), "transformer")
+        vis = Tensor(rng.uniform(-2, 2, (3, 5, 5)))
+        ir = Tensor(rng.uniform(-2, 2, (3, 5, 5)))
         a_v, a_i, _, _ = fusion.modality_attentions(vis, ir, cross)
         combined, w1, w2 = fusion.attention_weighting(vis, ir, a_v, a_i,
                                                       cross.weights)
@@ -263,8 +260,8 @@ def test_branches_do_not_collapse_after_stage1(toy_run):
     pair = toy_run["pairs"][0]
     with no_grad():
         trans, mamba = encode(image_to_tensor(pair.a), ckpt.model)
-    t = trans.data.data.reshape(trans.shape[0], -1)
-    m = mamba.data.data.reshape(mamba.shape[0], -1)
+    t = trans.data.reshape(trans.shape[0], -1)
+    m = mamba.data.reshape(mamba.shape[0], -1)
     corrs = []
     for ch in range(t.shape[0]):
         if t[ch].std() > 1e-12 and m[ch].std() > 1e-12:

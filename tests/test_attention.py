@@ -18,7 +18,7 @@ def make_params(channels, seed=0):
 
 
 def qkv(p):
-    return p.qkv_point, p.qkv_depth, p.log_scale
+    return p.qkv_point, p.qkv_depth
 
 
 # ---------------------------------------------------------------------------
@@ -27,10 +27,10 @@ def qkv(p):
 
 def test_project_qkv_zero_input_gives_zero_triplet():
     p = make_params(3)
-    trip = attn.project_qkv(Tensor(np.zeros((3, 4, 4))), *qkv(p))
-    assert not trip.q.data.any()
-    assert not trip.k.data.any()
-    assert not trip.v.data.any()
+    q, k, v = attn.project_qkv(Tensor(np.zeros((3, 4, 4))), *qkv(p))
+    assert not q.data.any()
+    assert not k.data.any()
+    assert not v.data.any()
 
 
 def test_project_qkv_identity_projection_c1(rng):
@@ -39,16 +39,16 @@ def test_project_qkv_identity_projection_c1(rng):
     p.qkv_depth.data[:] = 0.0
     p.qkv_depth.data[:, 1, 1] = 1.0            # depthwise identity tap
     x = rng.uniform(-1, 1, (1, 4, 4))
-    trip = attn.project_qkv(Tensor(x), *qkv(p))
-    assert_close(trip.q.data[:, 0], x.ravel())
+    q, _, _ = attn.project_qkv(Tensor(x), *qkv(p))
+    assert_close(q.data[:, 0], x.ravel())
 
 
 def test_project_qkv_shapes():
     p = make_params(4)
-    trip = attn.project_qkv(Tensor(np.zeros((4, 8, 8))), *qkv(p))
-    assert trip.q.shape == (64, 4)
-    assert trip.k.shape == (4, 64)
-    assert trip.v.shape == (64, 4)
+    q, k, v = attn.project_qkv(Tensor(np.zeros((4, 8, 8))), *qkv(p))
+    assert q.shape == (64, 4)
+    assert k.shape == (4, 64)
+    assert v.shape == (64, 4)
 
 
 def test_project_qkv_channel_mismatch():
@@ -67,24 +67,23 @@ def test_project_qkv_needs_3x3_spatial():
 # channel_attention
 # ---------------------------------------------------------------------------
 
-def triplet(q, k, v, alpha=1.0):
-    return attn.AttentionTriplet(q=Tensor(q), k=Tensor(k), v=Tensor(v),
-                                 scale=Tensor(alpha))
+def attention_args(q, k, v, alpha=1.0):
+    return Tensor(q), Tensor(k), Tensor(v), Tensor(alpha)
 
 
 def test_channel_attention_single_channel(rng):
     v = rng.uniform(-1, 1, (6, 1))
-    out, a = attn.channel_attention(triplet(rng.uniform(-1, 1, (6, 1)),
-                                            rng.uniform(-1, 1, (1, 6)), v))
+    out, a = attn.channel_attention(*attention_args(
+        rng.uniform(-1, 1, (6, 1)), rng.uniform(-1, 1, (1, 6)), v))
     assert_close(a.data, [[1.0]])
     assert_close(out.data, v)
 
 
 def test_channel_attention_zero_query_uniform_rows(rng):
     hw, c = 5, 4
-    out, a = attn.channel_attention(triplet(np.zeros((hw, c)),
-                                            rng.uniform(-1, 1, (c, hw)),
-                                            rng.uniform(-1, 1, (hw, c))))
+    out, a = attn.channel_attention(*attention_args(
+        np.zeros((hw, c)), rng.uniform(-1, 1, (c, hw)),
+        rng.uniform(-1, 1, (hw, c))))
     assert_close(a.data, np.full((c, c), 0.25))
     assert out.shape == (hw, c)
 
@@ -94,7 +93,7 @@ def test_channel_attention_matches_dense_oracle(rng):
     q = rng.uniform(-1, 1, (hw, c))
     k = rng.uniform(-1, 1, (c, hw))
     v = rng.uniform(-1, 1, (hw, c))
-    out, a = attn.channel_attention(triplet(q, k, v, alpha=1.0))
+    out, a = attn.channel_attention(*attention_args(q, k, v, alpha=1.0))
     ref_out, ref_a = dense_attention_oracle(q, k, v, 1.0)
     assert_close(a.data, ref_a, tol=1e-10)
     assert_close(out.data, ref_out, tol=1e-10)
@@ -107,18 +106,18 @@ def test_attention_rows_are_stochastic(seed):
     hw = int(r.integers(1, 12))
     c = int(r.integers(1, 6))
     alpha = float(r.uniform(0.2, 5.0))
-    _, a = attn.channel_attention(triplet(r.uniform(-3, 3, (hw, c)),
-                                          r.uniform(-3, 3, (c, hw)),
-                                          r.uniform(-3, 3, (hw, c)), alpha))
+    _, a = attn.channel_attention(*attention_args(
+        r.uniform(-3, 3, (hw, c)), r.uniform(-3, 3, (c, hw)),
+        r.uniform(-3, 3, (hw, c)), alpha))
     assert np.all(a.data >= 0)
     assert np.max(np.abs(a.data.sum(axis=1) - 1.0)) < 1e-6
 
 
-def test_attention_triplet_invariants():
+def test_channel_attention_rejects_mismatched_key():
+    # k must be (C, HW) for a (HW, C) query; here it spans 5 pixels, not 6
     with pytest.raises(DimensionError):
-        attn.AttentionTriplet(q=Tensor(np.zeros((6, 2))),
-                              k=Tensor(np.zeros((2, 5))),
-                              v=Tensor(np.zeros((6, 2))), scale=Tensor(1.0))
+        attn.channel_attention(*attention_args(
+            np.zeros((6, 2)), np.zeros((2, 5)), np.zeros((6, 2))))
 
 
 # ---------------------------------------------------------------------------

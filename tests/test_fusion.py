@@ -5,18 +5,16 @@ import pytest
 
 from dualfuse import autodiff as ad
 from dualfuse import blocks, fusion, params
-from dualfuse.attention import AttentionTriplet, channel_attention, \
-    project_qkv
+from dualfuse.attention import channel_attention, project_qkv
 from dualfuse.autodiff import ContractError, DimensionError, Tensor
-from dualfuse.blocks import FeatureMap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_close, dense_attention_oracle
 
 
-def fmap(data, provenance="mamba"):
-    return FeatureMap(Tensor(np.asarray(data, dtype=np.float64)), provenance)
+def fmap(data):
+    return Tensor(np.asarray(data, dtype=np.float64))
 
 
 def make_cross(channels=3, seed=0, with_weights=True):
@@ -31,28 +29,24 @@ def make_cross(channels=3, seed=0, with_weights=True):
 def test_prefuse_mamba_identity(rng):
     x = rng.uniform(-1, 1, (3, 4, 4))
     out = fusion.prefuse_mamba(fmap(x), fmap(np.zeros_like(x)))
-    assert_close(out.data.data, x)
-    assert out.provenance == "prefused"
+    assert_close(out.data, x)
 
 
 def test_prefuse_mamba_doubles(rng):
     x = rng.uniform(-1, 1, (3, 4, 4))
     out = fusion.prefuse_mamba(fmap(x), fmap(x))
-    assert_close(out.data.data, 2 * x)
+    assert_close(out.data, 2 * x)
 
 
 def test_prefuse_mamba_commutes_bitwise(rng):
     a = rng.uniform(-1, 1, (3, 4, 4))
     b = rng.uniform(-1, 1, (3, 4, 4))
-    ab = fusion.prefuse_mamba(fmap(a), fmap(b)).data.data
-    ba = fusion.prefuse_mamba(fmap(b), fmap(a)).data.data
+    ab = fusion.prefuse_mamba(fmap(a), fmap(b)).data
+    ba = fusion.prefuse_mamba(fmap(b), fmap(a)).data
     assert ab.tobytes() == ba.tobytes()
 
 
 def test_prefuse_mamba_guards(rng):
-    with pytest.raises(ContractError):
-        fusion.prefuse_mamba(fmap(np.zeros((2, 3, 3)), "transformer"),
-                             fmap(np.zeros((2, 3, 3))))
     with pytest.raises(DimensionError):
         fusion.prefuse_mamba(fmap(np.zeros((2, 3, 3))),
                              fmap(np.zeros((2, 3, 4))))
@@ -66,7 +60,7 @@ def test_identical_features_equal_scales_give_equal_attention(rng):
     p = make_cross(3)
     x = rng.uniform(-1, 1, (3, 5, 5))
     a_vis, a_ir, v_vis, v_ir = fusion.modality_attentions(
-        fmap(x, "transformer"), fmap(x, "transformer"), p)
+        fmap(x), fmap(x), p)
     assert a_vis.data.tobytes() == a_ir.data.tobytes()
     assert v_vis.data.tobytes() == v_ir.data.tobytes()
 
@@ -75,26 +69,24 @@ def test_modality_attentions_row_stochastic(rng):
     p = make_cross(4, seed=3)
     p.log_scale_ir.data[()] = 0.7         # distinct scales
     a_vis, a_ir, _, _ = fusion.modality_attentions(
-        fmap(rng.uniform(-1, 1, (4, 6, 6)), "transformer"),
-        fmap(rng.uniform(-1, 1, (4, 6, 6)), "transformer"), p)
+        fmap(rng.uniform(-1, 1, (4, 6, 6))),
+        fmap(rng.uniform(-1, 1, (4, 6, 6))), p)
     for mat in (a_vis.data, a_ir.data):
         assert np.max(np.abs(mat.sum(axis=1) - 1.0)) < 1e-6
 
 
 def test_modality_attentions_match_dense_oracle(rng):
     p = make_cross(3, seed=5)
-    vis = fmap(rng.uniform(-1, 1, (3, 4, 4)), "transformer")
-    ir = fmap(rng.uniform(-1, 1, (3, 4, 4)), "transformer")
+    vis = fmap(rng.uniform(-1, 1, (3, 4, 4)))
+    ir = fmap(rng.uniform(-1, 1, (3, 4, 4)))
     a_vis, a_ir, v_vis, v_ir = fusion.modality_attentions(vis, ir, p)
-    # oracle consumes the same projected triplets, computed densely
-    trip_v = project_qkv(vis.data, p.qkv_point, p.qkv_depth, p.log_scale_vis)
-    trip_i = project_qkv(ir.data, p.qkv_point, p.qkv_depth, p.log_scale_ir)
-    _, ref_v = dense_attention_oracle(trip_v.q.data, trip_v.k.data,
-                                      trip_v.v.data, trip_v.scale.item())
-    _, ref_i = dense_attention_oracle(trip_i.q.data, trip_i.k.data,
-                                      trip_i.v.data, trip_i.scale.item())
-    assert_close(a_vis.data, ref_v, tol=1e-10)
-    assert_close(a_ir.data, ref_i, tol=1e-10)
+    # oracle consumes the same projected Q/K/V, computed densely
+    for x, log_scale, got in ((vis, p.log_scale_vis, a_vis),
+                              (ir, p.log_scale_ir, a_ir)):
+        q, k, v = project_qkv(x, p.qkv_point, p.qkv_depth)
+        _, ref = dense_attention_oracle(q.data, k.data, v.data,
+                                        ad.exp(log_scale).item())
+        assert_close(got.data, ref, tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +95,8 @@ def test_modality_attentions_match_dense_oracle(rng):
 
 def test_weight_override_selects_one_matrix(rng):
     p = make_cross(3, seed=1)
-    vis = fmap(rng.uniform(-1, 1, (3, 5, 5)), "transformer")
-    ir = fmap(rng.uniform(-1, 1, (3, 5, 5)), "transformer")
+    vis = fmap(rng.uniform(-1, 1, (3, 5, 5)))
+    ir = fmap(rng.uniform(-1, 1, (3, 5, 5)))
     a_vis, a_ir, _, _ = fusion.modality_attentions(vis, ir, p)
     combined, w1, w2 = fusion.attention_weighting(
         vis, ir, a_vis, a_ir, p.weights, weights_override=(1.0, 0.0))
@@ -117,8 +109,8 @@ def test_weight_override_selects_one_matrix(rng):
 def test_weighting_is_convex_and_row_stochastic(seed):
     r = np.random.default_rng(seed)
     p = fusion.make_cross_modal_params(np.random.default_rng(7), 3)
-    vis = fmap(r.uniform(-2, 2, (3, 4, 4)), "transformer")
-    ir = fmap(r.uniform(-2, 2, (3, 4, 4)), "transformer")
+    vis = fmap(r.uniform(-2, 2, (3, 4, 4)))
+    ir = fmap(r.uniform(-2, 2, (3, 4, 4)))
     a_vis, a_ir, _, _ = fusion.modality_attentions(vis, ir, p)
     combined, w1, w2 = fusion.attention_weighting(vis, ir, a_vis, a_ir, p.weights)
     assert w1.item() >= 0 and w2.item() >= 0
@@ -129,8 +121,8 @@ def test_weighting_is_convex_and_row_stochastic(seed):
 def test_swapped_inputs_with_mirrored_fc_swap_weights(rng):
     c = 3
     p = make_cross(c, seed=9)
-    vis = fmap(rng.uniform(-1, 1, (c, 5, 5)), "transformer")
-    ir = fmap(rng.uniform(-1, 1, (c, 5, 5)), "transformer")
+    vis = fmap(rng.uniform(-1, 1, (c, 5, 5)))
+    ir = fmap(rng.uniform(-1, 1, (c, 5, 5)))
     a_vis, a_ir, _, _ = fusion.modality_attentions(vis, ir, p)
     _, w1, w2 = fusion.attention_weighting(vis, ir, a_vis, a_ir, p.weights)
 
@@ -163,8 +155,7 @@ def test_prefuse_transformer_zero_value_path(rng):
     out = fusion.prefuse_transformer(Tensor(attn), Tensor(attn), Tensor(v_ir),
                                      Tensor(np.zeros((h * w, c))), h, w)
     expect = (v_ir @ attn.T).T.reshape(c, h, w)
-    assert_close(out.data.data, expect, tol=1e-12)
-    assert out.provenance == "prefused"
+    assert_close(out.data, expect, tol=1e-12)
 
 
 def test_prefuse_transformer_equal_values_double(rng):
@@ -174,7 +165,7 @@ def test_prefuse_transformer_equal_values_double(rng):
     out = fusion.prefuse_transformer(Tensor(attn), Tensor(attn), Tensor(v),
                                      Tensor(v), h, w)
     expect = 2 * (v @ attn.T).T.reshape(c, h, w)
-    assert_close(out.data.data, expect, tol=1e-12)
+    assert_close(out.data, expect, tol=1e-12)
 
 
 def test_prefuse_transformer_distributes(rng):
@@ -185,7 +176,7 @@ def test_prefuse_transformer_distributes(rng):
     got = fusion.prefuse_transformer(Tensor(attn), Tensor(attn), Tensor(x),
                                      Tensor(y), h, w)
     expect = (x @ attn.T + y @ attn.T).T.reshape(c, h, w)
-    assert_close(got.data.data, expect, tol=1e-12)
+    assert_close(got.data, expect, tol=1e-12)
 
 
 def test_per_modality_prefuse_degradation(rng):
@@ -198,8 +189,7 @@ def test_per_modality_prefuse_degradation(rng):
     out = fusion.prefuse_transformer(
         Tensor(a_ir), Tensor(a_vis), Tensor(v_ir), Tensor(v_vis), h, w)
     expect = (v_ir @ a_ir.T + v_vis @ a_vis.T).T.reshape(c, h, w)
-    assert_close(out.data.data, expect, tol=1e-12)
-    assert out.provenance == "prefused"
+    assert_close(out.data, expect, tol=1e-12)
 
 
 def test_prefuse_transformer_guards(rng):
@@ -220,10 +210,10 @@ def test_eq_chain_matches_dense_oracle(rng):
     q_i, k_i = rng.uniform(-1, 1, (hw, c)), rng.uniform(-1, 1, (c, hw))
     v_v, v_i = rng.uniform(-1, 1, (hw, c)), rng.uniform(-1, 1, (hw, c))
     alpha, beta = 1.3, 0.8
-    _, a_v = channel_attention(AttentionTriplet(Tensor(q_v), Tensor(k_v),
-                                                Tensor(v_v), Tensor(alpha)))
-    _, a_i = channel_attention(AttentionTriplet(Tensor(q_i), Tensor(k_i),
-                                                Tensor(v_i), Tensor(beta)))
+    _, a_v = channel_attention(Tensor(q_v), Tensor(k_v), Tensor(v_v),
+                               Tensor(alpha))
+    _, a_i = channel_attention(Tensor(q_i), Tensor(k_i), Tensor(v_i),
+                               Tensor(beta))
     w1, w2 = 0.3, 0.7
     combined, _, _ = fusion.attention_weighting(
         None, None, a_v, a_i, None, weights_override=(w1, w2))
@@ -234,7 +224,7 @@ def test_eq_chain_matches_dense_oracle(rng):
     _, ref_ai = dense_attention_oracle(q_i, k_i, v_i, beta)
     ref_a = w1 * ref_av + w2 * ref_ai
     ref = (v_i @ ref_a.T + v_v @ ref_a.T).T.reshape(3, 2, 3)
-    assert_close(got.data.data, ref, tol=1e-10)
+    assert_close(got.data, ref, tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +242,28 @@ def make_fusion_params(channels=2, seed=0):
 
 def test_fuse_features_shapes(rng):
     p = make_fusion_params()
-    pre_t = fmap(rng.uniform(-1, 1, (2, 4, 4)), "prefused")
-    pre_m = fmap(rng.uniform(-1, 1, (2, 4, 4)), "prefused")
+    pre_t = fmap(rng.uniform(-1, 1, (2, 4, 4)))
+    pre_m = fmap(rng.uniform(-1, 1, (2, 4, 4)))
     fused_t, fused_m = fusion.fuse_features(pre_t, pre_m, p)
-    assert fused_t.shape == (2, 4, 4) and fused_t.provenance == "fused"
-    assert fused_m.shape == (2, 4, 4) and fused_m.provenance == "fused"
+    assert fused_t.shape == (2, 4, 4)
+    assert fused_m.shape == (2, 4, 4)
 
 
 def test_fuse_trans_ignores_discarded_scan_tail(rng):
     p = make_fusion_params(seed=2)
-    pre_t = fmap(rng.uniform(-1, 1, (2, 4, 4)), "prefused")
+    pre_t = fmap(rng.uniform(-1, 1, (2, 4, 4)))
     first, _ = fusion.fuse_features(pre_t, None, p)
     for _, t in params.named_parameters(p.fuse_trans.mamba2):
         t.data += 123.0     # never evaluated, must not matter
     second, _ = fusion.fuse_features(pre_t, None, p)
-    assert first.data.data.tobytes() == second.data.data.tobytes()
+    assert first.data.tobytes() == second.data.tobytes()
 
 
 def test_gradient_reaches_weighting_head(rng):
     c = 2
     p = make_fusion_params(channels=c, seed=4)
-    vis = fmap(rng.uniform(-1, 1, (c, 4, 4)), "transformer")
-    ir = fmap(rng.uniform(-1, 1, (c, 4, 4)), "transformer")
+    vis = fmap(rng.uniform(-1, 1, (c, 4, 4)))
+    ir = fmap(rng.uniform(-1, 1, (c, 4, 4)))
     a_vis, a_ir, v_vis, v_ir = fusion.modality_attentions(vis, ir, p.cross)
     combined, _, _ = fusion.attention_weighting(vis, ir, a_vis, a_ir,
                                                 p.cross.weights)
@@ -281,15 +271,15 @@ def test_gradient_reaches_weighting_head(rng):
     pre_m = fusion.prefuse_mamba(fmap(rng.uniform(-1, 1, (c, 4, 4))),
                                  fmap(rng.uniform(-1, 1, (c, 4, 4))))
     fused_t, fused_m = fusion.fuse_features(pre_t, pre_m, p)
-    (fused_t.data.sum() + fused_m.data.sum()).backward()
+    (fused_t.sum() + fused_m.sum()).backward()
     fc_grad = p.cross.weights.fc_w.grad
     assert fc_grad is not None and np.abs(fc_grad).max() > 0
 
 
 def test_decode_range_shape_determinism(rng):
     p = fusion.make_decoder_params(np.random.default_rng(3), 4, n_inputs=2)
-    t = fmap(rng.uniform(-3, 3, (4, 6, 6)), "fused")
-    m = fmap(rng.uniform(-3, 3, (4, 6, 6)), "fused")
+    t = fmap(rng.uniform(-3, 3, (4, 6, 6)))
+    m = fmap(rng.uniform(-3, 3, (4, 6, 6)))
     out1 = fusion.decode(t, m, p)
     out2 = fusion.decode(t, m, p)
     assert out1.shape == (1, 6, 6)
@@ -302,7 +292,7 @@ def test_decode_guards():
     with pytest.raises(ContractError):
         fusion.decode(None, None, p)
     with pytest.raises(DimensionError):
-        fusion.decode(fmap(np.zeros((4, 6, 6)), "fused"),
-                      fmap(np.zeros((4, 5, 6)), "fused"), p)
+        fusion.decode(fmap(np.zeros((4, 6, 6))),
+                      fmap(np.zeros((4, 5, 6))), p)
     with pytest.raises(DimensionError):
-        fusion.decode(fmap(np.zeros((4, 6, 6)), "fused"), None, p)
+        fusion.decode(fmap(np.zeros((4, 6, 6))), None, p)

@@ -7,7 +7,7 @@ from dualfuse import params
 from dualfuse.autodiff import Tensor, no_grad
 from dualfuse.config import RunConfig
 from dualfuse.model import build_model, encode, fuse_pair, fuse_pair_arrays, \
-    image_to_tensor, restore
+    image_to_tensor, restore, stage1_parameter_tree, stage2_parameter_tree
 from dualfuse.toydata import make_toy_pairs
 
 ABLATIONS = {
@@ -52,6 +52,21 @@ def test_branch_toggles_shape_parameter_tree():
     assert not any("interaction" in n for n in names_t)
 
 
+@pytest.mark.parametrize("name,extra", [(n, {}) for n in sorted(ABLATIONS)]
+                         + [("full", dict(depth=2)),
+                            ("dual_no_interaction",
+                             dict(transformer_branch=False,
+                                  cross_modal_attention=False))])
+def test_stage_trees_share_no_tensor(name, extra):
+    # the training loop hands each stage tree to Adam as-is, one entry per
+    # tensor, so no tensor may appear twice in a tree
+    model = build_model(cfg_for(name, **extra))
+    for tree in (stage1_parameter_tree(model), stage2_parameter_tree(model)):
+        tensors = [t for section in tree
+                   for _, t in params.trainable_parameters(section)]
+        assert len({id(t) for t in tensors}) == len(tensors)
+
+
 def test_seeded_build_is_deterministic():
     cfg = cfg_for("full")
     a = params.named_parameters(build_model(cfg))
@@ -75,8 +90,8 @@ def test_encode_returns_both_branches(rng):
     with no_grad():
         trans, mamba = encode(image_to_tensor(rng.uniform(0, 1, (16, 16))),
                               model)
-    assert trans.provenance == "transformer" and trans.shape == (4, 16, 16)
-    assert mamba.provenance == "mamba" and mamba.shape == (4, 16, 16)
+    assert trans.shape == (4, 16, 16)
+    assert mamba.shape == (4, 16, 16)
 
 
 def test_stage1_mode_fuse_of_identical_pair_is_restoration(rng):
