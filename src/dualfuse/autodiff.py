@@ -1,13 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every numeric value in the network flows through this module. A Tensor wraps
-one contiguous float64 numpy array plus an optional gradient buffer; forward
-ops record parent links and a backward closure, and ``backward()`` replays the
-recorded graph in exact reverse topological order, accumulating gradients
-additively into every reachable tensor with ``requires_grad``. It frees the
-graph as it goes: after a backward pass only leaves (parameters, inputs)
-hold a ``grad``, and interior nodes keep their ``data`` but no gradient,
-closure or parent links.
+one contiguous float64 numpy array plus an optional gradient buffer; a
+forward op whose inputs need gradients gives its result a graph Node with
+parent links and a backward closure, and ``backward()`` replays the recorded
+graph in exact reverse topological order, accumulating gradients additively
+into every reachable leaf with ``requires_grad``. Closures save only the
+arrays their gradients read, so the graph holds no op result's Tensor, and
+backward frees the graph as it goes: after a backward pass only leaves
+(parameters, inputs) hold a ``grad``.
 
 Engine-wide conventions:
   * float64 everywhere; convolution is cross-correlation (no kernel flip)
@@ -69,6 +70,27 @@ def _pin_malloc_thresholds() -> None:
 
 _pin_malloc_thresholds()
 
+
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, so output bytes do not
+    depend on the thread count: some block products (an 8- to 24-channel
+    im2col conv, for one) round differently at 2 threads, and one thread
+    costs at most a few percent at the model's sizes. The setter is
+    ``scipy_openblas_set_num_threads64_``, found through numpy's core
+    extension module. A BLAS without that symbol is left alone, and its
+    bytes may then depend on its thread count."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        setter = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    setter.argtypes = (ctypes.c_int,)
+    setter.restype = None
+    setter(1)
+
+
+_pin_blas_threads()
+
 _debug_checks = False
 _grad_enabled = True
 _flop_counter: "FlopCounter | None" = None
@@ -126,26 +148,59 @@ def _count(n: int) -> None:
         _flop_counter.add(n)
 
 
-class Tensor:
-    """N-D float64 array with an optional gradient slot.
+class _GradTarget:
+    """What backward accumulates a gradient into: a leaf Tensor (parameter or
+    input) or the Node of an op result. Both have ``grad`` and ``shape``."""
 
-    ``grad`` is lazily allocated by backward passes and always matches
-    ``data``'s shape. Interior graph nodes carry a backward closure; leaves
-    (inputs, parameters) do not.
+    __slots__ = ()
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:        # a copy: add and sub pass one g to both
+            self.grad = np.empty(self.shape)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
+
+
+class Node(_GradTarget):
+    """Graph record of one op result that requires grad.
+
+    ``parents`` holds, per op input, that input's gradient target (its Node,
+    or the Tensor itself for a leaf) or None when it needs no gradient;
+    ``backward_fn(g, *parents)`` adds the input gradients for cotangent g.
+    The node holds no array of its own: the closure keeps exactly the arrays
+    and shapes it reads, so an op result's ``data`` lives only as long as the
+    calling code or a closure needs it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_op", "_spent")
+    __slots__ = ("grad", "parents", "backward_fn", "op", "spent", "shape")
+
+    def __init__(self, shape: tuple, parents: tuple, backward_fn, op: str):
+        self.grad = None
+        self.shape = shape
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.op = op
+        self.spent = False
+
+
+class Tensor(_GradTarget):
+    """N-D float64 array with an optional gradient slot.
+
+    A leaf (input, parameter) is its own gradient target, so ``grad`` of a
+    leaf with ``requires_grad`` holds its gradient after a backward pass. An
+    op result that requires grad points at its graph ``Node`` and keeps
+    ``grad`` None.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward_fn = None
-        self._op = "leaf"
-        self._spent = False
+        self._node: Node | None = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -169,14 +224,8 @@ class Tensor:
 
     def __repr__(self):
         return "Tensor(op=%s, shape=%r, requires_grad=%s)" % (
-            self._op, self.shape, self.requires_grad)
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:        # a copy: add and sub pass one g to both
-            self.grad = np.empty_like(self.data)
-            np.copyto(self.grad, g)
-        else:
-            self.grad += g
+            "leaf" if self._node is None else self._node.op, self.shape,
+            self.requires_grad)
 
     # -- backward -----------------------------------------------------------
 
@@ -184,11 +233,15 @@ class Tensor:
         """Populate grads of every reachable leaf with ``requires_grad``.
 
         The loss must be scalar; running backward twice over the same graph
-        raises GraphStateError. The graph is released as it is consumed:
-        once a node's closure has run, its ``grad``, closure and parent links
-        are cleared, so each intermediate array is freed as soon as the last
-        closure that reads it has run. Only leaves keep their ``grad``;
-        every node keeps its ``data``.
+        raises GraphStateError. Arrays are kept only where backward reads
+        them: each closure saves the arrays and shapes its gradients need
+        (``add`` two shapes, ``matmul`` its operands, a conv the padded input
+        and the kernel), never an op result's Tensor, so an intermediate no
+        closure reads is freed once the calling code drops it. The graph is
+        released as it is consumed: once a node's closure has run, its
+        ``grad``, closure and parent links are cleared, so each saved array
+        is freed as soon as the last closure that reads it has run. Only
+        leaves keep their ``grad``.
         """
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss, got shape %r"
@@ -197,18 +250,18 @@ class Tensor:
             raise ContractError("loss does not require grad; nothing to differentiate")
         order = toposort(self)
         for node in order:
-            if node._spent:
+            if isinstance(node, Node) and node.spent:
                 raise GraphStateError(
                     "graph already consumed by a previous backward(); "
                     "rebuild the forward pass before differentiating again")
-        self._accumulate(np.ones_like(self.data))
+        order[-1]._accumulate(np.ones_like(self.data))
         while order:
             node = order.pop()
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
-                node._spent = True
-                node.grad = node._backward_fn = None
-                node._parents = ()
+            if isinstance(node, Node):
+                node.backward_fn(node.grad, *node.parents)
+                node.spent = True
+                node.grad = node.backward_fn = None
+                node.parents = ()
 
     # -- operator sugar -----------------------------------------------------
 
@@ -279,11 +332,20 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def _target(t: Tensor):
+    """Gradient target of ``t``: its Node, ``t`` itself for a leaf, or None
+    when ``t`` needs no gradient."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
 def toposort(root: Tensor) -> list:
-    """Topological order of the graph below ``root`` (parents before children)."""
+    """Gradient targets below ``root`` in topological order (parents before
+    children, ``root``'s own target last): Nodes and leaf Tensors."""
     order: list = []
     seen: set = set()
-    stack = [(root, False)]
+    stack = [(_target(root), False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -293,22 +355,24 @@ def toposort(root: Tensor) -> list:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
+        if isinstance(node, Node):
+            for parent in node.parents:
+                if parent is not None and id(parent) not in seen:
+                    stack.append((parent, False))
     return order
 
 
 def _make(out_data: np.ndarray, parents: tuple, op: str, backward_fn) -> Tensor:
-    """Wrap an op result; record the graph edge unless grads are disabled."""
+    """Wrap an op result; record a graph Node unless grads are disabled or no
+    input needs a gradient."""
     if _debug_checks and not np.isfinite(out_data).all():
         raise NonFiniteError("op '%s' produced a non-finite value" % op)
     out = Tensor(out_data)
-    out._op = op
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    if _grad_enabled:
+        targets = tuple(map(_target, parents))
+        if any(t is not None for t in targets):
+            out.requires_grad = True
+            out._node = Node(out.shape, targets, backward_fn, op)
     return out
 
 
@@ -327,16 +391,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
+#
+# Backward closures take the cotangent and one gradient target per input (None
+# for an input that needs no gradient) and save only the arrays and shapes
+# they read. Where one input's gradient reads the other input's data, that
+# data is saved only when the first input requires grad.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
     _count(out.size)
+    sa, sb = a.shape, b.shape
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+    def backward(g, ta, tb):
+        if ta is not None:
+            ta._accumulate(_unbroadcast(g, sa))
+        if tb is not None:
+            tb._accumulate(_unbroadcast(g, sb))
 
     return _make(out, (a, b), "add", backward)
 
@@ -344,12 +414,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
     _count(out.size)
+    sa, sb = a.shape, b.shape
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+    def backward(g, ta, tb):
+        if ta is not None:
+            ta._accumulate(_unbroadcast(g, sa))
+        if tb is not None:
+            tb._accumulate(_unbroadcast(-g, sb))
 
     return _make(out, (a, b), "sub", backward)
 
@@ -357,12 +428,15 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     _count(out.size)
+    sa, sb = a.shape, b.shape
+    xb = b.data if a.requires_grad else None
+    xa = a.data if b.requires_grad else None
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+    def backward(g, ta, tb):
+        if ta is not None:
+            ta._accumulate(_unbroadcast(g * xb, sa))
+        if tb is not None:
+            tb._accumulate(_unbroadcast(g * xa, sb))
 
     return _make(out, (a, b), "mul", backward)
 
@@ -370,13 +444,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.data / b.data
     _count(out.size)
+    sa, sb = a.shape, b.shape
+    xb = b.data
+    xa = a.data if b.requires_grad else None
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data),
-                                       b.data.shape))
+    def backward(g, ta, tb):
+        if ta is not None:
+            ta._accumulate(_unbroadcast(g / xb, sa))
+        if tb is not None:
+            tb._accumulate(_unbroadcast(-g * xa / (xb * xb), sb))
 
     return _make(out, (a, b), "div", backward)
 
@@ -385,47 +461,48 @@ def neg(a: Tensor) -> Tensor:
     out = -a.data
     _count(out.size)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g)
+    def backward(g, ta):
+        ta._accumulate(-g)
 
     return _make(out, (a,), "neg", backward)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     exponent = float(exponent)
-    out = a.data ** exponent
+    x = a.data
+    out = x ** exponent
     _count(out.size)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * exponent * a.data ** (exponent - 1.0))
+    def backward(g, ta):
+        ta._accumulate(g * exponent * x ** (exponent - 1.0))
 
     return _make(out, (a,), "pow", backward)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; at ties the gradient routes to the first operand."""
-    out = np.maximum(a.data, b.data)
+    xa, xb = a.data, b.data
+    out = np.maximum(xa, xb)
     _count(out.size)
+    sa, sb = a.shape, b.shape
 
-    def backward(g):
-        mask = (a.data >= b.data).astype(np.float64)
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * mask, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * (1.0 - mask), b.data.shape))
+    def backward(g, ta, tb):
+        mask = (xa >= xb).astype(np.float64)
+        if ta is not None:
+            ta._accumulate(_unbroadcast(g * mask, sa))
+        if tb is not None:
+            tb._accumulate(_unbroadcast(g * (1.0 - mask), sb))
 
     return _make(out, (a, b), "maximum", backward)
 
 
 def absolute(a: Tensor) -> Tensor:
-    out = np.abs(a.data)
+    x = a.data
+    out = np.abs(x)
     _count(out.size)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * np.sign(a.data))
+    def backward(g, ta):
+        ta._accumulate(g * np.sign(x))
 
     return _make(out, (a,), "abs", backward)
 
@@ -438,9 +515,8 @@ def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     _count(out.size)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out)
+    def backward(g, ta):
+        ta._accumulate(g * out)
 
     return _make(out, (a,), "exp", backward)
 
@@ -449,9 +525,8 @@ def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid_np(a.data)
     _count(out.size)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out * (1.0 - out))
+    def backward(g, ta):
+        ta._accumulate(g * out * (1.0 - out))
 
     return _make(out, (a,), "sigmoid", backward)
 
@@ -464,13 +539,13 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def silu(a: Tensor) -> Tensor:
-    s = _sigmoid_np(a.data)
-    out = a.data * s
+    x = a.data
+    s = _sigmoid_np(x)
+    out = x * s
     _count(2 * out.size)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (s + a.data * s * (1.0 - s)))
+    def backward(g, ta):
+        ta._accumulate(g * (s + x * s * (1.0 - s)))
 
     return _make(out, (a,), "silu", backward)
 
@@ -486,11 +561,10 @@ def gelu(a: Tensor) -> Tensor:
     out = 0.5 * x * (1.0 + t)
     _count(4 * out.size)
 
-    def backward(g):
-        if a.requires_grad:
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-            grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-            a._accumulate(g * grad)
+    def backward(g, ta):
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+        grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+        ta._accumulate(g * grad)
 
     return _make(out, (a,), "gelu", backward)
 
@@ -499,9 +573,8 @@ def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     _count(out.size)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out * out))
+    def backward(g, ta):
+        ta._accumulate(g * (1.0 - out * out))
 
     return _make(out, (a,), "tanh", backward)
 
@@ -511,9 +584,8 @@ def softplus(a: Tensor) -> Tensor:
     out = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
     _count(2 * out.size)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * _sigmoid_np(x))
+    def backward(g, ta):
+        ta._accumulate(g * _sigmoid_np(x))
 
     return _make(out, (a,), "softplus", backward)
 
@@ -527,10 +599,9 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     out = e / e.sum(axis=axis, keepdims=True)
     _count(4 * out.size)
 
-    def backward(g):
-        if a.requires_grad:
-            dot = (g * out).sum(axis=axis, keepdims=True)
-            a._accumulate(out * (g - dot))
+    def backward(g, ta):
+        dot = (g * out).sum(axis=axis, keepdims=True)
+        ta._accumulate(out * (g - dot))
 
     return _make(out, (a,), "softmax", backward)
 
@@ -547,11 +618,10 @@ def layer_norm(a: Tensor, axis: int, eps: float = 1e-6) -> Tensor:
     out = xc * inv
     _count(5 * out.size)
 
-    def backward(g):
-        if a.requires_grad:
-            gy_sum = g.sum(axis=axis, keepdims=True)
-            gy_dot = (g * out).sum(axis=axis, keepdims=True)
-            a._accumulate(inv / n * (n * g - gy_sum - out * gy_dot))
+    def backward(g, ta):
+        gy_sum = g.sum(axis=axis, keepdims=True)
+        gy_dot = (g * out).sum(axis=axis, keepdims=True)
+        ta._accumulate(inv / n * (n * g - gy_sum - out * gy_dot))
 
     return _make(out, (a,), "layer_norm", backward)
 
@@ -563,10 +633,10 @@ def layer_norm(a: Tensor, axis: int, eps: float = 1e-6) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     out = a.data.reshape(shape)
+    shape_in = a.shape
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
+    def backward(g, ta):
+        ta._accumulate(g.reshape(shape_in))
 
     return _make(out, (a,), "reshape", backward)
 
@@ -581,9 +651,8 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     out = np.ascontiguousarray(a.data.transpose(axes))
     inverse = np.argsort(axes)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inverse))
+    def backward(g, ta):
+        ta._accumulate(g.transpose(inverse))
 
     return _make(out, (a,), "transpose", backward)
 
@@ -591,9 +660,8 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 def flip(a: Tensor, axis: int) -> Tensor:
     out = np.flip(a.data, axis=axis).copy()
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.flip(g, axis=axis))
+    def backward(g, ta):
+        ta._accumulate(np.flip(g, axis=axis))
 
     return _make(out, (a,), "flip", backward)
 
@@ -606,9 +674,9 @@ def concat(tensors, axis: int) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+    def backward(g, *targets):
+        for t, lo, hi in zip(targets, offsets[:-1], offsets[1:]):
+            if t is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
@@ -633,18 +701,17 @@ def take(a: Tensor, idx) -> Tensor:
     out = a.data[idx]
     if np.isscalar(out) or out.ndim == 0:
         out = np.asarray(out)
+    shape_in = a.shape
 
-    def backward(g):
-        if not a.requires_grad:
-            return
+    def backward(g, ta):
         if _is_basic_index(idx):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[idx] += g
+            if ta.grad is None:
+                ta.grad = np.zeros(shape_in)
+            ta.grad[idx] += g
         else:
-            buf = np.zeros_like(a.data)
+            buf = np.zeros(shape_in)
             np.add.at(buf, idx, g)
-            a._accumulate(buf)
+            ta._accumulate(buf)
 
     return _make(out, (a,), "slice", backward)
 
@@ -666,14 +733,14 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
     out = np.asarray(out)
     _count(a.size)
+    shape_in = a.shape
 
-    def backward(g):
-        if a.requires_grad:
-            gg = np.asarray(g)
-            if axis is not None and not keepdims:
-                for ax in sorted(axis):
-                    gg = np.expand_dims(gg, ax)
-            a._accumulate(np.broadcast_to(gg, a.data.shape))
+    def backward(g, ta):
+        gg = np.asarray(g)
+        if axis is not None and not keepdims:
+            for ax in sorted(axis):
+                gg = np.expand_dims(gg, ax)
+        ta._accumulate(np.broadcast_to(gg, shape_in))
 
     return _make(out, (a,), "sum", backward)
 
@@ -684,14 +751,14 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
     out = np.asarray(out)
     _count(a.size)
+    shape_in = a.shape
 
-    def backward(g):
-        if a.requires_grad:
-            gg = np.asarray(g) / count
-            if axis is not None and not keepdims:
-                for ax in sorted(axis):
-                    gg = np.expand_dims(gg, ax)
-            a._accumulate(np.broadcast_to(gg, a.data.shape))
+    def backward(g, ta):
+        gg = np.asarray(g) / count
+        if axis is not None and not keepdims:
+            for ax in sorted(axis):
+                gg = np.expand_dims(gg, ax)
+        ta._accumulate(np.broadcast_to(gg, shape_in))
 
     return _make(out, (a,), "mean", backward)
 
@@ -709,12 +776,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                              % (a.shape, b.shape))
     out = a.data @ b.data
     _count(2 * a.shape[0] * a.shape[1] * b.shape[1])
+    xb = b.data if a.requires_grad else None
+    xa = a.data if b.requires_grad else None
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+    def backward(g, ta, tb):
+        if ta is not None:
+            ta._accumulate(g @ xb.T)
+        if tb is not None:
+            tb._accumulate(xa.T @ g)
 
     return _make(out, (a, b), "matmul", backward)
 
@@ -777,9 +846,11 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
 
     _count(2 * c_out * (1 if depthwise else c_in) * k * k * h_out * w_out)
     out, xf = correlate(x.data, w.data, pad, dilation, depthwise)
+    xf = xf if w.requires_grad else None
+    wk = w.data if x.requires_grad else None
 
-    def backward(g):
-        if w.requires_grad:
+    def backward(g, tx, tw):
+        if tw is not None:
             wp = wd + 2 * pad
             gf = g
             if w_out < wp:                       # zero wrap-around columns
@@ -789,20 +860,20 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
             taps = _taps(xf, k, dilation, wp, gf.shape[1])
             if depthwise:        # per channel (1, n) @ (n, 1): (k, k, C)
                 gwt = (taps[..., None, :] @ gf[..., None])[..., 0, 0]
-                w._accumulate(gwt.transpose(2, 0, 1))
+                tw._accumulate(gwt.transpose(2, 0, 1))
             else:                # (Co, n) @ (n, Ci): (k, k, Co, Ci)
-                w._accumulate((gf @ taps.swapaxes(-1, -2)).transpose(2, 3, 0, 1))
-        if x.requires_grad:
+                tw._accumulate((gf @ taps.swapaxes(-1, -2)).transpose(2, 3, 0, 1))
+        if tx is not None:
             # outputs beyond span - 1 pixels of padding read no input
             cut = max(0, pad - span + 1)
-            flipped = w.data[..., ::-1, ::-1]
+            flipped = wk[..., ::-1, ::-1]
             if not depthwise:
                 flipped = flipped.swapaxes(0, 1)
             # contiguous, so correlate's kernel reshapes stay BLAS operands
-            x._accumulate(correlate(g[:, cut:h_out - cut, cut:w_out - cut],
-                                    np.ascontiguousarray(flipped),
-                                    span - 1 - pad + cut, dilation,
-                                    depthwise)[0])
+            tx._accumulate(correlate(g[:, cut:h_out - cut, cut:w_out - cut],
+                                     np.ascontiguousarray(flipped),
+                                     span - 1 - pad + cut, dilation,
+                                     depthwise)[0])
 
     return _make(out, (x, w), op, backward)
 
@@ -888,14 +959,13 @@ def pad_reflect2d(x: Tensor, pad: int) -> Tensor:
         raise ContractError("reflect pad %d too large for %dx%d image" % (pad, h, w))
     out = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
 
-    def backward(g):
-        if x.requires_grad:
-            idx = np.pad(np.arange(h * w).reshape(h, w), pad, mode="reflect").ravel()
-            gflat = g.reshape(c, -1)
-            buf = np.zeros((c, h * w))
-            for ch in range(c):
-                buf[ch] = np.bincount(idx, weights=gflat[ch], minlength=h * w)
-            x._accumulate(buf.reshape(c, h, w))
+    def backward(g, tx):
+        idx = np.pad(np.arange(h * w).reshape(h, w), pad, mode="reflect").ravel()
+        gflat = g.reshape(c, -1)
+        buf = np.zeros((c, h * w))
+        for ch in range(c):
+            buf[ch] = np.bincount(idx, weights=gflat[ch], minlength=h * w)
+        tx._accumulate(buf.reshape(c, h, w))
 
     return _make(out, (x,), "pad_reflect2d", backward)
 
@@ -1011,31 +1081,31 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
     y = unlay((hs @ lay(cd)[..., None])[..., 0]) + sd * ud
     _count(10 * length * ch * n + 2 * length * ch)
 
-    def backward(g):
+    def backward(g, tu, tdelta, tb, tc, ta, td):
         # adjoint gh_t = g_t c_t + decay_{t+1} gh_{t+1}: the same recurrence
         # run in place over views reversed in time within each chunk
         gl = lay(g)
         gh_all = np.einsum("ikc,ikn->ikcn", gl, lay(cd))
         _recur_chunked(decay[:0:-1], decay[0, 1:], gh_all[::-1], True)
         gdu = unlay((gh_all @ lay(bd)[..., None])[..., 0])        # d(delta*u)
-        if u.requires_grad:
-            u._accumulate(g * sd + gdu * dd)
-        if delta.requires_grad or a.requires_grad:
+        if tu is not None:
+            tu._accumulate(g * sd + gdu * dd)
+        if tdelta is not None or ta is not None:
             gda = gh_all * decay                  # times h_{t-1}, in place
             gda[1:] *= hs[:-1]
             gda[0, 1:] *= hs[-1, :-1]
             gda[0, 0] = 0.0
-            if delta.requires_grad:
-                delta._accumulate(gdu * ud + unlay(np.einsum("ikcn,cn->ikc", gda, ad)))
-            if a.requires_grad:
+            if tdelta is not None:
+                tdelta._accumulate(gdu * ud + unlay(np.einsum("ikcn,cn->ikc", gda, ad)))
+            if ta is not None:
                 dl = lay(dd).reshape(length, ch)      # layout order, as gda
-                a._accumulate((dl.T[:, None] @ gda.reshape(length, ch, n)
+                ta._accumulate((dl.T[:, None] @ gda.reshape(length, ch, n)
                                .swapaxes(0, 1))[:, 0])
-        if b.requires_grad:
-            b._accumulate(unlay((lay(dd * ud)[:, :, None] @ gh_all)[:, :, 0]))
-        if c.requires_grad:
-            c._accumulate(unlay((gl[:, :, None] @ hs)[:, :, 0]))
-        if d.requires_grad:
-            d._accumulate((g * ud).sum(axis=0))
+        if tb is not None:
+            tb._accumulate(unlay((lay(dd * ud)[:, :, None] @ gh_all)[:, :, 0]))
+        if tc is not None:
+            tc._accumulate(unlay((gl[:, :, None] @ hs)[:, :, 0]))
+        if td is not None:
+            td._accumulate((g * ud).sum(axis=0))
 
     return _make(y, (u, delta, b, c, a, d), "selective_scan_core", backward)

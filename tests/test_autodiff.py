@@ -319,13 +319,18 @@ def test_grad_accumulates_across_separate_graphs(rng):
 def test_backward_releases_interior_nodes(rng):
     x = parameter(rng.uniform(-1, 1, (3, 4)))
     w = parameter(rng.uniform(-1, 1, (4, 2)))
-    loss = (ad.tanh(x @ w) * x[1:, :2].sum()).sum()
-    interior = [n for n in ad.toposort(loss) if n._backward_fn is not None]
+    h = x @ w
+    loss = (ad.tanh(h) * x[1:, :2].sum()).sum()
+    interior = [n for n in ad.toposort(loss) if isinstance(n, ad.Node)]
+    assert len(interior) == 6
     loss.backward()
     assert x.grad is not None and w.grad is not None
+    # tensors the caller holds keep their values; the graph behind them goes
+    assert_close(h.data, x.data @ w.data)
+    assert h.grad is None and loss.data is not None
     for node in interior:
-        assert node.grad is None and node._backward_fn is None
-        assert node._parents == () and node.data is not None
+        assert node.spent and node.grad is None and node.backward_fn is None
+        assert node.parents == ()
 
 
 def test_backward_frees_graph_arrays_without_collection(rng):
@@ -339,6 +344,72 @@ def test_backward_frees_graph_arrays_without_collection(rng):
     assert ref() is not None
     loss.backward()
     assert ref() is None
+
+
+# consumers of an op result t that save no array of t's for backward
+UNREAD_CONSUMERS = {
+    "add": lambda t, w: t + 1.0,
+    "shape ops": lambda t, w: ad.flip(t.transpose(0, 2, 1), 0).reshape(2, -1),
+    "padded conv": lambda t, w: ad.conv2d(t, w),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_CONSUMERS))
+def test_unread_intermediate_is_freed_before_backward(rng, name):
+    # closures save the arrays they read, not their inputs' tensors: an op
+    # result the caller drops dies before backward when no closure reads it
+    # (a padded conv saves its padded copy), and the gradients do not change
+    xd, cd = rng.uniform(-1, 1, (2, 2, 4, 4))
+    wd = rng.uniform(-1, 1, (3, 2, 3, 3))
+
+    def grads(drop):
+        x, w = parameter(xd), parameter(wd)
+        t = x + Tensor(cd)
+        ref = weakref.ref(t.data)
+        loss = UNREAD_CONSUMERS[name](t, w).sum()
+        if drop:
+            del t
+            assert ref() is None
+        loss.backward()
+        return x.grad.tobytes(), None if w.grad is None else w.grad.tobytes()
+
+    assert grads(True) == grads(False)
+
+
+def _saved_objects(fn):
+    """Everything a backward closure saves, through nested functions and
+    containers."""
+    stack = [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+
+
+@pytest.mark.parametrize("ablation", [{}, {"mamba_as_conv": True},
+                                      {"interaction": False}])
+def test_graph_holds_no_op_result_tensor(ablation):
+    # a desk stage-II graph links nodes to nodes and leaves only, and its
+    # closures save arrays and shapes, so no op result's Tensor (and so no
+    # array its caller has dropped) is pinned by the graph
+    cfg = RunConfig(channels=8, crop=32, batch=1, seed=0, **ablation).validate()
+    model = build_model(cfg)
+    pair = make_toy_pairs(1, 32, seed=0)[0]
+    img_a, img_b = image_to_tensor(pair.a), image_to_tensor(pair.b)
+    loss = stage2_loss(fuse_pair(img_a, img_b, model, cfg), img_a, img_b).total
+    nodes = [n for n in ad.toposort(loss) if isinstance(n, ad.Node)]
+    assert len(nodes) > 500
+    for node in nodes:
+        for p in node.parents:
+            assert p is None or isinstance(p, ad.Node) or (
+                p._node is None and p.requires_grad), node.op
+        for obj in _saved_objects(node.backward_fn):
+            assert not isinstance(obj, Tensor), "%s saves a Tensor" % node.op
 
 
 def test_backward_peak_stays_near_forward_live_memory():
@@ -365,13 +436,17 @@ def test_backward_peak_stays_near_forward_live_memory():
 
 def test_toposort_parents_precede_children(rng):
     x = parameter(rng.uniform(-1, 1, (3,)))
+    c = Tensor(rng.uniform(-1, 1, (3,)))
     y = x * x
-    z = (y + x).sum()
+    z = (y + x + c).sum()
     order = ad.toposort(z)
     pos = {id(t): i for i, t in enumerate(order)}
+    assert order[-1] is z._node and x in order
+    assert all(t is not c for t in order)      # a constant is no graph node
     for node in order:
-        for p in node._parents:
-            assert pos[id(p)] < pos[id(node)]
+        if isinstance(node, ad.Node):
+            for p in node.parents:
+                assert p is None or pos[id(p)] < pos[id(node)]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +532,7 @@ def test_no_grad_builds_no_graph(rng):
     x = parameter(rng.uniform(-1, 1, (3,)))
     with no_grad():
         y = (x * x).sum()
-    assert not y.requires_grad and y._parents == ()
+    assert not y.requires_grad and y._node is None
 
 
 # ---------------------------------------------------------------------------

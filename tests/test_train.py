@@ -1,6 +1,8 @@
 """Training loop semantics on deliberately tiny runs."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +62,31 @@ def test_different_seed_changes_log(tmp_path):
     log_b = train(cfg_b, tiny_pairs()).log_rows
     assert log_a != log_b
 
+
+def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at 2 OpenBLAS threads a stage-II backward product (the weighting
+    # head's dilated conv, 8 to 24 channels) rounds differently unless the
+    # engine pins BLAS to one thread at import
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = """
+from dualfuse.config import RunConfig
+from dualfuse.toydata import make_toy_pairs
+from dualfuse.train import train
+cfg = RunConfig(channels=8, crop=32, batch=1, epochs_stage1=1,
+                epochs_stage2=2, lr=2e-3, seed=0, out_dir="out")
+train(cfg, make_toy_pairs(2, 32, seed=0))
+"""
+    outputs = []        # one relative out_dir: the checkpoint records it
+    for threads in ("1", "2"):
+        run_dir = tmp_path / ("threads%s" % threads)
+        run_dir.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", code], env=env, cwd=run_dir,
+                       check=True, timeout=300)
+        outputs.append([(run_dir / "out" / name).read_bytes()
+                        for name in ("loss_log.csv", "checkpoint.tmam")])
+    assert outputs[0][0] == outputs[1][0], "loss logs differ"
+    assert outputs[0][1] == outputs[1][1], "checkpoints differ"
 
 def test_checkpoint_round_trip_preserves_fusion(tmp_path):
     cfg = tiny_config(tmp_path)
