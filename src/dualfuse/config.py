@@ -52,6 +52,11 @@ class RunConfig:
             raise ConfigError("channels, depth and batch must be >= 1")
         if self.epochs_stage1 < 0 or self.epochs_stage2 < 0:
             raise ConfigError("epoch counts cannot be negative")
+        for key in ("data_dir", "out_dir"):
+            if not _survives_text(getattr(self, key)):
+                raise ConfigError("%s %r cannot be written as config text: no"
+                                  " '#', line break or surrounding whitespace"
+                                  % (key, getattr(self, key)))
         return self
 
     def to_text(self) -> str:
@@ -65,6 +70,14 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _survives_text(value: str) -> bool:
+    """Whether ``key = value`` parses back to ``value``: the parser cuts a
+    line at ``#``, splits lines at every ``str.splitlines`` boundary and
+    strips whitespace around the value."""
+    return "#" not in value and value == value.strip() \
+        and len(value.splitlines()) <= 1
 
 
 def _convert(key: str, raw: str):

@@ -280,15 +280,22 @@ def load_pair(path_a: str, path_b: str, pair_id: str | None = None) -> ImagePair
 
 
 def load_dataset(directory: str) -> list[ImagePair]:
-    """All ``<id>_a.*`` / ``<id>_b.*`` pairs in a directory, sorted by id."""
+    """All ``<id>_a.*`` / ``<id>_b.*`` pairs in a directory, sorted by id.
+
+    Two files for one side of a pair (``x_a.pgm`` and ``x_a.png``) are a
+    ``PairingError``."""
     stems: dict[str, dict[str, str]] = {}
     for name in sorted(os.listdir(directory)):
         stem, ext = os.path.splitext(name)
         if ext.lower() not in (".pgm", ".png") or len(stem) < 2:
             continue
         if stem.endswith("_a") or stem.endswith("_b"):
-            stems.setdefault(stem[:-2], {})[stem[-1]] = \
-                os.path.join(directory, name)
+            sides = stems.setdefault(stem[:-2], {})
+            path = os.path.join(directory, name)
+            if stem[-1] in sides:
+                raise PairingError("two files for %r: %r and %r"
+                                   % (stem, sides[stem[-1]], path))
+            sides[stem[-1]] = path
     pairs = []
     for pair_id in sorted(stems):
         sides = stems[pair_id]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .attention import TransformerBlockParams, apply_attention, \
     channel_attention, make_transformer_block_params, project_qkv, \
     transformer_block
@@ -210,15 +211,28 @@ def fuse_features(pre_trans: Tensor | None, pre_mamba: Tensor | None,
     attention-side block keeps only its attention-branch output (its second
     scan layer is never evaluated: the first scan layer still feeds the
     positional blend); the scan-side block keeps only its scan output.
+    With both present, the two blocks run through ``parallel.both``, the
+    attention side on the helper: it is the shorter of the two (one scan
+    layer to two), so a helper slowed by a busy CPU has slack before it
+    holds up the caller.
     """
-    half = Tensor(0.5)
-    fused_t = fused_m = None
-    if pre_trans is not None:
-        fused_t, _ = dual_branch_block(pre_trans * half, p.fuse_trans,
-                                       need_mamba_out=False)
-    if pre_mamba is not None:
-        _, fused_m = dual_branch_block(pre_mamba * half, p.fuse_mamba)
+    if pre_trans is None:
+        return None, _scan_side(pre_mamba, p.fuse_mamba)
+    if pre_mamba is None:
+        return _attention_side(pre_trans, p.fuse_trans), None
+    fused_m, fused_t = parallel.both(
+        (_scan_side, pre_mamba, p.fuse_mamba),
+        (_attention_side, pre_trans, p.fuse_trans))
     return fused_t, fused_m
+
+
+def _attention_side(pre_trans: Tensor, p: DualBranchBlockParams) -> Tensor:
+    return dual_branch_block(pre_trans * Tensor(0.5), p,
+                             need_mamba_out=False)[0]
+
+
+def _scan_side(pre_mamba: Tensor, p: DualBranchBlockParams) -> Tensor:
+    return dual_branch_block(pre_mamba * Tensor(0.5), p)[1]
 
 
 def decode(feat_t: Tensor | None, feat_m: Tensor | None,

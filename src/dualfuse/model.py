@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion as fusion_mod
+from . import parallel
 from .autodiff import ContractError, Tensor, no_grad
 from .blocks import ShallowParams, dual_branch_block, \
     make_dual_branch_params, make_shallow_params
@@ -92,15 +93,16 @@ def fuse_pair(img_a: Tensor, img_b: Tensor, m: ModelParams, cfg: RunConfig,
               fusion_trained: bool = True) -> Tensor:
     """Full fusion forward pass.
 
-    Both modalities run through the shared encoder. Scan-branch features
+    Both modalities run through the shared encoder (under ``no_grad``, on
+    two cores when there are two: see ``parallel``). Scan-branch features
     pre-fuse by addition; attention-branch features pre-fuse through the
     cross-modal attention (or per-modality attention when that toggle is
     off). With ``fusion_trained`` false (a stage-one-only model) the fusion
     blocks are bypassed and branch features average, which reduces to plain
     restoration when both inputs agree.
     """
-    trans_a, mamba_a = encode(img_a, m)
-    trans_b, mamba_b = encode(img_b, m)
+    (trans_a, mamba_a), (trans_b, mamba_b) = parallel.both(
+        (encode, img_a, m), (encode, img_b, m))
 
     if not fusion_trained:
         half = Tensor(0.5)

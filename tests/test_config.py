@@ -103,3 +103,37 @@ def test_parse_config_returns_finite_config_or_config_error(text):
         value = getattr(cfg, f.name)
         if isinstance(value, float):
             assert math.isfinite(value), (f.name, value)
+
+
+@pytest.mark.parametrize("value", [
+    "runs/#1",                  # reloaded as "runs/": the rest is a comment
+    "runs\nchannels = 3",       # reloaded as out_dir "runs" and channels 3
+    "runs\r", " runs", "runs\t", "a\x0cb", "a\u2028b",
+])
+def test_dirs_that_config_text_cannot_hold_are_rejected(value):
+    for key in ("data_dir", "out_dir"):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value}).validate()
+
+
+_CONFIGS = st.builds(
+    RunConfig,
+    channels=st.integers(-2, 64), depth=st.integers(-1, 4),
+    crop=st.integers(0, 256), batch=st.integers(-1, 8),
+    epochs_stage1=st.integers(-2, 10**6), epochs_stage2=st.integers(-2, 10**6),
+    lr=st.floats(), lr_decay=st.floats(), lr_decay_every=st.integers(-1, 99),
+    seed=st.integers(-2**63, 2**63), transformer_branch=st.booleans(),
+    mamba_branch=st.booleans(), interaction=st.booleans(),
+    cross_modal_attention=st.booleans(), mamba_as_conv=st.booleans(),
+    data_dir=st.text(), out_dir=st.text())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_CONFIGS)
+def test_valid_config_round_trips_through_text(cfg):
+    # the text a checkpoint stores must reload as the same config
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    assert parse_config(cfg.to_text()) == cfg

@@ -258,6 +258,18 @@ def test_load_dataset(tmp_path, rng):
         data.load_dataset(str(empty))
 
 
+def test_load_dataset_rejects_two_files_for_one_side(tmp_path, rng):
+    img = rng.integers(0, 256, (20, 20)).astype(np.uint8)
+    for name in ("x_a.pgm", "x_a.png", "x_b.pgm"):
+        if name.endswith(".png"):
+            data.write_png(str(tmp_path / name), img)
+        else:
+            data.write_pgm(str(tmp_path / name), img)
+    with pytest.raises(PairingError) as info:
+        data.load_dataset(str(tmp_path))
+    assert "x_a.pgm" in str(info.value) and "x_a.png" in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # crops
 # ---------------------------------------------------------------------------

@@ -1,0 +1,308 @@
+"""The two-core dispatcher: same bytes, same flops and same errors as the
+serial path, and a helper process that never outlives its caller."""
+
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from dualfuse import autodiff as ad
+from dualfuse import cli, metrics, parallel
+from dualfuse.checkpoint import save_checkpoint
+from dualfuse.config import RunConfig
+from dualfuse.data import ImagePair
+from dualfuse.model import build_model, fuse_pair, fuse_pair_arrays, \
+    image_to_tensor
+from dualfuse.optim import AdamState
+from dualfuse.toydata import make_toy_pairs, write_toy_dataset
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+CONFIGS = {
+    "default": dict(),
+    "mamba_as_conv": dict(mamba_as_conv=True),
+    "no_interaction": dict(interaction=False),
+    "no_transformer": dict(transformer_branch=False,
+                           cross_modal_attention=False),
+    "no_mamba": dict(mamba_branch=False),
+    "no_cross_modal": dict(cross_modal_attention=False),
+    "depth_2": dict(depth=2),
+}
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """Returns a switch: helper(True) uses the helper process whatever the
+    host's CPU count, helper(False) forces the serial path."""
+    def switch(on):
+        monkeypatch.setattr(parallel, "_two_cpus", lambda: on)
+    return switch
+
+
+def fuse_both_ways(helper, pair, m, cfg, fusion_trained=True):
+    outs = []
+    for on in (False, True):
+        helper(on)
+        outs.append(fuse_pair_arrays(pair, m, cfg,
+                                     fusion_trained=fusion_trained))
+    return outs
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_fused_bytes_equal_with_helper_on_and_off(name, helper):
+    cfg = RunConfig(channels=4, seed=2, **CONFIGS[name]).validate()
+    m = build_model(cfg)
+    pair = make_toy_pairs(1, 20, seed=3)[0]
+    serial, two_core = fuse_both_ways(helper, pair, m, cfg)
+    assert serial.tobytes() == two_core.tobytes()
+
+
+def test_stage1_model_bytes_equal_with_helper_on_and_off(helper):
+    cfg = RunConfig(channels=4, seed=2)
+    pair = make_toy_pairs(1, 20, seed=3)[0]
+    serial, two_core = fuse_both_ways(helper, pair, build_model(cfg), cfg,
+                                      fusion_trained=False)
+    assert serial.tobytes() == two_core.tobytes()
+
+
+def test_helper_reads_parameters_changed_after_fork(helper):
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    pair = make_toy_pairs(1, 20, seed=3)[0]
+    helper(True)
+    before = fuse_pair_arrays(pair, m, cfg)
+    assert parallel._helper is not None
+    m.encoder[0].mamba1.in_proj.data *= 1.1                   # in place
+    out_proj = m.fusion.fuse_mamba.mamba2.out_proj
+    out_proj.data = out_proj.data + 0.05                         # rebound
+    serial, two_core = fuse_both_ways(helper, pair, m, cfg)
+    assert serial.tobytes() == two_core.tobytes()
+    assert serial.tobytes() != before.tobytes()
+
+
+def test_flop_totals_equal_with_helper_on_and_off(helper):
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    pair = make_toy_pairs(1, 20, seed=3)[0]
+    totals = []
+    for on in (False, True):
+        helper(on)
+        with ad.FlopCounter() as flops:
+            fuse_pair_arrays(pair, m, cfg)
+        totals.append(flops.total)
+    assert totals[0] == totals[1] > 0
+
+
+def test_eval_csv_bytes_equal_with_helper_on_and_off(tmp_path, helper):
+    data_dir = str(tmp_path / "pairs")
+    write_toy_dataset(data_dir, n_pairs=3, size=48, seed=4)
+    cfg = RunConfig(channels=4, seed=5)
+    ckpt = str(tmp_path / "model.tmam")
+    save_checkpoint(ckpt, cfg, build_model(cfg), AdamState(), 1, 1)
+    texts = []
+    for on in (False, True):
+        helper(on)
+        out = str(tmp_path / ("eval_%d.csv" % on))
+        assert cli.main(["eval", "--ckpt", ckpt, "--dir", data_dir,
+                         "--out", out]) == 0
+        with open(out, "rb") as fh:
+            texts.append(fh.read())
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(metrics.CSV_HEADER.encode())
+
+
+def test_helper_error_names_the_op_and_leaves_no_stale_reply(helper):
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    clean = make_toy_pairs(2, 20, seed=3)
+    b = clean[0].b.copy()
+    b[4, 5] = np.nan
+    broken = ImagePair("nan", clean[0].a, b)
+    messages = []
+    ad.set_debug_checks(True)
+    try:
+        for on in (False, True):
+            helper(on)
+            with pytest.raises(ad.NonFiniteError) as info:
+                fuse_pair_arrays(broken, m, cfg)
+            messages.append(str(info.value))
+        helper(True)
+        after = fuse_pair_arrays(clean[1], m, cfg)
+    finally:
+        ad.set_debug_checks(False)
+    assert messages[0] == messages[1]
+    assert "op '" in messages[0]
+    helper(False)
+    assert after.tobytes() == fuse_pair_arrays(clean[1], m, cfg).tobytes()
+
+
+def test_either_half_raises_after_the_reply_is_read(helper):
+    helper(True)
+    with ad.no_grad():
+        with pytest.raises(ZeroDivisionError):
+            parallel.both((pow, 2, 3), (divmod, 1, 0))
+        with pytest.raises(ZeroDivisionError):
+            parallel.both((divmod, 1, 0), (pow, 2, 3))
+        assert parallel.both((pow, 2, 3), (divmod, 7, 2)) == (8, (3, 1))
+
+
+def test_a_dead_helper_is_replaced(helper):
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    pair = make_toy_pairs(1, 20, seed=3)[0]
+    helper(True)
+    fuse_pair_arrays(pair, m, cfg)
+    dead = parallel._helper[0]
+    os.kill(dead.pid, signal.SIGKILL)
+    dead.join(30)
+    assert not dead.is_alive()
+    after_death = fuse_pair_arrays(pair, m, cfg)     # runs its half here
+    replaced = fuse_pair_arrays(pair, m, cfg)        # forks a new helper
+    assert parallel._helper[0].pid != dead.pid
+    helper(False)
+    serial = fuse_pair_arrays(pair, m, cfg)
+    assert after_death.tobytes() == replaced.tobytes() == serial.tobytes()
+
+
+def test_grad_mode_never_reaches_the_helper(helper, monkeypatch):
+    def no_helper():
+        raise AssertionError("a graph-building forward used the helper")
+    helper(True)
+    monkeypatch.setattr(parallel, "_connection", no_helper)
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    pair = make_toy_pairs(1, 20, seed=3)[0]
+    out = fuse_pair(image_to_tensor(pair.a), image_to_tensor(pair.b), m, cfg)
+    assert out.requires_grad
+
+
+def test_training_does_not_import_multiprocessing(tmp_path):
+    code = """
+import sys
+import threading
+from dualfuse import parallel
+from dualfuse.config import RunConfig
+from dualfuse.toydata import make_toy_pairs
+from dualfuse.train import train
+parallel._two_cpus = lambda: True
+cfg = RunConfig(channels=2, crop=16, batch=1, epochs_stage1=1,
+                epochs_stage2=1, seed=0, out_dir="out")
+train(cfg, make_toy_pairs(1, 16, seed=0))
+print("multiprocessing" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         check=True, timeout=300, capture_output=True,
+                         text=True)
+    assert run.stdout.strip() == "False"
+
+
+HELPER_SCRIPT = """
+import sys, time
+from dualfuse import parallel
+from dualfuse.config import RunConfig
+from dualfuse.model import build_model, fuse_pair_arrays
+from dualfuse.toydata import make_toy_pairs
+parallel._two_cpus = lambda: True
+cfg = RunConfig(channels=2, seed=0)
+fuse_pair_arrays(make_toy_pairs(1, 16, seed=0)[0], build_model(cfg), cfg)
+print(parallel._helper[0].pid, flush=True)
+if sys.argv[1] == "wait":
+    time.sleep(120)
+"""
+
+
+def gone(pid: int) -> bool:
+    """No such process, or a zombie nobody has reaped yet."""
+    try:
+        with open("/proc/%d/stat" % pid, encoding="utf-8") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("ending", ["exit", "kill"])
+def test_helper_never_outlives_its_caller(ending, tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    caller = subprocess.Popen(
+        [sys.executable, "-c", HELPER_SCRIPT,
+         "exit" if ending == "exit" else "wait"],
+        env=env, cwd=tmp_path, stdout=subprocess.PIPE, text=True)
+    try:
+        pid = int(caller.stdout.readline())
+        assert pid != caller.pid
+        if ending == "kill":
+            assert not gone(pid)
+            caller.send_signal(signal.SIGKILL)
+        caller.wait(timeout=60)
+        deadline = time.monotonic() + 5.0
+        while not gone(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert gone(pid), "helper %d outlived its caller" % pid
+    finally:
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+
+
+def test_a_threaded_caller_does_not_fork(helper, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked with a second thread running")
+    helper(True)
+    monkeypatch.setattr(parallel, "_helper", None)
+    monkeypatch.setattr(parallel, "_connection", no_fork)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30,))
+    other.start()
+    try:
+        with ad.no_grad():
+            assert parallel.both((pow, 2, 3), (divmod, 7, 2)) == (8, (3, 1))
+    finally:
+        stop.set()
+        other.join(30)
+    assert not other.is_alive()
+
+
+def two_cpus_here() -> bool:
+    return len(os.sched_getaffinity(0)) >= 2 and parallel._cpu() >= 0
+
+
+LEAVE_CPU_SCRIPT = """
+import json, os
+from dualfuse import parallel
+allowed = os.sched_getaffinity(0)
+here = parallel._cpu()
+parallel._leave_cpu(here, allowed)
+print(json.dumps([here, parallel._cpu(), sorted(os.sched_getaffinity(0)),
+                  sorted(allowed - {here})]))
+"""
+
+
+@pytest.mark.skipif(not two_cpus_here(), reason="needs two CPUs")
+def test_leave_cpu_moves_off_the_given_cpu():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run([sys.executable, "-c", LEAVE_CPU_SCRIPT], env=env,
+                         check=True, timeout=60, capture_output=True,
+                         text=True)
+    before, after, affinity, others = json.loads(run.stdout)
+    assert after != before
+    assert affinity == others
+
+
+@pytest.mark.skipif(not two_cpus_here(), reason="needs two CPUs")
+def test_helper_runs_off_the_callers_cpu(helper):
+    helper(True)
+    with ad.no_grad():
+        for _ in range(3):
+            caller_cpu, helper_cpu = parallel.both((parallel._cpu,),
+                                                   (parallel._cpu,))
+            assert caller_cpu != helper_cpu
+
