@@ -99,28 +99,21 @@ def project_qkv(x: Tensor, qkv_point: Tensor,
     return q, k, v
 
 
-def channel_attention(q: Tensor, k: Tensor, v: Tensor,
-                      scale: Tensor) -> tuple[Tensor, Tensor]:
-    """Row-stochastic C x C attention and its application to V.
+def channel_attention(q: Tensor, k: Tensor, scale: Tensor) -> Tensor:
+    """Row-stochastic C x C attention matrix of project_qkv's q and k.
 
-    Takes project_qkv's (q, k, v) and a positive scalar ``scale`` (the exp
-    of an unconstrained parameter). Output channel i is the
-    attention-weighted mix sum_j A[i,j] * V[:,j]; the matrix is returned
-    alongside for cross-modal reuse. Work is O(HW * C^2), never quadratic
-    in pixel count.
+    ``scale`` is a positive scalar (the exp of an unconstrained parameter).
+    ``apply_attention`` mixes the value channels with it: output channel i
+    is sum_j A[i,j] * V[:,j]. Work is O(HW * C^2), never quadratic in pixel
+    count.
     """
-    if q.shape != v.shape:
-        raise DimensionError("q and v must share shape, got %r vs %r"
-                             % (q.shape, v.shape))
     if k.shape != (q.shape[1], q.shape[0]):
         raise DimensionError("k must be the transpose shape of q")
-    scores = ad.matmul(k, q) / scale
-    attn = ad.softmax(scores, axis=1)
-    return apply_attention(attn, v), attn
+    return ad.softmax(ad.matmul(k, q) / scale, axis=1)
 
 
 def apply_attention(attn: Tensor, v: Tensor) -> Tensor:
-    """Apply an existing C x C attention matrix to a value matrix (HW, C)."""
+    """Apply a C x C attention matrix to a value matrix (HW, C)."""
     return ad.matmul(v, attn.transpose())
 
 
@@ -137,7 +130,7 @@ def transformer_block(x: Tensor, p: TransformerBlockParams) -> Tensor:
     c, h, w = x.shape
     q, k, v = project_qkv(channel_norm(x, p.norm1_gain, p.norm1_bias),
                           p.qkv_point, p.qkv_depth)
-    attended, _ = channel_attention(q, k, v, ad.exp(p.log_scale))
+    attended = apply_attention(channel_attention(q, k, ad.exp(p.log_scale)), v)
     attended = attended.transpose().reshape(c, h, w)
     x = x + ad.conv2d(attended, p.attn_out, pad=0)
     ff = gated_feed_forward(channel_norm(x, p.norm2_gain, p.norm2_bias), p)

@@ -22,11 +22,11 @@ from .ssm import SsmBlockParams, make_ssm_block_params, ssm_block
 
 @dataclass
 class InteractionParams:
-    mix_gate_raw: Tensor    # (): global blend gate, sigma(raw) in (0,1)
-    mix1_w: Tensor          # (C, 2C, 1, 1)
-    mix1_b: Tensor          # (C,)
-    mix3_w: Tensor          # (C, C, 3, 3)
-    mix3_b: Tensor          # (C,)
+    mix_gate_raw: Tensor        # (): global blend gate, sigma(raw) in (0,1)
+    mix1_w: Tensor | None       # (C, 2C, 1, 1)
+    mix1_b: Tensor | None       # (C,)
+    mix3_w: Tensor | None       # (C, C, 3, 3)
+    mix3_b: Tensor | None       # (C,)
 
     def gate(self) -> Tensor:
         return ad.sigmoid(self.mix_gate_raw)
@@ -34,8 +34,8 @@ class InteractionParams:
 
 @dataclass
 class DualBranchBlockParams:
-    """Two layers per branch plus one interaction; branches are optional so
-    ablations can drop either side (interaction needs both)."""
+    """Two layers per branch plus one interaction (which needs both). A None
+    layer is not run: ablations drop a branch, fusion blocks unread layers."""
     transformer1: TransformerBlockParams | None
     transformer2: TransformerBlockParams | None
     mamba1: SsmBlockParams | None
@@ -92,21 +92,17 @@ def make_dual_branch_params(rng: np.random.Generator, channels: int,
         if (interaction_on and transformer_on and mamba_on) else None,
     )
     if transparent_init:
-        for trans in (p.transformer1, p.transformer2):
-            if trans is not None:
-                trans.attn_out.data[:] = 0.0
-                trans.ff_out.data[:] = 0.0
-        for mamba in (p.mamba1, p.mamba2):
-            if mamba is not None:
-                mamba.out_proj.data[:] = 0.0
+        for trans in filter(None, (p.transformer1, p.transformer2)):
+            trans.attn_out.data[:] = trans.ff_out.data[:] = 0.0
+        for mamba in filter(None, (p.mamba1, p.mamba2)):
+            mamba.out_proj.data[:] = 0.0
         if p.interaction is not None:
             # channel mix starts as "keep the scan-branch half unchanged"
+            eye = np.eye(channels)
             p.interaction.mix1_w.data[:] = 0.0
-            for ch in range(channels):
-                p.interaction.mix1_w.data[ch, ch, 0, 0] = 1.0
+            p.interaction.mix1_w.data[:, :channels, 0, 0] = eye
             p.interaction.mix3_w.data[:] = 0.0
-            for ch in range(channels):
-                p.interaction.mix3_w.data[ch, ch, 1, 1] = 1.0
+            p.interaction.mix3_w.data[:, :, 1, 1] = eye
     return p
 
 
@@ -159,16 +155,14 @@ def channel_mix(mamba_feat: Tensor, trans_out: Tensor,
     return ad.conv2d(mixed, ip.mix3_w, pad=1) + ip.mix3_b.reshape(c, 1, 1)
 
 
-def dual_branch_block(x: Tensor, p: DualBranchBlockParams,
-                      need_mamba_out: bool = True
+def dual_branch_block(x: Tensor, p: DualBranchBlockParams
                       ) -> tuple[Tensor | None, Tensor | None]:
     """Run both branch stacks with the inter-branch injections.
 
     Order matters: the second attention layer consumes the blend of both
     first-layer outputs, and the second scan layer consumes the channel mix
-    of the first scan output with that second attention output. Disabled
-    branches yield None; ``need_mamba_out=False`` skips the second scan
-    layer when its output would be discarded anyway.
+    of the first scan output with that second attention output. A branch
+    whose second layer is None yields None.
     """
     trans1 = transformer_block(x, p.transformer1) \
         if p.transformer1 is not None else None
@@ -176,13 +170,13 @@ def dual_branch_block(x: Tensor, p: DualBranchBlockParams,
     interact = p.interaction is not None     # built only with both branches
 
     trans_out = None
-    if trans1 is not None:
+    if p.transformer2 is not None:
         second_in = positional_blend(mamba1, trans1, p.interaction) \
             if interact else trans1
         trans_out = transformer_block(second_in, p.transformer2)
 
     mamba_out = None
-    if mamba1 is not None and need_mamba_out:
+    if p.mamba2 is not None:
         second_in = channel_mix(mamba1, trans_out, p.interaction) \
             if interact else mamba1
         mamba_out = ssm_block(second_in, p.mamba2)

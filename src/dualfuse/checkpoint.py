@@ -23,7 +23,7 @@ from .optim import AdamState
 from .params import named_parameters
 
 MAGIC = b"TMAM"
-VERSION = 1
+VERSION = 2      # 2: fusion blocks hold only the layers they run
 
 
 class CheckpointError(Exception):

@@ -24,7 +24,8 @@ def measure_channel_attention_flops(pixel_counts, channels: int = 4,
         k = Tensor(rng.uniform(-1, 1, (channels, hw)))
         v = Tensor(rng.uniform(-1, 1, (hw, channels)))
         with FlopCounter() as fc:
-            attention.channel_attention(q, k, v, Tensor(1.0))
+            attention.apply_attention(
+                attention.channel_attention(q, k, Tensor(1.0)), v)
         totals.append(fc.total)
     return totals
 

@@ -21,7 +21,9 @@ from .attention import TransformerBlockParams, apply_attention, \
     channel_attention, make_transformer_block_params, project_qkv, \
     transformer_block
 from .autodiff import ContractError, DimensionError, Tensor
-from .blocks import DualBranchBlockParams, dual_branch_block
+from .blocks import DualBranchBlockParams, dual_branch_block, \
+    make_dual_branch_params
+from .config import RunConfig
 
 
 @dataclass
@@ -126,7 +128,7 @@ def prefuse_mamba(feat_a: Tensor, feat_b: Tensor) -> Tensor:
 
 
 def modality_attentions(vis_t: Tensor, ir_t: Tensor, p: CrossModalParams):
-    """Per-modality channel-attention matrices plus retained value matrices.
+    """Per-modality channel-attention matrices plus their value matrices.
 
     Returns (attn_vis, attn_ir, values_vis, values_ir); the visible path uses
     one learned scale and the infrared path its twin.
@@ -136,8 +138,8 @@ def modality_attentions(vis_t: Tensor, ir_t: Tensor, p: CrossModalParams):
                              % (vis_t.shape, ir_t.shape))
     q_vis, k_vis, v_vis = project_qkv(vis_t, p.qkv_point, p.qkv_depth)
     q_ir, k_ir, v_ir = project_qkv(ir_t, p.qkv_point, p.qkv_depth)
-    _, attn_vis = channel_attention(q_vis, k_vis, v_vis, ad.exp(p.log_scale_vis))
-    _, attn_ir = channel_attention(q_ir, k_ir, v_ir, ad.exp(p.log_scale_ir))
+    attn_vis = channel_attention(q_vis, k_vis, ad.exp(p.log_scale_vis))
+    attn_ir = channel_attention(q_ir, k_ir, ad.exp(p.log_scale_ir))
     return attn_vis, attn_ir, v_vis, v_ir
 
 
@@ -208,13 +210,11 @@ def fuse_features(pre_trans: Tensor | None, pre_mamba: Tensor | None,
     Pre-fused features are two-modality sums, so they enter the blocks
     scaled by 1/2: that keeps them in the per-modality magnitude regime the
     stage-one decoder was trained in (a raw sum saturates it). The
-    attention-side block keeps only its attention-branch output (its second
-    scan layer is never evaluated: the first scan layer still feeds the
-    positional blend); the scan-side block keeps only its scan output.
-    With both present, the two blocks run through ``parallel.both``, the
-    attention side on the helper: it is the shorter of the two (one scan
-    layer to two), so a helper slowed by a busy CPU has slack before it
-    holds up the caller.
+    attention-side block keeps only its attention-branch output and the
+    scan-side block only its scan output. With both present, the two
+    blocks run through ``parallel.both``, the attention side on the helper:
+    it is the shorter of the two (at most one scan layer to two), so a
+    helper slowed by a busy CPU has slack before it holds up the caller.
     """
     if pre_trans is None:
         return None, _scan_side(pre_mamba, p.fuse_mamba)
@@ -227,12 +227,37 @@ def fuse_features(pre_trans: Tensor | None, pre_mamba: Tensor | None,
 
 
 def _attention_side(pre_trans: Tensor, p: DualBranchBlockParams) -> Tensor:
-    return dual_branch_block(pre_trans * Tensor(0.5), p,
-                             need_mamba_out=False)[0]
+    return dual_branch_block(pre_trans * Tensor(0.5), p)[0]
 
 
 def _scan_side(pre_mamba: Tensor, p: DualBranchBlockParams) -> Tensor:
     return dual_branch_block(pre_mamba * Tensor(0.5), p)[1]
+
+
+def make_fusion_params(rng: np.random.Generator,
+                       cfg: RunConfig) -> FusionParams:
+    """Cross-modal head and two fusion blocks, each drawn whole and then cut
+    to the layers its kept output reads: kept tensors keep bytes and paths."""
+    kw = dict(transformer_on=cfg.transformer_branch, mamba_on=cfg.mamba_branch,
+              interaction_on=cfg.interaction, mamba_as_conv=cfg.mamba_as_conv,
+              transparent_init=True)
+    p = FusionParams(None, None, None)
+    if cfg.transformer_branch:
+        p.cross = make_cross_modal_params(
+            rng, cfg.channels, with_weights=cfg.cross_modal_attention)
+        t = p.fuse_trans = make_dual_branch_params(rng, cfg.channels, **kw)
+        # no second scan layer, so no channel mix; without the blend, no scan
+        t.mamba2 = None
+        if t.interaction is None:
+            t.mamba1 = None
+        else:
+            ip = t.interaction
+            ip.mix1_w = ip.mix1_b = ip.mix3_w = ip.mix3_b = None
+    if cfg.mamba_branch:
+        m = p.fuse_mamba = make_dual_branch_params(rng, cfg.channels, **kw)
+        if m.interaction is None:   # no attention layer feeds the scan
+            m.transformer1 = m.transformer2 = None
+    return p
 
 
 def decode(feat_t: Tensor | None, feat_m: Tensor | None,

@@ -19,7 +19,7 @@ from .blocks import ShallowParams, dual_branch_block, \
 from .config import RunConfig
 from .data import ImagePair
 from .fusion import DecoderParams, FusionParams, decode, fuse_features, \
-    make_cross_modal_params, make_decoder_params, prefuse_mamba, \
+    make_decoder_params, make_fusion_params, prefuse_mamba, \
     prefuse_transformer
 
 
@@ -36,23 +36,13 @@ def build_model(cfg: RunConfig) -> ModelParams:
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     c = cfg.channels
-    branch_kw = dict(transformer_on=cfg.transformer_branch,
-                     mamba_on=cfg.mamba_branch,
-                     interaction_on=cfg.interaction,
-                     mamba_as_conv=cfg.mamba_as_conv)
-    encoder = [make_dual_branch_params(rng, c, **branch_kw)
+    encoder = [make_dual_branch_params(rng, c,
+                                       transformer_on=cfg.transformer_branch,
+                                       mamba_on=cfg.mamba_branch,
+                                       interaction_on=cfg.interaction,
+                                       mamba_as_conv=cfg.mamba_as_conv)
                for _ in range(cfg.depth)]
-    fusion = FusionParams(
-        cross=make_cross_modal_params(rng, c,
-                                      with_weights=cfg.cross_modal_attention)
-        if cfg.transformer_branch else None,
-        fuse_trans=make_dual_branch_params(rng, c, transparent_init=True,
-                                           **branch_kw)
-        if cfg.transformer_branch else None,
-        fuse_mamba=make_dual_branch_params(rng, c, transparent_init=True,
-                                           **branch_kw)
-        if cfg.mamba_branch else None,
-    )
+    fusion = make_fusion_params(rng, cfg)
     n_decoder_inputs = int(cfg.transformer_branch) + int(cfg.mamba_branch)
     return ModelParams(
         shallow=make_shallow_params(rng, c),
@@ -62,7 +52,7 @@ def build_model(cfg: RunConfig) -> ModelParams:
     )
 
 
-def encode(img: Tensor, m: ModelParams):
+def encode(img: Tensor, shallow: ShallowParams, encoder: list):
     """Shallow features then the dual-branch encoder stack.
 
     Returns (transformer_features, mamba_features); a disabled branch yields
@@ -71,11 +61,11 @@ def encode(img: Tensor, m: ModelParams):
     # looked up at call time: a module-level binding would keep the
     # unwrapped function when a tracer patches blocks.shallow_extract
     from .blocks import shallow_extract
-    feat = shallow_extract(img, m.shallow)
+    feat = shallow_extract(img, shallow)
     trans = mamba = None
-    for i, block in enumerate(m.encoder):
+    for i, block in enumerate(encoder):
         trans, mamba = dual_branch_block(feat, block)
-        if i + 1 < len(m.encoder):
+        if i + 1 < len(encoder):
             if trans is not None and mamba is not None:
                 feat = trans + mamba
             else:
@@ -85,7 +75,7 @@ def encode(img: Tensor, m: ModelParams):
 
 def restore(img: Tensor, m: ModelParams) -> Tensor:
     """Stage-one path: encode one modality and decode it straight back."""
-    trans, mamba = encode(img, m)
+    trans, mamba = encode(img, m.shallow, m.encoder)
     return decode(trans, mamba, m.decoder)
 
 
@@ -102,7 +92,8 @@ def fuse_pair(img_a: Tensor, img_b: Tensor, m: ModelParams, cfg: RunConfig,
     restoration when both inputs agree.
     """
     (trans_a, mamba_a), (trans_b, mamba_b) = parallel.both(
-        (encode, img_a, m), (encode, img_b, m))
+        (encode, img_a, m.shallow, m.encoder),
+        (encode, img_b, m.shallow, m.encoder))
 
     if not fusion_trained:
         half = Tensor(0.5)

@@ -56,10 +56,8 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
                epochs: int, epoch_offset: int, step_offset: int,
                log_rows: list) -> tuple[int, AdamState]:
     """One training stage; returns (steps executed, optimizer state)."""
-    if stage == "I":
-        tree = stage1_parameter_tree(model)
-    else:
-        tree = stage2_parameter_tree(model)
+    tree = (stage1_parameter_tree if stage == "I"
+            else stage2_parameter_tree)(model)
     named = [pair for section in tree for pair in trainable_parameters(section)]
     adam = AdamState()
     steps = 0
@@ -67,11 +65,9 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
         lr = lr_at_epoch(cfg.lr, cfg.lr_decay, cfg.lr_decay_every,
                          epoch_offset + epoch)
         for batch_idx in _batches(len(dataset), cfg.batch, rng):
-            # zero-fill grads so params on legitimately unused paths (the
-            # discarded scan tail of the attention-side fusion block) still
-            # satisfy the optimizer's populated-gradient contract
+            # backward gives each a gradient; adam_step refuses a None one
             for _, t in named:
-                t.grad = np.zeros_like(t.data)
+                t.grad = None
             scale = 1.0 / len(batch_idx)
             intensity = structural = total = 0.0
             for idx in batch_idx:

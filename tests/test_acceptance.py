@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dualfuse import attention, complexity, fusion, gradcheck, metrics, ssm
-from dualfuse.attention import channel_attention
+from dualfuse.attention import apply_attention, channel_attention
 from dualfuse.autodiff import Tensor, no_grad
 from dualfuse.blocks import make_interaction_params, positional_blend
 from dualfuse.checkpoint import load_checkpoint
@@ -112,8 +112,8 @@ def test_criterion_3_attention_oracles():
         q = rng.uniform(-1, 1, (hw, c))
         k = rng.uniform(-1, 1, (c, hw))
         v = rng.uniform(-1, 1, (hw, c))
-        out, a = channel_attention(Tensor(q), Tensor(k), Tensor(v),
-                                   Tensor(alpha))
+        a = channel_attention(Tensor(q), Tensor(k), Tensor(alpha))
+        out = apply_attention(a, Tensor(v))
         ref_out, ref_a = dense_attention_oracle(q, k, v, alpha)
         assert np.max(np.abs(a.data - ref_a)) <= 1e-10
         assert np.max(np.abs(out.data - ref_out)) <= 1e-10
@@ -123,10 +123,8 @@ def test_criterion_3_attention_oracles():
     q_i, k_i = rng.uniform(-1, 1, (h * w, c)), rng.uniform(-1, 1, (c, h * w))
     v_v, v_i = rng.uniform(-1, 1, (h * w, c)), rng.uniform(-1, 1, (h * w, c))
     alpha, beta = 1.4, 0.6
-    _, a_v = channel_attention(Tensor(q_v), Tensor(k_v), Tensor(v_v),
-                               Tensor(alpha))
-    _, a_i = channel_attention(Tensor(q_i), Tensor(k_i), Tensor(v_i),
-                               Tensor(beta))
+    a_v = channel_attention(Tensor(q_v), Tensor(k_v), Tensor(alpha))
+    a_i = channel_attention(Tensor(q_i), Tensor(k_i), Tensor(beta))
     combined, _, _ = fusion.attention_weighting(None, None, a_v, a_i, None,
                                                 weights_override=(0.35, 0.65))
     got = fusion.prefuse_transformer(combined, combined, Tensor(v_i),
@@ -140,10 +138,9 @@ def test_criterion_3_attention_oracles():
     for _ in range(1000):
         hw = int(rng.integers(1, 9))
         c = int(rng.integers(1, 6))
-        _, a = channel_attention(
+        a = channel_attention(
             Tensor(rng.uniform(-4, 4, (hw, c))),
             Tensor(rng.uniform(-4, 4, (c, hw))),
-            Tensor(rng.uniform(-4, 4, (hw, c))),
             Tensor(float(rng.uniform(0.1, 5.0))))
         assert np.all(a.data >= 0)
         assert np.max(np.abs(a.data.sum(axis=1) - 1.0)) < 1e-6
@@ -259,7 +256,8 @@ def test_branches_do_not_collapse_after_stage1(toy_run):
                                         "checkpoint_stage1.tmam"))
     pair = toy_run["pairs"][0]
     with no_grad():
-        trans, mamba = encode(image_to_tensor(pair.a), ckpt.model)
+        trans, mamba = encode(image_to_tensor(pair.a), ckpt.model.shallow,
+                              ckpt.model.encoder)
     t = trans.data.reshape(trans.shape[0], -1)
     m = mamba.data.reshape(mamba.shape[0], -1)
     corrs = []

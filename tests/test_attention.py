@@ -67,23 +67,24 @@ def test_project_qkv_needs_3x3_spatial():
 # channel_attention
 # ---------------------------------------------------------------------------
 
-def attention_args(q, k, v, alpha=1.0):
-    return Tensor(q), Tensor(k), Tensor(v), Tensor(alpha)
+def attend(q, k, v, alpha=1.0):
+    """(output, matrix) of channel attention applied to v."""
+    a = attn.channel_attention(Tensor(q), Tensor(k), Tensor(alpha))
+    return attn.apply_attention(a, Tensor(v)), a
 
 
 def test_channel_attention_single_channel(rng):
     v = rng.uniform(-1, 1, (6, 1))
-    out, a = attn.channel_attention(*attention_args(
-        rng.uniform(-1, 1, (6, 1)), rng.uniform(-1, 1, (1, 6)), v))
+    out, a = attend(rng.uniform(-1, 1, (6, 1)), rng.uniform(-1, 1, (1, 6)), v)
     assert_close(a.data, [[1.0]])
     assert_close(out.data, v)
 
 
 def test_channel_attention_zero_query_uniform_rows(rng):
     hw, c = 5, 4
-    out, a = attn.channel_attention(*attention_args(
+    out, a = attend(
         np.zeros((hw, c)), rng.uniform(-1, 1, (c, hw)),
-        rng.uniform(-1, 1, (hw, c))))
+        rng.uniform(-1, 1, (hw, c)))
     assert_close(a.data, np.full((c, c), 0.25))
     assert out.shape == (hw, c)
 
@@ -93,7 +94,7 @@ def test_channel_attention_matches_dense_oracle(rng):
     q = rng.uniform(-1, 1, (hw, c))
     k = rng.uniform(-1, 1, (c, hw))
     v = rng.uniform(-1, 1, (hw, c))
-    out, a = attn.channel_attention(*attention_args(q, k, v, alpha=1.0))
+    out, a = attend(q, k, v, alpha=1.0)
     ref_out, ref_a = dense_attention_oracle(q, k, v, 1.0)
     assert_close(a.data, ref_a, tol=1e-10)
     assert_close(out.data, ref_out, tol=1e-10)
@@ -106,9 +107,9 @@ def test_attention_rows_are_stochastic(seed):
     hw = int(r.integers(1, 12))
     c = int(r.integers(1, 6))
     alpha = float(r.uniform(0.2, 5.0))
-    _, a = attn.channel_attention(*attention_args(
+    _, a = attend(
         r.uniform(-3, 3, (hw, c)), r.uniform(-3, 3, (c, hw)),
-        r.uniform(-3, 3, (hw, c)), alpha))
+        r.uniform(-3, 3, (hw, c)), alpha)
     assert np.all(a.data >= 0)
     assert np.max(np.abs(a.data.sum(axis=1) - 1.0)) < 1e-6
 
@@ -116,8 +117,7 @@ def test_attention_rows_are_stochastic(seed):
 def test_channel_attention_rejects_mismatched_key():
     # k must be (C, HW) for a (HW, C) query; here it spans 5 pixels, not 6
     with pytest.raises(DimensionError):
-        attn.channel_attention(*attention_args(
-            np.zeros((6, 2)), np.zeros((2, 5)), np.zeros((6, 2))))
+        attend(np.zeros((6, 2)), np.zeros((2, 5)), np.zeros((6, 2)))
 
 
 # ---------------------------------------------------------------------------

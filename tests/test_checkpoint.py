@@ -140,6 +140,19 @@ def test_unsupported_version(tmp_path):
         load_checkpoint(path)
 
 
+def test_version_1_checkpoint_is_refused(tmp_path):
+    # version 1 also held the fusion blocks' unread layers and their moments
+    assert ckpt_mod.VERSION == 2
+    cfg = small_config()
+    path = str(tmp_path / "v1.tmam")
+    save_checkpoint(path, cfg, build_model(cfg), AdamState(), 1, 1)
+    with open(path, "r+b") as fh:
+        fh.seek(len(ckpt_mod.MAGIC))
+        fh.write((1).to_bytes(4, "little"))
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(path)
+
+
 @pytest.fixture(scope="module")
 def tiny_blob(tmp_path_factory):
     cfg = RunConfig(channels=1, crop=16, batch=1, seed=3)

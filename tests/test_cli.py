@@ -116,3 +116,8 @@ def test_bench_command(capsys):
     outp = capsys.readouterr().out
     assert "channel_attention" in outp and "selective_scan" in outp
     assert "r^2" in outp
+    # the counts perfbench's linearity report fits: an op added to or
+    # dropped from either primitive changes them
+    lines = outp.splitlines()
+    assert "channel_attention: flops [4176, 16464, 65616]" in lines
+    assert "selective_scan: flops [32064, 128064, 512064]" in lines
