@@ -1,8 +1,8 @@
 """Run configuration: flat ``key = value`` text files with ``#`` comments.
 
-Unknown keys are hard errors; every field has a typed default. The exact
-config text round-trips through checkpoints so a training run is fully
-described by (config, seed, data).
+Unknown keys are hard errors; every field has a typed default. Checkpoints
+store the config text without the data and output directories, so a
+training run is fully described by (config, seed, data) wherever it ran.
 """
 
 from __future__ import annotations
@@ -52,16 +52,16 @@ class RunConfig:
             raise ConfigError("channels, depth and batch must be >= 1")
         if self.epochs_stage1 < 0 or self.epochs_stage2 < 0:
             raise ConfigError("epoch counts cannot be negative")
-        for key in ("data_dir", "out_dir"):
-            if not _survives_text(getattr(self, key)):
-                raise ConfigError("%s %r cannot be written as config text: no"
-                                  " '#', line break or surrounding whitespace"
-                                  % (key, getattr(self, key)))
         return self
 
     def to_text(self) -> str:
+        """Every field but the two directories, as config text: the record
+        a checkpoint keeps, so where a run read and wrote leaves its bytes
+        alone."""
         lines = []
         for f in fields(self):
+            if f.name in ("data_dir", "out_dir"):
+                continue
             value = getattr(self, f.name)
             if isinstance(value, bool):
                 value = "true" if value else "false"
@@ -70,14 +70,6 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _survives_text(value: str) -> bool:
-    """Whether ``key = value`` parses back to ``value``: the parser cuts a
-    line at ``#``, splits lines at every ``str.splitlines`` boundary and
-    strips whitespace around the value."""
-    return "#" not in value and value == value.strip() \
-        and len(value.splitlines()) <= 1
 
 
 def _convert(key: str, raw: str):

@@ -45,14 +45,6 @@ class ImagePair:
             raise PairingError("modalities differ: %r vs %r"
                                % (self.a.shape, self.b.shape))
 
-    @property
-    def height(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.a.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # PGM (binary P5)

@@ -1,12 +1,13 @@
 """Cross-modality fusion head and decoder.
 
-Scan-branch features of the two modalities pre-fuse by plain elementwise
-addition. Attention-branch features pre-fuse at the attention level: each
-modality yields its own channel-attention matrix (with its own scale), a
-dilated-conv weighting head turns both feature maps into two softmax weights,
-and the convex combination of the per-modality matrices is applied to both
-value matrices. Each pre-fused map then passes through its own dual-branch
-fusion block, and the decoder renders the final image.
+``fuse_features`` runs the whole stage-two head. Scan-branch features of
+the two modalities pre-fuse by plain elementwise addition. Attention-branch
+features pre-fuse at the attention level: each modality yields its own
+channel-attention matrix (with its own scale), a dilated-conv weighting head
+turns both feature maps into two softmax weights, and the convex combination
+of the per-modality matrices is applied to both value matrices. Each
+pre-fused map then passes through its own dual-branch fusion block, and the
+decoder renders the final image.
 """
 
 from __future__ import annotations
@@ -119,14 +120,6 @@ def make_decoder_params(rng: np.random.Generator, channels: int,
 # pre-fusion
 # ---------------------------------------------------------------------------
 
-def prefuse_mamba(feat_a: Tensor, feat_b: Tensor) -> Tensor:
-    """Elementwise sum of the two modalities' scan-branch features."""
-    if feat_a.shape != feat_b.shape:
-        raise DimensionError("prefuse operands differ: %r vs %r"
-                             % (feat_a.shape, feat_b.shape))
-    return feat_a + feat_b
-
-
 def modality_attentions(vis_t: Tensor, ir_t: Tensor, p: CrossModalParams):
     """Per-modality channel-attention matrices plus their value matrices.
 
@@ -203,9 +196,17 @@ def prefuse_transformer(attn_ir: Tensor, attn_vis: Tensor, v_ir: Tensor,
 # fusion blocks and decoder
 # ---------------------------------------------------------------------------
 
-def fuse_features(pre_trans: Tensor | None, pre_mamba: Tensor | None,
-                  p: FusionParams) -> tuple[Tensor | None, Tensor | None]:
-    """Each pre-fused map passes through its own dual-branch block.
+def fuse_features(enc_a: tuple, enc_b: tuple, p: FusionParams,
+                  cross_modal: bool) -> tuple[Tensor | None, Tensor | None]:
+    """The stage-two head: pre-fuse both modalities' encodings, then pass
+    each pre-fused map through its own dual-branch block.
+
+    ``enc_a`` and ``enc_b`` are ``model.encode``'s (transformer, mamba)
+    pairs of the infrared-like and the visible-like modality. Scan features
+    pre-fuse by addition; attention features through ``modality_attentions``
+    and, when ``cross_modal``, the learned ``attention_weighting`` (else
+    each modality keeps its own matrix). Returns the fused (transformer,
+    mamba) pair; a disabled branch yields None.
 
     Pre-fused features are two-modality sums, so they enter the blocks
     scaled by 1/2: that keeps them in the per-modality magnitude regime the
@@ -216,8 +217,19 @@ def fuse_features(pre_trans: Tensor | None, pre_mamba: Tensor | None,
     it is the shorter of the two (at most one scan layer to two), so a
     helper slowed by a busy CPU has slack before it holds up the caller.
     """
-    if pre_trans is None:
+    (trans_a, mamba_a), (trans_b, mamba_b) = enc_a, enc_b
+    pre_mamba = mamba_a + mamba_b if mamba_a is not None else None
+    if trans_a is None:
         return None, _scan_side(pre_mamba, p.fuse_mamba)
+    # visible-like modality is b, infrared-like is a
+    attn_vis, attn_ir, v_vis, v_ir = modality_attentions(trans_b, trans_a,
+                                                         p.cross)
+    if cross_modal:
+        combined, _, _ = attention_weighting(trans_b, trans_a, attn_vis,
+                                             attn_ir, p.cross.weights)
+        attn_ir = attn_vis = combined
+    pre_trans = prefuse_transformer(attn_ir, attn_vis, v_ir, v_vis,
+                                    *trans_a.shape[1:])
     if pre_mamba is None:
         return _attention_side(pre_trans, p.fuse_trans), None
     fused_m, fused_t = parallel.both(

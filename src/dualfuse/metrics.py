@@ -70,6 +70,17 @@ def _check_u8(img: np.ndarray, name: str = "image") -> np.ndarray:
     return img
 
 
+def _check_triple(metric: str, fused, src_a, src_b):
+    """The fused image and both sources of ``metric``, each checked by
+    ``_check_u8``, all of one shape."""
+    fused = _check_u8(fused, metric + " fused")
+    src_a = _check_u8(src_a, metric + " source a")
+    src_b = _check_u8(src_b, metric + " source b")
+    if fused.shape != src_a.shape or fused.shape != src_b.shape:
+        raise DimensionError("%s operands must share shape" % metric)
+    return fused, src_a, src_b
+
+
 # ---------------------------------------------------------------------------
 # single-image statistics
 # ---------------------------------------------------------------------------
@@ -116,11 +127,7 @@ def _mi_pair(x: np.ndarray, y: np.ndarray) -> float:
 
 def metric_mi(fused: np.ndarray, src_a: np.ndarray, src_b: np.ndarray) -> float:
     """MI(fused; a) + MI(fused; b) from 256x256 joint histograms, in bits."""
-    fused = _check_u8(fused, "fused")
-    src_a = _check_u8(src_a, "source a")
-    src_b = _check_u8(src_b, "source b")
-    if fused.shape != src_a.shape or fused.shape != src_b.shape:
-        raise DimensionError("mi operands must share shape")
+    fused, src_a, src_b = _check_triple("mi", fused, src_a, src_b)
     return _mi_pair(fused, src_a) + _mi_pair(fused, src_b)
 
 
@@ -187,11 +194,7 @@ def metric_vif(fused: np.ndarray, src_a: np.ndarray, src_b: np.ndarray) -> float
     """Sum of the pixel-domain multi-scale VIF of the fused image against
     each source. The 4-scale pyramid needs images of at least 41x41;
     smaller ones raise ContractError."""
-    fused = _check_u8(fused, "fused")
-    src_a = _check_u8(src_a, "source a")
-    src_b = _check_u8(src_b, "source b")
-    if fused.shape != src_a.shape or fused.shape != src_b.shape:
-        raise DimensionError("vif operands must share shape")
+    fused, src_a, src_b = _check_triple("vif", fused, src_a, src_b)
     fused_scales = _vif_scales(fused)
     return _vif_single(_vif_scales(src_a), fused_scales) \
         + _vif_single(_vif_scales(src_b), fused_scales)
@@ -231,11 +234,7 @@ def _edge_quality(g_src, a_src, g_fused, a_fused):
 
 def metric_qabf(fused: np.ndarray, src_a: np.ndarray, src_b: np.ndarray) -> float:
     """Edge-strength-weighted Sobel edge preservation in [0, 1]."""
-    fused = _check_u8(fused, "fused")
-    src_a = _check_u8(src_a, "source a")
-    src_b = _check_u8(src_b, "source b")
-    if fused.shape != src_a.shape or fused.shape != src_b.shape:
-        raise DimensionError("qabf operands must share shape")
+    fused, src_a, src_b = _check_triple("qabf", fused, src_a, src_b)
     g_f, a_f = _sobel_parts(fused)
     g_a, a_a = _sobel_parts(src_a)
     g_b, a_b = _sobel_parts(src_b)

@@ -11,16 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fusion as fusion_mod
-from . import parallel
-from .autodiff import ContractError, Tensor, no_grad
+from . import blocks, parallel
+from .autodiff import ContractError, DimensionError, Tensor, no_grad
 from .blocks import ShallowParams, dual_branch_block, \
     make_dual_branch_params, make_shallow_params
 from .config import RunConfig
 from .data import ImagePair
 from .fusion import DecoderParams, FusionParams, decode, fuse_features, \
-    make_decoder_params, make_fusion_params, prefuse_mamba, \
-    prefuse_transformer
+    make_decoder_params, make_fusion_params
 
 
 @dataclass
@@ -58,10 +56,9 @@ def encode(img: Tensor, shallow: ShallowParams, encoder: list):
     Returns (transformer_features, mamba_features); a disabled branch yields
     None. With depth > 1 the branch outputs are summed to feed the next block.
     """
-    # looked up at call time: a module-level binding would keep the
-    # unwrapped function when a tracer patches blocks.shallow_extract
-    from .blocks import shallow_extract
-    feat = shallow_extract(img, shallow)
+    # looked up at call time, so a tracer that patches
+    # blocks.shallow_extract sees this call
+    feat = blocks.shallow_extract(img, shallow)
     trans = mamba = None
     for i, block in enumerate(encoder):
         trans, mamba = dual_branch_block(feat, block)
@@ -84,40 +81,23 @@ def fuse_pair(img_a: Tensor, img_b: Tensor, m: ModelParams, cfg: RunConfig,
     """Full fusion forward pass.
 
     Both modalities run through the shared encoder (under ``no_grad``, on
-    two cores when there are two: see ``parallel``). Scan-branch features
-    pre-fuse by addition; attention-branch features pre-fuse through the
-    cross-modal attention (or per-modality attention when that toggle is
-    off). With ``fusion_trained`` false (a stage-one-only model) the fusion
-    blocks are bypassed and branch features average, which reduces to plain
-    restoration when both inputs agree.
+    two cores when there are two: see ``parallel``), ``fuse_features``
+    fuses them and the decoder renders the image. With ``fusion_trained``
+    false (a stage-one-only model) the fusion head is bypassed and branch
+    features average, which reduces to plain restoration when both inputs
+    agree.
     """
-    (trans_a, mamba_a), (trans_b, mamba_b) = parallel.both(
-        (encode, img_a, m.shallow, m.encoder),
-        (encode, img_b, m.shallow, m.encoder))
-
+    if img_a.shape != img_b.shape:
+        raise DimensionError("modalities differ: %r vs %r"
+                             % (img_a.shape, img_b.shape))
+    enc_a, enc_b = parallel.both((encode, img_a, m.shallow, m.encoder),
+                                 (encode, img_b, m.shallow, m.encoder))
     if not fusion_trained:
         half = Tensor(0.5)
-        trans = (trans_a + trans_b) * half if trans_a is not None else None
-        mamba = (mamba_a + mamba_b) * half if mamba_a is not None else None
-        return decode(trans, mamba, m.decoder)
-
-    pre_m = prefuse_mamba(mamba_a, mamba_b) if mamba_a is not None else None
-
-    pre_t = None
-    if trans_a is not None:
-        cross = m.fusion.cross
-        # visible-like modality is b, infrared-like is a
-        attn_vis, attn_ir, v_vis, v_ir = fusion_mod.modality_attentions(
-            trans_b, trans_a, cross)
-        h, w = img_a.shape[1], img_a.shape[2]
-        if cfg.cross_modal_attention:
-            combined, _, _ = fusion_mod.attention_weighting(
-                trans_b, trans_a, attn_vis, attn_ir, cross.weights)
-            attn_ir = attn_vis = combined
-        pre_t = prefuse_transformer(attn_ir, attn_vis, v_ir, v_vis, h, w)
-
-    fused_t, fused_m = fuse_features(pre_t, pre_m, m.fusion)
-    return decode(fused_t, fused_m, m.decoder)
+        return decode(*[(fa + fb) * half if fa is not None else None
+                        for fa, fb in zip(enc_a, enc_b)], m.decoder)
+    return decode(*fuse_features(enc_a, enc_b, m.fusion,
+                                 cfg.cross_modal_attention), m.decoder)
 
 
 def stage1_parameter_tree(m: ModelParams):

@@ -24,36 +24,6 @@ def make_cross(channels=3, seed=0, with_weights=True):
 
 
 # ---------------------------------------------------------------------------
-# prefuse_mamba
-# ---------------------------------------------------------------------------
-
-def test_prefuse_mamba_identity(rng):
-    x = rng.uniform(-1, 1, (3, 4, 4))
-    out = fusion.prefuse_mamba(fmap(x), fmap(np.zeros_like(x)))
-    assert_close(out.data, x)
-
-
-def test_prefuse_mamba_doubles(rng):
-    x = rng.uniform(-1, 1, (3, 4, 4))
-    out = fusion.prefuse_mamba(fmap(x), fmap(x))
-    assert_close(out.data, 2 * x)
-
-
-def test_prefuse_mamba_commutes_bitwise(rng):
-    a = rng.uniform(-1, 1, (3, 4, 4))
-    b = rng.uniform(-1, 1, (3, 4, 4))
-    ab = fusion.prefuse_mamba(fmap(a), fmap(b)).data
-    ba = fusion.prefuse_mamba(fmap(b), fmap(a)).data
-    assert ab.tobytes() == ba.tobytes()
-
-
-def test_prefuse_mamba_guards(rng):
-    with pytest.raises(DimensionError):
-        fusion.prefuse_mamba(fmap(np.zeros((2, 3, 3))),
-                             fmap(np.zeros((2, 3, 4))))
-
-
-# ---------------------------------------------------------------------------
 # modality attentions
 # ---------------------------------------------------------------------------
 
@@ -235,11 +205,15 @@ def make_fusion_params(channels=2, seed=0):
                                      RunConfig(channels=channels))
 
 
+def encodings(rng, c):
+    """Two random (transformer, mamba) pairs, as ``model.encode`` returns."""
+    return [(fmap(rng.uniform(-1, 1, (c, 4, 4))),
+             fmap(rng.uniform(-1, 1, (c, 4, 4)))) for _ in range(2)]
+
+
 def test_fuse_features_shapes(rng):
     p = make_fusion_params()
-    pre_t = fmap(rng.uniform(-1, 1, (2, 4, 4)))
-    pre_m = fmap(rng.uniform(-1, 1, (2, 4, 4)))
-    fused_t, fused_m = fusion.fuse_features(pre_t, pre_m, p)
+    fused_t, fused_m = fusion.fuse_features(*encodings(rng, 2), p, True)
     assert fused_t.shape == (2, 4, 4)
     assert fused_m.shape == (2, 4, 4)
 
@@ -247,15 +221,7 @@ def test_fuse_features_shapes(rng):
 def test_gradient_reaches_weighting_head(rng):
     c = 2
     p = make_fusion_params(channels=c, seed=4)
-    vis = fmap(rng.uniform(-1, 1, (c, 4, 4)))
-    ir = fmap(rng.uniform(-1, 1, (c, 4, 4)))
-    a_vis, a_ir, v_vis, v_ir = fusion.modality_attentions(vis, ir, p.cross)
-    combined, _, _ = fusion.attention_weighting(vis, ir, a_vis, a_ir,
-                                                p.cross.weights)
-    pre_t = fusion.prefuse_transformer(combined, combined, v_ir, v_vis, 4, 4)
-    pre_m = fusion.prefuse_mamba(fmap(rng.uniform(-1, 1, (c, 4, 4))),
-                                 fmap(rng.uniform(-1, 1, (c, 4, 4))))
-    fused_t, fused_m = fusion.fuse_features(pre_t, pre_m, p)
+    fused_t, fused_m = fusion.fuse_features(*encodings(rng, c), p, True)
     (fused_t.sum() + fused_m.sum()).backward()
     fc_grad = p.cross.weights.fc_w.grad
     assert fc_grad is not None and np.abs(fc_grad).max() > 0

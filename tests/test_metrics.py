@@ -201,6 +201,20 @@ def test_qabf_shape_guard():
         metrics.metric_qabf(a, a, np.zeros((8, 9), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("name", ["mi", "vif", "qabf"])
+def test_two_source_errors_name_metric_and_operand(name):
+    fn = getattr(metrics, "metric_" + name)
+    u8 = np.zeros((48, 48), dtype=np.uint8)
+    bad = u8.astype(np.float64)
+    for args, operand in (((bad, u8, u8), "fused"),
+                          ((u8, bad, u8), "source a"),
+                          ((u8, u8, bad), "source b")):
+        with pytest.raises(ContractError, match=name + " " + operand):
+            fn(*args)
+    with pytest.raises(DimensionError, match=name + " operands"):
+        fn(u8, u8, np.zeros((48, 47), dtype=np.uint8))
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Whole-network assembly under every ablation configuration."""
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from dualfuse import autodiff as ad
 from dualfuse import params
-from dualfuse.autodiff import Tensor, no_grad
+from dualfuse.autodiff import DimensionError, Tensor, no_grad
 from dualfuse.config import RunConfig
 from dualfuse.losses import stage1_loss, stage2_loss
 from dualfuse.model import build_model, encode, fuse_pair, fuse_pair_arrays, \
@@ -43,6 +44,17 @@ def test_ablation_configs_construct_and_run(name, rng):
     assert recon.shape == (1, 16, 16)
     assert fused.shape == (1, 16, 16)
     assert np.all(fused.data >= 0) and np.all(fused.data <= 1)
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_fuse_pair_rejects_modalities_of_different_shape(grad, rng):
+    cfg = cfg_for("full")
+    model = build_model(cfg)
+    img_a = image_to_tensor(rng.uniform(0, 1, (16, 16)))
+    img_b = image_to_tensor(rng.uniform(0, 1, (16, 20)))
+    with contextlib.nullcontext() if grad else no_grad():
+        with pytest.raises(DimensionError, match="modalities differ"):
+            fuse_pair(img_a, img_b, model, cfg)
 
 
 def test_branch_toggles_shape_parameter_tree():

@@ -69,24 +69,38 @@ def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
     # engine pins BLAS to one thread at import
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     code = """
+import sys
 from dualfuse.config import RunConfig
 from dualfuse.toydata import make_toy_pairs
 from dualfuse.train import train
 cfg = RunConfig(channels=8, crop=32, batch=1, epochs_stage1=1,
-                epochs_stage2=2, lr=2e-3, seed=0, out_dir="out")
+                epochs_stage2=2, lr=2e-3, seed=0, out_dir=sys.argv[1])
 train(cfg, make_toy_pairs(2, 32, seed=0))
 """
-    outputs = []        # one relative out_dir: the checkpoint records it
+    outputs = []
     for threads in ("1", "2"):
-        run_dir = tmp_path / ("threads%s" % threads)
-        run_dir.mkdir()
+        out_dir = tmp_path / ("threads%s" % threads)
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-c", code], env=env, cwd=run_dir,
+        subprocess.run([sys.executable, "-c", code, str(out_dir)], env=env,
                        check=True, timeout=300)
-        outputs.append([(run_dir / "out" / name).read_bytes()
+        outputs.append([(out_dir / name).read_bytes()
                         for name in ("loss_log.csv", "checkpoint.tmam")])
     assert outputs[0][0] == outputs[1][0], "loss logs differ"
     assert outputs[0][1] == outputs[1][1], "checkpoints differ"
+
+def test_checkpoint_bytes_do_not_depend_on_run_dirs(tmp_path):
+    blobs = []
+    for run in ("a", "b"):
+        out_dir = tmp_path / run / "out"
+        cfg = tiny_config(tmp_path, epochs_stage1=1, epochs_stage2=1,
+                          data_dir=str(tmp_path / run / "data"),
+                          out_dir=str(out_dir))
+        train(cfg, tiny_pairs())
+        blobs.append([(out_dir / name).read_bytes()
+                      for name in ("checkpoint_stage1.tmam",
+                                   "checkpoint.tmam")])
+    assert blobs[0] == blobs[1]
+
 
 def test_checkpoint_round_trip_preserves_fusion(tmp_path):
     cfg = tiny_config(tmp_path)
