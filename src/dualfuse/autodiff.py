@@ -1047,8 +1047,11 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
     2t + L/t steps (3*sqrt(L) for square maps such as 32x32 and 64x64). The
     gradient contractions are batched matmuls: per-token (C, N) x N and
     C x (C, N) products, and a per-channel (1, L) x (L, N) product for
-    ``a``. The backward closure keeps only ``decay``, ``hs`` and the inputs
-    and rebuilds the laid-out copies it needs. Work is linear in L.
+    ``a``. The backward closure keeps only ``hs`` and the inputs and
+    rebuilds the laid-out copies it needs, ``decay`` among them: one
+    ``einsum`` and ``exp`` on inputs it already holds, the same calls as
+    forward, so the bytes match a kept copy and one (L, C, N) array fewer
+    stays live between forward and backward. Work is linear in L.
     """
     if u.ndim != 2:
         raise DimensionError("selective_scan_core expects u[L,C], got %r"
@@ -1074,8 +1077,12 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
         return x.swapaxes(0, 1).reshape(length, -1)
 
     ud, dd, bd, cd, ad, sd = u.data, delta.data, b.data, c.data, a.data, d.data
-    decay = np.einsum("ikc,cn->ikcn", lay(dd), ad)
-    np.exp(decay, out=decay)
+
+    def decay_of():      # exp(delta x a), laid out; forward and backward
+        decay = np.einsum("ikc,cn->ikcn", lay(dd), ad)
+        return np.exp(decay, out=decay)
+
+    decay = decay_of()
     drive = np.einsum("ikc,ikn->ikcn", lay(dd * ud), lay(bd))
     hs = _recur_chunked(decay[1:], decay[0, 1:], drive, False)    # h_t, in place
     y = unlay((hs @ lay(cd)[..., None])[..., 0]) + sd * ud
@@ -1084,6 +1091,7 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
     def backward(g, tu, tdelta, tb, tc, ta, td):
         # adjoint gh_t = g_t c_t + decay_{t+1} gh_{t+1}: the same recurrence
         # run in place over views reversed in time within each chunk
+        decay = decay_of()
         gl = lay(g)
         gh_all = np.einsum("ikc,ikn->ikcn", gl, lay(cd))
         _recur_chunked(decay[:0:-1], decay[0, 1:], gh_all[::-1], True)
@@ -1091,7 +1099,8 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
         if tu is not None:
             tu._accumulate(g * sd + gdu * dd)
         if tdelta is not None or ta is not None:
-            gda = gh_all * decay                  # times h_{t-1}, in place
+            # gh_t * decay_t * h_{t-1}, formed in the rebuilt decay's buffer
+            gda = np.multiply(decay, gh_all, out=decay)
             gda[1:] *= hs[:-1]
             gda[0, 1:] *= hs[-1, :-1]
             gda[0, 0] = 0.0

@@ -9,6 +9,7 @@ measurements).
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 
 import numpy as np
@@ -34,7 +35,15 @@ def _cmd_train(args) -> int:
           % (result.stage1_steps, result.stage2_steps, result.checkpoint_path))
     if final:
         print("final loss: %s" % final[-1])
+    print("peak resident memory: %.1f MB" % _peak_rss_mb())
     return 0
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set (``ru_maxrss``: KiB on Linux, bytes
+    on macOS) in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 def _cmd_fuse(args) -> int:

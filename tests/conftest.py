@@ -1,5 +1,117 @@
+import csv
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
 import numpy as np
 import pytest
+
+# the run criterion 6 and the stage-one checks of test_acceptance.py share:
+# 200 + 200 steps on the 8-pair 32x32 synthetic set
+TOY_CONFIG = dict(channels=8, crop=32, batch=1, epochs_stage1=25,
+                  epochs_stage2=25, lr=2e-3, lr_decay=0.5, lr_decay_every=20,
+                  seed=0)
+TOY_PAIRS = dict(n_pairs=8, size=32, seed=7)
+
+
+def train_toy(out_dir: str) -> None:
+    """The toy run, in this process; its wall seconds go to a file beside
+    the loss log. The session's child process runs this."""
+    # dualfuse is imported in the functions that use it: an import error
+    # at the top of conftest.py would fail every test module, not just the
+    # ones that import the broken module
+    from dualfuse.config import RunConfig
+    from dualfuse.toydata import make_toy_pairs
+    from dualfuse.train import train
+    cfg = RunConfig(out_dir=out_dir, **TOY_CONFIG)
+    pairs = make_toy_pairs(**TOY_PAIRS)
+    start = time.monotonic()
+    train(cfg, pairs)
+    elapsed = time.monotonic() - start
+    with open(os.path.join(out_dir, "seconds"), "w", encoding="utf-8") as fh:
+        fh.write(repr(elapsed))
+
+
+class ToyRun:
+    """``train_toy`` in a child process, so the rest of the suite runs on
+    the other core while it trains."""
+
+    def __init__(self):
+        self.out_dir = tempfile.mkdtemp(prefix="toy_run-")
+        self.stderr = tempfile.TemporaryFile()
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); "
+             "import conftest; conftest.train_toy(sys.argv[2])",
+             os.path.dirname(os.path.abspath(__file__)), self.out_dir],
+            stdout=subprocess.DEVNULL, stderr=self.stderr)
+
+    def result(self) -> dict:
+        """Wait for the child; return what training in process returned:
+        config, pairs, a TrainResult from the loss log and final checkpoint
+        (a checkpoint round trip is exact), the child's training seconds
+        and the output directory."""
+        from dualfuse.checkpoint import load_checkpoint
+        from dualfuse.config import RunConfig
+        from dualfuse.toydata import make_toy_pairs
+        from dualfuse.train import TrainResult
+        if self.proc.wait(timeout=1800) != 0:
+            self.stderr.seek(0)
+            pytest.fail("toy training child exited with %d:\n%s" % (
+                self.proc.returncode, self.stderr.read().decode(errors="replace")),
+                pytrace=False)
+        path = os.path.join(self.out_dir, "checkpoint.tmam")
+        ckpt = load_checkpoint(path)
+        with open(os.path.join(self.out_dir, "loss_log.csv"), newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        with open(os.path.join(self.out_dir, "seconds"), encoding="utf-8") as fh:
+            seconds = float(fh.read())
+        cfg = RunConfig(out_dir=self.out_dir, **TOY_CONFIG)
+        result = TrainResult(ckpt.model, cfg, rows, path, ckpt.stage1_steps,
+                             ckpt.stage2_steps)
+        return dict(cfg=cfg, pairs=make_toy_pairs(**TOY_PAIRS), result=result,
+                    seconds=seconds, out_dir=self.out_dir)
+
+    def close(self) -> None:
+        if self.proc.poll() is None:
+            self.proc.kill()
+            self.proc.wait()
+        self.stderr.close()
+        shutil.rmtree(self.out_dir, ignore_errors=True)
+
+
+TOY_RUN = pytest.StashKey[ToyRun]()
+
+
+@pytest.hookimpl(trylast=True)       # after -k and -m have deselected
+def pytest_collection_modifyitems(config, items):
+    # the tests that read the toy run go last, and the run starts now
+    late = [item for item in items
+            if "toy_run" in getattr(item, "fixturenames", ())]
+    items[:] = [item for item in items if item not in late] + late
+    if late and not config.option.collectonly:
+        config.stash[TOY_RUN] = ToyRun()
+
+
+def pytest_sessionfinish(session):
+    run = session.config.stash.get(TOY_RUN, None)
+    if run is not None:
+        run.close()
+
+
+def numpy_build() -> str:
+    """numpy's version and the BLAS it was built with, for byte-pin
+    failures: pinned digests hold for one numpy and BLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = "%s %s" % (blas.get("name"), blas.get("version"))
+    except (KeyError, TypeError):     # numpy before 1.26
+        name = "unknown BLAS"
+    return "numpy %s with %s" % (np.__version__, name)
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from dualfuse.model import build_model, encode, fuse_pair_arrays, \
 from dualfuse.toydata import make_toy_pairs
 from dualfuse.train import train
 
-from conftest import dense_attention_oracle
+from conftest import TOY_RUN, dense_attention_oracle
 from test_ssm import cross_scan_oracle, scan_oracle
 
 
@@ -41,22 +41,12 @@ def criterion(number, label):
     return wrap
 
 
-TOY_CONFIG = dict(channels=8, crop=32, batch=1, epochs_stage1=25,
-                  epochs_stage2=25, lr=2e-3, lr_decay=0.5, lr_decay_every=20,
-                  seed=0)
-
-
 @pytest.fixture(scope="module")
-def toy_run(tmp_path_factory):
-    """200 + 200 training steps on the 8-pair 32x32 synthetic set."""
-    out_dir = str(tmp_path_factory.mktemp("toy_run"))
-    cfg = RunConfig(out_dir=out_dir, **TOY_CONFIG)
-    pairs = make_toy_pairs(8, 32, seed=7)
-    start = time.monotonic()
-    result = train(cfg, pairs)
-    elapsed = time.monotonic() - start
-    return dict(cfg=cfg, pairs=pairs, result=result, seconds=elapsed,
-                out_dir=out_dir)
+def toy_run(request):
+    """200 + 200 training steps on the 8-pair 32x32 synthetic set, trained
+    in a child process that the session starts at collection; the tests
+    that read it run last (see conftest.py)."""
+    return request.config.stash[TOY_RUN].result()
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,28 @@ def test_backward_peak_stays_near_forward_live_memory():
         peak / 1e6, live / 1e6)
 
 
+def test_scan_core_keeps_only_its_state_history_for_backward(rng):
+    # backward rebuilds decay = exp(delta x a) from the inputs it saves, so
+    # the one (L, C, N) array a grad-mode scan leaves live is the state
+    # history hs; a kept decay doubles that
+    length, c, n = 1024, 16, 8
+    inputs = [parameter(x) for x in (
+        rng.uniform(-1, 1, (length, c)), rng.uniform(0.05, 0.8, (length, c)),
+        rng.uniform(-1, 1, (length, n)), rng.uniform(-1, 1, (length, n)),
+        rng.uniform(-1.5, -0.2, (c, n)), rng.uniform(-1, 1, c))]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = ad.selective_scan_core(*inputs)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    state_sized = [obj for obj in _saved_objects(y._node.backward_fn)
+                   if isinstance(obj, np.ndarray) and obj.size == length * c * n]
+    assert len(state_sized) == 1
+    assert kept < 1.5 * length * c * n * 8, "%.2f MB live" % (kept / 1e6)
+
+
 def test_toposort_parents_precede_children(rng):
     x = parameter(rng.uniform(-1, 1, (3,)))
     c = Tensor(rng.uniform(-1, 1, (3,)))

@@ -1,6 +1,9 @@
 """End-to-end command-line flows on a miniature dataset."""
 
+import contextlib
+import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -30,16 +33,28 @@ def trained(tmp_path_factory):
     cfg_path = str(root / "run.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         fh.write(TINY_CONFIG)
-    rc = cli.main(["train", "--config", cfg_path, "--data", data_dir,
-                   "--out", out_dir])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["train", "--config", cfg_path, "--data", data_dir,
+                       "--out", out_dir])
     assert rc == 0
     return dict(root=root, data_dir=data_dir, out_dir=out_dir,
-                ckpt=os.path.join(out_dir, "checkpoint.tmam"))
+                ckpt=os.path.join(out_dir, "checkpoint.tmam"),
+                stdout=stdout.getvalue())
 
 
 def test_train_artifacts(trained):
     assert os.path.exists(trained["ckpt"])
     assert os.path.exists(os.path.join(trained["out_dir"], "loss_log.csv"))
+
+
+def test_train_summary_reports_steps_loss_and_peak_memory(trained):
+    lines = trained["stdout"].splitlines()
+    assert lines[0] == "trained 2 + 2 steps; checkpoint at %s" % trained["ckpt"]
+    assert lines[1].startswith("final loss: ")
+    peak = re.fullmatch(r"peak resident memory: (\d+\.\d) MB", lines[2])
+    assert peak and float(peak.group(1)) > 0.0
+    assert len(lines) == 3
 
 
 def test_fuse_pgm_output(trained):
