@@ -5,7 +5,8 @@ length-prefixed records (u32 key length, key bytes, u32 payload length,
 payload). Parameters and optimizer moments store raw float64 arrays with an
 ndim/dims header; the config snapshot stores its exact text. Loading rebuilds
 the model from the embedded config and overwrites every parameter, so a
-round trip reproduces forward outputs bit-for-bit.
+round trip reproduces forward outputs bit-for-bit. Adam moments load only
+as ``adam_m/`` and ``adam_v/`` pairs of one shape.
 """
 
 from __future__ import annotations
@@ -164,4 +165,13 @@ def load_checkpoint(path: str) -> Checkpoint:
             adam.m[key[len("adam_m/"):]] = _decode_array(payload)
         elif key.startswith("adam_v/"):
             adam.v[key[len("adam_v/"):]] = _decode_array(payload)
+    for name in sorted(adam.m.keys() | adam.v.keys()):
+        m_key, v_key = "adam_m/" + name, "adam_v/" + name
+        if name not in adam.m or name not in adam.v:
+            have, lack = (m_key, v_key) if name in adam.m else (v_key, m_key)
+            raise CheckpointError("record %r has no matching %r" % (have, lack))
+        if adam.m[name].shape != adam.v[name].shape:
+            raise CheckpointError("records %r and %r differ in shape: %r vs %r"
+                                  % (m_key, v_key, adam.m[name].shape,
+                                     adam.v[name].shape))
     return Checkpoint(cfg, model, adam, stage1_steps, stage2_steps)

@@ -1,6 +1,7 @@
 """Checkpoint format: bit-exact round trips, corruption handling."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,52 @@ def test_version_1_checkpoint_is_refused(tmp_path):
         fh.seek(len(ckpt_mod.MAGIC))
         fh.write((1).to_bytes(4, "little"))
     with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(path)
+
+
+def save_adam_checkpoint(path, prefix=None, edit=None):
+    """Save a checkpoint with Adam moments for every parameter and return
+    the first moment's name; with ``prefix``, the record ``prefix + name``
+    is saved as ``edit(payload)``, or dropped where that is None."""
+    cfg = small_config()
+    model = build_model(cfg)
+    adam = AdamState(step_count=3)
+    adam.ensure(params.trainable_parameters(model))
+    first = sorted(adam.m)[0]
+    real_records = ckpt_mod._records
+
+    def edited_records(*args):
+        for key, payload in real_records(*args):
+            if prefix is not None and key == prefix + first:
+                payload = edit(payload)
+            if payload is not None:
+                yield key, payload
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ckpt_mod, "_records", edited_records)
+        save_checkpoint(path, cfg, model, adam, 1, 1)
+    return first
+
+
+@pytest.mark.parametrize("dropped,kept", [("adam_v/", "adam_m/"),
+                                          ("adam_m/", "adam_v/")])
+def test_unpaired_adam_moment_is_refused(tmp_path, dropped, kept):
+    path = str(tmp_path / "unpaired.tmam")
+    save_adam_checkpoint(path)
+    load_checkpoint(path)                    # unedited, it loads
+    first = save_adam_checkpoint(path, dropped, lambda payload: None)
+    with pytest.raises(CheckpointError, match=re.escape(
+            "%r has no matching %r" % (kept + first, dropped + first))):
+        load_checkpoint(path)
+
+
+def test_adam_moments_of_different_shapes_are_refused(tmp_path):
+    def flatten(payload):      # same element count, different shape
+        return ckpt_mod._encode_array(ckpt_mod._decode_array(payload).ravel())
+    path = str(tmp_path / "reshaped.tmam")
+    first = save_adam_checkpoint(path, "adam_v/", flatten)
+    with pytest.raises(CheckpointError, match=re.escape(
+            "records %r and %r differ in shape" % ("adam_m/" + first,
+                                                   "adam_v/" + first))):
         load_checkpoint(path)
 
 
