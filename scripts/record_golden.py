@@ -12,7 +12,12 @@ tree before it:
 - ``train/<run>/...``: a 1 + 1-epoch run on two toy pairs with the default
   config, ``mamba_as_conv`` and ``interaction = false``: its loss log and,
   for the stage-one and the final checkpoint, every ``param/``, ``adam_m/``
-  and ``adam_v/`` record (one digest over each kind, in file order).
+  and ``adam_v/`` record (one digest over each kind, in file order);
+- ``eval/default``: the ``dualfuse eval`` CSV through the default run's
+  final checkpoint, on two 48x48 toy pairs (VIF needs 41x41 or more);
+- ``gradcheck``: each case's name and the ``repr`` of its worst error
+  under ``run_suite(1)`` (the CLI text prints seconds, so it is not used);
+- ``bench``: the stdout of ``dualfuse bench``.
 
 The digests hold for one numpy and BLAS, which the manifest names.
 
@@ -20,7 +25,9 @@ The digests hold for one numpy and BLAS, which the manifest names.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -33,11 +40,12 @@ sys.path.insert(0, TESTS)
 from conftest import numpy_build  # noqa: E402
 from test_model import BUILDS, cfg_for  # noqa: E402
 
+from dualfuse import cli, gradcheck  # noqa: E402
 from dualfuse.checkpoint import load_checkpoint  # noqa: E402
 from dualfuse.config import RunConfig  # noqa: E402
 from dualfuse.model import build_model, fuse_pair_arrays  # noqa: E402
 from dualfuse.params import named_parameters  # noqa: E402
-from dualfuse.toydata import make_toy_pairs  # noqa: E402
+from dualfuse.toydata import make_toy_pairs, write_toy_dataset  # noqa: E402
 from dualfuse.train import train  # noqa: E402
 
 RUNS = {
@@ -64,6 +72,13 @@ def _checkpoint_digests(path: str) -> dict:
             for kind, records in kinds.items()}
 
 
+def _cli_stdout(*argv: str) -> bytes:
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        if cli.main(list(argv)) != 0:
+            raise RuntimeError("dualfuse %s failed" % " ".join(argv))
+    return text.getvalue().encode("utf-8")
+
+
 def digests() -> dict:
     """Every digest of the manifest, by name."""
     out = {}
@@ -88,6 +103,16 @@ def digests() -> dict:
                 for kind, value in _checkpoint_digests(
                         os.path.join(out_dir, ckpt + ".tmam")).items():
                     out["train/%s/%s/%s" % (run, ckpt, kind)] = value
+            if run == "default":
+                eval_dir = os.path.join(out_dir, "eval")
+                write_toy_dataset(eval_dir, 2, 48, seed=3)
+                out["eval/default"] = _sha(_cli_stdout(
+                    "eval", "--ckpt", os.path.join(out_dir, "checkpoint.tmam"),
+                    "--dir", eval_dir))
+    out["gradcheck"] = _sha(*(("%s %r\n" % (name, worst)).encode()
+                              for name, worst, _ in gradcheck.run_suite(
+                                  1, verbose=False)))
+    out["bench"] = _sha(_cli_stdout("bench"))
     return out
 
 

@@ -19,8 +19,9 @@ def _record_golden():
 
 
 def test_outputs_match_the_golden_manifest():
-    # fused images of seven builds and three tiny training runs' loss logs,
-    # parameters and Adam moments; any moved byte names its digest
+    # fused images of seven builds, three tiny training runs' loss logs,
+    # parameters and Adam moments, one eval CSV, the gradient suite's worst
+    # errors and the bench report; any moved byte names its digest
     with open(os.path.join(ROOT, "tests", "golden.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     got = _record_golden().digests()
