@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, DimensionError, Tensor
+from .params import fan_in_normal
 
 FF_EXPANSION = 2
 
@@ -34,37 +35,25 @@ class TransformerBlockParams:
     ff_value_depth: Tensor  # (E, 3, 3)
     ff_out: Tensor          # (C, E, 1, 1)
 
-    @property
-    def channels(self) -> int:
-        return self.attn_out.shape[0]
-
 
 def make_transformer_block_params(rng: np.random.Generator,
                                   channels: int) -> TransformerBlockParams:
     c = channels
     e = FF_EXPANSION * c
-
-    def conv_w(c_out, c_in, k):
-        std = 1.0 / np.sqrt(c_in * k * k)
-        return ad.parameter(rng.normal(0.0, std, size=(c_out, c_in, k, k)))
-
-    def depth_w(ch):
-        return ad.parameter(rng.normal(0.0, 1.0 / 3.0, size=(ch, 3, 3)))
-
     return TransformerBlockParams(
         norm1_gain=ad.parameter(np.ones(c)),
         norm1_bias=ad.parameter(np.zeros(c)),
-        qkv_point=conv_w(3 * c, c, 1),
-        qkv_depth=depth_w(3 * c),
-        attn_out=conv_w(c, c, 1),
+        qkv_point=fan_in_normal(rng, 3 * c, c, 1, 1),
+        qkv_depth=fan_in_normal(rng, 3 * c, 3, 3),
+        attn_out=fan_in_normal(rng, c, c, 1, 1),
         log_scale=ad.parameter(np.zeros(())),
         norm2_gain=ad.parameter(np.ones(c)),
         norm2_bias=ad.parameter(np.zeros(c)),
-        ff_gate_point=conv_w(e, c, 1),
-        ff_gate_depth=depth_w(e),
-        ff_value_point=conv_w(e, c, 1),
-        ff_value_depth=depth_w(e),
-        ff_out=conv_w(c, e, 1),
+        ff_gate_point=fan_in_normal(rng, e, c, 1, 1),
+        ff_gate_depth=fan_in_normal(rng, e, 3, 3),
+        ff_value_point=fan_in_normal(rng, e, c, 1, 1),
+        ff_value_depth=fan_in_normal(rng, e, 3, 3),
+        ff_out=fan_in_normal(rng, c, e, 1, 1),
     )
 
 

@@ -295,9 +295,6 @@ class Tensor(_GradTarget):
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __getitem__(self, idx):
         return take(self, idx)
 
@@ -728,6 +725,15 @@ def _norm_axis(axis, ndim):
     return tuple(ax % ndim for ax in axis)
 
 
+def _spread(g, axis, keepdims: bool, shape_in) -> np.ndarray:
+    """A reduction's cotangent broadcast back over the reduced axes."""
+    g = np.asarray(g)
+    if axis is not None and not keepdims:
+        for ax in sorted(axis):
+            g = np.expand_dims(g, ax)
+    return np.broadcast_to(g, shape_in)
+
+
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(axis, a.ndim)
     out = a.data.sum(axis=axis, keepdims=keepdims)
@@ -736,11 +742,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape_in = a.shape
 
     def backward(g, ta):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            for ax in sorted(axis):
-                gg = np.expand_dims(gg, ax)
-        ta._accumulate(np.broadcast_to(gg, shape_in))
+        ta._accumulate(_spread(g, axis, keepdims, shape_in))
 
     return _make(out, (a,), "sum", backward)
 
@@ -754,11 +756,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape_in = a.shape
 
     def backward(g, ta):
-        gg = np.asarray(g) / count
-        if axis is not None and not keepdims:
-            for ax in sorted(axis):
-                gg = np.expand_dims(gg, ax)
-        ta._accumulate(np.broadcast_to(gg, shape_in))
+        ta._accumulate(_spread(np.asarray(g) / count, axis, keepdims, shape_in))
 
     return _make(out, (a,), "mean", backward)
 
@@ -792,11 +790,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, w: Tensor, pad: int | None = None) -> Tensor:
-    """Cross-correlation of a C_in cube with a C_out x C_in x k x k kernel.
-
-    ``pad=None`` selects zero padding that preserves spatial dims.
-    """
+def conv2d(x: Tensor, w: Tensor, pad: int) -> Tensor:
+    """Cross-correlation of a C_in cube with a C_out x C_in x k x k kernel,
+    zero-padded by ``pad`` on every side."""
     return _conv(x, w, "conv2d", pad=pad)
 
 

@@ -18,6 +18,7 @@ from . import autodiff as ad
 from .attention import TransformerBlockParams, make_transformer_block_params, \
     transformer_block
 from .autodiff import ContractError, DimensionError, Tensor
+from .params import fan_in_normal
 from .ssm import SsmBlockParams, make_ssm_block_params, ssm_block
 
 @dataclass
@@ -55,11 +56,9 @@ def make_interaction_params(rng: np.random.Generator,
     c = channels
     return InteractionParams(
         mix_gate_raw=ad.parameter(np.zeros(())),    # gate starts at 0.5
-        mix1_w=ad.parameter(rng.normal(0.0, 1.0 / np.sqrt(2 * c),
-                                       size=(c, 2 * c, 1, 1))),
+        mix1_w=fan_in_normal(rng, c, 2 * c, 1, 1),
         mix1_b=ad.parameter(np.zeros(c)),
-        mix3_w=ad.parameter(rng.normal(0.0, 1.0 / np.sqrt(9 * c),
-                                       size=(c, c, 3, 3))),
+        mix3_w=fan_in_normal(rng, c, c, 3, 3),
         mix3_b=ad.parameter(np.zeros(c)),
     )
 
@@ -108,7 +107,7 @@ def make_dual_branch_params(rng: np.random.Generator, channels: int,
 
 def make_shallow_params(rng: np.random.Generator, channels: int) -> ShallowParams:
     return ShallowParams(
-        embed_w=ad.parameter(rng.normal(0.0, 1.0, size=(channels, 1, 1, 1))),
+        embed_w=fan_in_normal(rng, channels, 1, 1, 1),
         embed_b=ad.parameter(np.zeros(channels)),
         block=make_transformer_block_params(rng, channels),
     )

@@ -261,9 +261,6 @@ def load_pair(path_a: str, path_b: str, pair_id: str | None = None) -> ImagePair
     """Load one aligned pair; color in the visible slot keeps its chroma."""
     gray_a, _ = _read_image(path_a)            # infrared-like: luma only
     gray_b, chroma_b = _read_image(path_b)
-    if gray_a.shape != gray_b.shape:
-        raise PairingError("pair size mismatch: %r vs %r"
-                           % (gray_a.shape, gray_b.shape))
     if pair_id is None:
         pair_id = os.path.splitext(os.path.basename(path_a))[0]
         if pair_id.endswith("_a"):

@@ -25,6 +25,7 @@ from .autodiff import ContractError, DimensionError, Tensor
 from .blocks import DualBranchBlockParams, dual_branch_block, \
     make_dual_branch_params
 from .config import RunConfig
+from .params import fan_in_normal
 
 
 @dataclass
@@ -69,16 +70,14 @@ class FusionParams:
 def make_aspp_weight_params(rng: np.random.Generator,
                             channels: int) -> AsppWeightParams:
     c = channels
-
-    def conv_w(c_in):
-        return ad.parameter(rng.normal(0.0, 1.0 / np.sqrt(9 * c_in),
-                                       size=(c, c_in, 3, 3)))
-
     return AsppWeightParams(
-        conv1_w=conv_w(c), conv1_b=ad.parameter(np.zeros(c)),
-        conv2_w=conv_w(2 * c), conv2_b=ad.parameter(np.zeros(c)),
-        conv3_w=conv_w(3 * c), conv3_b=ad.parameter(np.zeros(c)),
-        fc_w=ad.parameter(rng.normal(0.0, 1.0 / np.sqrt(2 * c), size=(2, 2 * c))),
+        conv1_w=fan_in_normal(rng, c, c, 3, 3),
+        conv1_b=ad.parameter(np.zeros(c)),
+        conv2_w=fan_in_normal(rng, c, 2 * c, 3, 3),
+        conv2_b=ad.parameter(np.zeros(c)),
+        conv3_w=fan_in_normal(rng, c, 3 * c, 3, 3),
+        conv3_b=ad.parameter(np.zeros(c)),
+        fc_w=fan_in_normal(rng, 2, 2 * c),
         fc_b=ad.parameter(np.zeros(2)),
     )
 
@@ -107,11 +106,10 @@ def make_decoder_params(rng: np.random.Generator, channels: int,
                         n_inputs: int) -> DecoderParams:
     c = channels
     return DecoderParams(
-        merge_w=ad.parameter(rng.normal(0.0, 1.0 / np.sqrt(n_inputs * c),
-                                        size=(c, n_inputs * c, 1, 1))),
+        merge_w=fan_in_normal(rng, c, n_inputs * c, 1, 1),
         merge_b=ad.parameter(np.zeros(c)),
         block=make_transformer_block_params(rng, c),
-        out_w=ad.parameter(rng.normal(0.0, 1.0 / np.sqrt(c), size=(1, c, 1, 1))),
+        out_w=fan_in_normal(rng, 1, c, 1, 1),
         out_b=ad.parameter(np.zeros(1)),
     )
 
@@ -148,28 +146,22 @@ def _aspp_encode(x: Tensor, wp: AsppWeightParams) -> Tensor:
 
 def attention_weighting(vis_t: Tensor, ir_t: Tensor,
                         attn_vis: Tensor, attn_ir: Tensor,
-                        wp: AsppWeightParams,
-                        weights_override: tuple[float, float] | None = None):
+                        wp: AsppWeightParams):
     """Convex combination of the two attention matrices.
 
     Both modality features pass through the dilated-conv encoder, are pooled
     and concatenated, and a fully connected layer plus softmax yields the two
-    weights. ``weights_override`` is a test hook that bypasses the learned
-    weighting. Returns (combined_attention, w_vis, w_ir).
+    weights. Returns (combined_attention, w_vis, w_ir).
     """
     if attn_vis.shape != attn_ir.shape:
         raise DimensionError("attention matrices differ: %r vs %r"
                              % (attn_vis.shape, attn_ir.shape))
-    if weights_override is not None:
-        w_vis = Tensor(float(weights_override[0]))
-        w_ir = Tensor(float(weights_override[1]))
-    else:
-        enc_vis = _aspp_encode(vis_t, wp).mean(axis=(1, 2))   # (C,)
-        enc_ir = _aspp_encode(ir_t, wp).mean(axis=(1, 2))
-        pooled = ad.concat([enc_vis, enc_ir], axis=0).reshape(-1, 1)
-        logits = ad.matmul(wp.fc_w, pooled).reshape(2) + wp.fc_b
-        weights = ad.softmax(logits, axis=0)
-        w_vis, w_ir = weights[0], weights[1]
+    enc_vis = _aspp_encode(vis_t, wp).mean(axis=(1, 2))   # (C,)
+    enc_ir = _aspp_encode(ir_t, wp).mean(axis=(1, 2))
+    pooled = ad.concat([enc_vis, enc_ir], axis=0).reshape(-1, 1)
+    logits = ad.matmul(wp.fc_w, pooled).reshape(2) + wp.fc_b
+    weights = ad.softmax(logits, axis=0)
+    w_vis, w_ir = weights[0], weights[1]
     combined = w_vis * attn_vis + w_ir * attn_ir
     return combined, w_vis, w_ir
 

@@ -33,8 +33,8 @@ def check_case(build, arrays) -> float:
 # case construction helpers
 # ---------------------------------------------------------------------------
 
-def _u(rng, shape, lo=-1.0, hi=1.0):
-    return rng.uniform(lo, hi, size=shape)
+def _u(rng, shape):
+    return rng.uniform(-1.0, 1.0, size=shape)
 
 
 def _cotangent(rng, compute):
@@ -58,26 +58,16 @@ def _away_from(rng, shape, other, margin=5e-2):
     return x
 
 
+def shaped(op, *shapes):
+    """A case of ``op`` on uniform inputs of ``shapes``, drawn in order
+    before the cotangent."""
+    def case(rng):
+        return _cotangent(rng, op), [_u(rng, shape) for shape in shapes]
+    return case
+
+
 def primitive_cases():
     """(name, case_fn) registry; case_fn(rng) -> (build, input_arrays)."""
-
-    def binary(op):
-        def case(rng):
-            a, b = _u(rng, (3, 4)), _u(rng, (3, 4))
-            return _cotangent(rng, op), [a, b]
-        return case
-
-    def binary_broadcast(op):
-        def case(rng):
-            a, b = _u(rng, (3, 4)), _u(rng, (3, 1))
-            return _cotangent(rng, op), [a, b]
-        return case
-
-    def unary(op, lo=-1.0, hi=1.0):
-        def case(rng):
-            return _cotangent(rng, op), [_u(rng, (3, 4), lo, hi)]
-        return case
-
     def div_case(rng):
         a = _u(rng, (3, 4))
         b = rng.uniform(0.5, 1.5, size=(3, 4)) * rng.choice([-1.0, 1.0], size=(3, 4))
@@ -92,89 +82,11 @@ def primitive_cases():
         x = _away_from(rng, (3, 4), np.zeros((3, 4)))
         return _cotangent(rng, ad.absolute), [x]
 
-    def pow_case(rng):
-        return _cotangent(rng, lambda x: ad.power(x, 3)), [_u(rng, (3, 4))]
+    def conv(pad):
+        return lambda x, w: ad.conv2d(x, w, pad=pad)
 
-    def softmax_case(rng):
-        return _cotangent(rng, lambda x: ad.softmax(x, axis=1)), [_u(rng, (3, 5))]
-
-    def layer_norm_case(rng):
-        return _cotangent(rng, lambda x: ad.layer_norm(x, axis=0)), [_u(rng, (5, 3))]
-
-    def matmul_case(rng):
-        return _cotangent(rng, ad.matmul), [_u(rng, (3, 4)), _u(rng, (4, 2))]
-
-    def reshape_case(rng):
-        return _cotangent(rng, lambda x: ad.reshape(x, (4, 3))), [_u(rng, (3, 4))]
-
-    def transpose_case(rng):
-        return _cotangent(rng, lambda x: ad.transpose(x, (2, 0, 1))), [_u(rng, (2, 3, 2))]
-
-    def flip_case(rng):
-        return _cotangent(rng, lambda x: ad.flip(x, 0)), [_u(rng, (4, 3))]
-
-    def concat_case(rng):
-        return (_cotangent(rng, lambda x, y: ad.concat([x, y], axis=1)),
-                [_u(rng, (2, 3)), _u(rng, (2, 2))])
-
-    def slice_case(rng):
-        return (_cotangent(rng, lambda x: x[1:3, :2]), [_u(rng, (4, 3))])
-
-    # an advanced index with a repeated row, whose contributions must add,
-    # and an int index, which adds straight into one row
-    def slice_repeated_case(rng):
-        return (_cotangent(rng, lambda x: x[[0, 2, 0]]), [_u(rng, (4, 3))])
-
-    def slice_int_case(rng):
-        return (_cotangent(rng, lambda x: x[1]), [_u(rng, (4, 3))])
-
-    def sum_case(rng):
-        return (_cotangent(rng, lambda x: x.sum(axis=1)), [_u(rng, (3, 4))])
-
-    def mean_case(rng):
-        return (_cotangent(rng, lambda x: x.mean(axis=0, keepdims=True)),
-                [_u(rng, (3, 4))])
-
-    def conv1x1_case(rng):
-        return (_cotangent(rng, lambda x, w: ad.conv2d(x, w, pad=0)),
-                [_u(rng, (2, 4, 4)), _u(rng, (3, 2, 1, 1))])
-
-    def conv3x3_case(rng):
-        return (_cotangent(rng, lambda x, w: ad.conv2d(x, w, pad=1)),
-                [_u(rng, (2, 4, 4)), _u(rng, (2, 2, 3, 3))])
-
-    def depthwise_case(rng):
-        return (_cotangent(rng, ad.depthwise_conv2d),
-                [_u(rng, (3, 4, 4)), _u(rng, (3, 3, 3))])
-
-    def dilated_case(rng):
-        return (_cotangent(rng, lambda x, w: ad.dilated_conv2d(x, w, dilation=4)),
-                [_u(rng, (2, 5, 5)), _u(rng, (2, 2, 3, 3))])
-
-    # conv2d_3x3 and dilated_conv2d have fewer input channels than taps and
-    # copy tap slices; these have Ci = 10 > 9 taps and add one product per
-    # tap, on non-square planes
-    def conv3x3_deep_case(rng):
-        return (_cotangent(rng, lambda x, w: ad.conv2d(x, w, pad=1)),
-                [_u(rng, (10, 3, 4)), _u(rng, (2, 10, 3, 3))])
-
-    def dilated_deep_case(rng):
-        return (_cotangent(rng, lambda x, w: ad.dilated_conv2d(x, w, dilation=2)),
-                [_u(rng, (10, 4, 5)), _u(rng, (2, 10, 3, 3))])
-
-    # valid mode on a non-square plane, and a pad wider than the kernel's
-    # reach, whose outer outputs read no input
-    def conv_valid_case(rng):
-        return (_cotangent(rng, lambda x, w: ad.conv2d(x, w, pad=0)),
-                [_u(rng, (2, 4, 6)), _u(rng, (3, 2, 3, 3))])
-
-    def conv_wide_pad_case(rng):
-        return (_cotangent(rng, lambda x, w: ad.conv2d(x, w, pad=3)),
-                [_u(rng, (2, 3, 4)), _u(rng, (2, 2, 3, 3))])
-
-    def pad_reflect_case(rng):
-        return (_cotangent(rng, lambda x: ad.pad_reflect2d(x, 1)),
-                [_u(rng, (2, 3, 4))])
+    def dilated(dilation):
+        return lambda x, w: ad.dilated_conv2d(x, w, dilation=dilation)
 
     def scan(length):
         # L=1 runs the recurrence loop zero times, L=2 once; L=7 is prime
@@ -192,43 +104,50 @@ def primitive_cases():
         return scan_case
 
     return [
-        ("add", binary(ad.add)),
-        ("add_broadcast", binary_broadcast(ad.add)),
-        ("sub", binary(ad.sub)),
-        ("mul", binary(ad.mul)),
-        ("mul_broadcast", binary_broadcast(ad.mul)),
+        ("add", shaped(ad.add, (3, 4), (3, 4))),
+        ("add_broadcast", shaped(ad.add, (3, 4), (3, 1))),
+        ("sub", shaped(ad.sub, (3, 4), (3, 4))),
+        ("mul", shaped(ad.mul, (3, 4), (3, 4))),
+        ("mul_broadcast", shaped(ad.mul, (3, 4), (3, 1))),
         ("div", div_case),
-        ("neg", unary(ad.neg)),
-        ("pow", pow_case),
+        ("neg", shaped(ad.neg, (3, 4))),
+        ("pow", shaped(lambda x: ad.power(x, 3), (3, 4))),
         ("maximum", maximum_case),
         ("abs", abs_case),
-        ("exp", unary(ad.exp)),
-        ("sigmoid", unary(ad.sigmoid)),
-        ("silu", unary(ad.silu)),
-        ("gelu", unary(ad.gelu)),
-        ("tanh", unary(ad.tanh)),
-        ("softplus", unary(ad.softplus)),
-        ("softmax", softmax_case),
-        ("layer_norm", layer_norm_case),
-        ("matmul", matmul_case),
-        ("reshape", reshape_case),
-        ("transpose", transpose_case),
-        ("flip", flip_case),
-        ("concat", concat_case),
-        ("slice", slice_case),
-        ("slice_repeated", slice_repeated_case),
-        ("slice_int", slice_int_case),
-        ("sum", sum_case),
-        ("mean", mean_case),
-        ("conv2d_1x1", conv1x1_case),
-        ("conv2d_3x3", conv3x3_case),
-        ("depthwise_conv2d", depthwise_case),
-        ("dilated_conv2d", dilated_case),
-        ("conv2d_3x3_deep", conv3x3_deep_case),
-        ("dilated_conv2d_deep", dilated_deep_case),
-        ("conv2d_valid", conv_valid_case),
-        ("conv2d_wide_pad", conv_wide_pad_case),
-        ("pad_reflect2d", pad_reflect_case),
+        ("exp", shaped(ad.exp, (3, 4))),
+        ("sigmoid", shaped(ad.sigmoid, (3, 4))),
+        ("silu", shaped(ad.silu, (3, 4))),
+        ("gelu", shaped(ad.gelu, (3, 4))),
+        ("tanh", shaped(ad.tanh, (3, 4))),
+        ("softplus", shaped(ad.softplus, (3, 4))),
+        ("softmax", shaped(lambda x: ad.softmax(x, axis=1), (3, 5))),
+        ("layer_norm", shaped(lambda x: ad.layer_norm(x, axis=0), (5, 3))),
+        ("matmul", shaped(ad.matmul, (3, 4), (4, 2))),
+        ("reshape", shaped(lambda x: ad.reshape(x, (4, 3)), (3, 4))),
+        ("transpose", shaped(lambda x: ad.transpose(x, (2, 0, 1)), (2, 3, 2))),
+        ("flip", shaped(lambda x: ad.flip(x, 0), (4, 3))),
+        ("concat", shaped(lambda x, y: ad.concat([x, y], axis=1), (2, 3), (2, 2))),
+        ("slice", shaped(lambda x: x[1:3, :2], (4, 3))),
+        # an advanced index with a repeated row, whose contributions must
+        # add, and an int index, which adds straight into one row
+        ("slice_repeated", shaped(lambda x: x[[0, 2, 0]], (4, 3))),
+        ("slice_int", shaped(lambda x: x[1], (4, 3))),
+        ("sum", shaped(lambda x: x.sum(axis=1), (3, 4))),
+        ("mean", shaped(lambda x: x.mean(axis=0, keepdims=True), (3, 4))),
+        ("conv2d_1x1", shaped(conv(0), (2, 4, 4), (3, 2, 1, 1))),
+        ("conv2d_3x3", shaped(conv(1), (2, 4, 4), (2, 2, 3, 3))),
+        ("depthwise_conv2d", shaped(ad.depthwise_conv2d, (3, 4, 4), (3, 3, 3))),
+        ("dilated_conv2d", shaped(dilated(4), (2, 5, 5), (2, 2, 3, 3))),
+        # conv2d_3x3 and dilated_conv2d have fewer input channels than taps
+        # and copy tap slices; these have Ci = 10 > 9 taps and add one
+        # product per tap, on non-square planes
+        ("conv2d_3x3_deep", shaped(conv(1), (10, 3, 4), (2, 10, 3, 3))),
+        ("dilated_conv2d_deep", shaped(dilated(2), (10, 4, 5), (2, 10, 3, 3))),
+        # valid mode on a non-square plane, and a pad wider than the
+        # kernel's reach, whose outer outputs read no input
+        ("conv2d_valid", shaped(conv(0), (2, 4, 6), (3, 2, 3, 3))),
+        ("conv2d_wide_pad", shaped(conv(3), (2, 3, 4), (2, 2, 3, 3))),
+        ("pad_reflect2d", shaped(lambda x: ad.pad_reflect2d(x, 1), (2, 3, 4))),
         ("selective_scan_core", scan(4)),
         ("selective_scan_core_L1", scan(1)),
         ("selective_scan_core_L2", scan(2)),

@@ -9,7 +9,7 @@ other toolboxes is explicitly not claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -270,12 +270,6 @@ def mean_report(reports: list[MetricsReport]) -> MetricsReport:
     if not reports:
         raise ContractError("cannot average an empty report list")
     n = len(reports)
-    return MetricsReport(
-        image_id="mean",
-        en=sum(r.en for r in reports) / n,
-        sd=sum(r.sd for r in reports) / n,
-        sf=sum(r.sf for r in reports) / n,
-        mi=sum(r.mi for r in reports) / n,
-        vif=sum(r.vif for r in reports) / n,
-        qabf=sum(r.qabf for r in reports) / n,
-    )
+    means = [sum(getattr(r, f.name) for r in reports) / n
+             for f in fields(MetricsReport)[1:]]     # every field after image_id
+    return MetricsReport("mean", *means)

@@ -10,7 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 
-from .autodiff import Tensor
+import numpy as np
+
+from .autodiff import Tensor, parameter
+
+
+def fan_in_normal(rng: np.random.Generator, *shape: int) -> Tensor:
+    """A parameter of ``shape`` drawn from N(0, 1/fan_in), where fan_in is
+    the product of every axis but the first (a kernel's inputs times taps)."""
+    fan_in = int(np.prod(shape[1:]))
+    return parameter(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape))
 
 
 def named_parameters(obj, prefix: str = "") -> list[tuple[str, Tensor]]:
@@ -32,7 +41,3 @@ def named_parameters(obj, prefix: str = "") -> list[tuple[str, Tensor]]:
             out.extend(named_parameters(child, f"{prefix}[{i}]"))
         return out
     return out   # ints, strings, arrays of constants: not parameters
-
-
-def trainable_parameters(obj) -> list[tuple[str, Tensor]]:
-    return [(n, t) for n, t in named_parameters(obj) if t.requires_grad]

@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import channel_norm
 from .autodiff import ContractError, DimensionError, Tensor
+from .params import fan_in_normal
 
 STATE_DIM = 8
 EXPANSION = 2
@@ -40,10 +41,6 @@ class ScanParams:
     @property
     def channels(self) -> int:
         return self.a_log.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.a_log.shape[1]
 
 
 @dataclass
@@ -72,7 +69,7 @@ def make_scan_params(rng: np.random.Generator, channels: int,
     std = 1.0 / np.sqrt(c)
     return ScanParams(
         a_log=ad.parameter(a_init),
-        delta_w=ad.parameter(rng.normal(0.0, std, size=(c, c))),
+        delta_w=fan_in_normal(rng, c, c),
         delta_bias=ad.parameter(delta_bias),
         b_w=ad.parameter(rng.normal(0.0, std, size=(c, n))),
         c_w=ad.parameter(rng.normal(0.0, std, size=(c, n))),
@@ -83,18 +80,13 @@ def make_scan_params(rng: np.random.Generator, channels: int,
 def _block_shell(rng: np.random.Generator, channels: int):
     c = channels
     e = EXPANSION * c
-
-    def conv_w(c_out, c_in):
-        return ad.parameter(rng.normal(0.0, 1.0 / np.sqrt(c_in),
-                                       size=(c_out, c_in, 1, 1)))
-
     return dict(
         norm_gain=ad.parameter(np.ones(c)),
         norm_bias=ad.parameter(np.zeros(c)),
-        in_proj=conv_w(e, c),
-        gate_proj=conv_w(e, c),
-        conv_depth=ad.parameter(rng.normal(0.0, 1.0 / 3.0, size=(e, 3, 3))),
-        out_proj=conv_w(c, e),
+        in_proj=fan_in_normal(rng, e, c, 1, 1),
+        gate_proj=fan_in_normal(rng, e, c, 1, 1),
+        conv_depth=fan_in_normal(rng, e, 3, 3),
+        out_proj=fan_in_normal(rng, c, e, 1, 1),
     )
 
 
@@ -105,8 +97,8 @@ def make_ssm_block_params(rng: np.random.Generator, channels: int,
     shell = _block_shell(rng, channels)
     e = EXPANSION * channels
     if as_conv:
-        conv_mix = ad.parameter(rng.normal(0.0, 1.0 / 3.0, size=(e, 3, 3)))
-        return SsmBlockParams(scan=None, conv_mix=conv_mix, **shell)
+        return SsmBlockParams(scan=None, conv_mix=fan_in_normal(rng, e, 3, 3),
+                              **shell)
     scan = make_scan_params(rng, e, state_dim)
     return SsmBlockParams(scan=scan, conv_mix=None, **shell)
 

@@ -25,7 +25,7 @@ from .losses import stage1_loss, stage2_loss
 from .model import ModelParams, build_model, fuse_pair, image_to_tensor, \
     restore, stage1_parameter_tree, stage2_parameter_tree
 from .optim import AdamState, adam_step, lr_at_epoch
-from .params import trainable_parameters
+from .params import named_parameters
 
 LOG_HEADER = ["stage", "epoch", "step", "lr", "intensity", "ssim_or_grad",
               "total"]
@@ -58,7 +58,7 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
     """One training stage; returns (steps executed, optimizer state)."""
     tree = (stage1_parameter_tree if stage == "I"
             else stage2_parameter_tree)(model)
-    named = [pair for section in tree for pair in trainable_parameters(section)]
+    named = [pair for section in tree for pair in named_parameters(section)]
     adam = AdamState()
     steps = 0
     for epoch in range(epochs):

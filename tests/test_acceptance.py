@@ -107,7 +107,8 @@ def test_criterion_3_attention_oracles():
         ref_out, ref_a = dense_attention_oracle(q, k, v, alpha)
         assert np.max(np.abs(a.data - ref_a)) <= 1e-10
         assert np.max(np.abs(out.data - ref_out)) <= 1e-10
-    # full attention-level fusion chain with fixed weights
+    # full attention-level fusion chain; with a zero fc the learned head
+    # weighs the two matrices by softmax(fc_b) = (0.35, 0.65)
     c, h, w = 3, 2, 3
     q_v, k_v = rng.uniform(-1, 1, (h * w, c)), rng.uniform(-1, 1, (c, h * w))
     q_i, k_i = rng.uniform(-1, 1, (h * w, c)), rng.uniform(-1, 1, (c, h * w))
@@ -115,13 +116,18 @@ def test_criterion_3_attention_oracles():
     alpha, beta = 1.4, 0.6
     a_v = channel_attention(Tensor(q_v), Tensor(k_v), Tensor(alpha))
     a_i = channel_attention(Tensor(q_i), Tensor(k_i), Tensor(beta))
-    combined, _, _ = fusion.attention_weighting(None, None, a_v, a_i, None,
-                                                weights_override=(0.35, 0.65))
+    wp = fusion.make_aspp_weight_params(np.random.default_rng(6), c)
+    wp.fc_w.data[:] = 0.0
+    wp.fc_b.data[:] = np.log([0.35, 0.65])
+    vis, ir = np.random.default_rng(6).uniform(-1, 1, (2, c, h, w))
+    combined, w_vis, w_ir = fusion.attention_weighting(
+        Tensor(vis), Tensor(ir), a_v, a_i, wp)
+    assert abs(w_vis.item() - 0.35) <= 1e-12
     got = fusion.prefuse_transformer(combined, combined, Tensor(v_i),
                                      Tensor(v_v), h, w)
     _, ref_av = dense_attention_oracle(q_v, k_v, v_v, alpha)
     _, ref_ai = dense_attention_oracle(q_i, k_i, v_i, beta)
-    ref_a = 0.35 * ref_av + 0.65 * ref_ai
+    ref_a = w_vis.item() * ref_av + w_ir.item() * ref_ai
     ref = (v_i @ ref_a.T + v_v @ ref_a.T).T.reshape(c, h, w)
     assert np.max(np.abs(got.data - ref)) <= 1e-10
     # 1000-case row-stochastic fuzz

@@ -26,7 +26,7 @@ def test_round_trip_preserves_fuse_output_bitwise(tmp_path):
     cfg = small_config()
     model = build_model(cfg)
     adam = AdamState(step_count=17)
-    adam.ensure(params.trainable_parameters(model))
+    adam.ensure(params.named_parameters(model))
     for key in adam.m:
         adam.m[key][...] = 0.01
     pair = make_toy_pairs(1, 24)[0]
@@ -161,7 +161,7 @@ def save_adam_checkpoint(path, prefix=None, edit=None):
     cfg = small_config()
     model = build_model(cfg)
     adam = AdamState(step_count=3)
-    adam.ensure(params.trainable_parameters(model))
+    adam.ensure(params.named_parameters(model))
     first = sorted(adam.m)[0]
     real_records = ckpt_mod._records
 
@@ -205,7 +205,7 @@ def tiny_blob(tmp_path_factory):
     cfg = RunConfig(channels=1, crop=16, batch=1, seed=3)
     model = build_model(cfg)
     adam = AdamState(step_count=2)
-    adam.ensure(params.trainable_parameters(model))
+    adam.ensure(params.named_parameters(model))
     path = str(tmp_path_factory.mktemp("ckpt") / "tiny.tmam")
     save_checkpoint(path, cfg, model, adam, 1, 1)
     with open(path, "rb") as fh:

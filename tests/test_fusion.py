@@ -65,12 +65,16 @@ def test_modality_attentions_match_dense_oracle(rng):
 # ---------------------------------------------------------------------------
 
 def test_weight_override_selects_one_matrix(rng):
+    # with a zero fc the logits are fc_b; exp(-1000) underflows to 0, so
+    # the softmax weights are exactly (1, 0)
     p = make_cross(3, seed=1)
+    p.weights.fc_w.data[:] = 0.0
+    p.weights.fc_b.data[:] = (0.0, -1000.0)
     vis = fmap(rng.uniform(-1, 1, (3, 5, 5)))
     ir = fmap(rng.uniform(-1, 1, (3, 5, 5)))
     a_vis, a_ir, _, _ = fusion.modality_attentions(vis, ir, p)
-    combined, w1, w2 = fusion.attention_weighting(
-        vis, ir, a_vis, a_ir, p.weights, weights_override=(1.0, 0.0))
+    combined, w1, w2 = fusion.attention_weighting(vis, ir, a_vis, a_ir,
+                                                  p.weights)
     assert w1.item() == 1.0 and w2.item() == 0.0
     assert combined.data.tobytes() == a_vis.data.tobytes()
 
@@ -175,7 +179,8 @@ def test_prefuse_transformer_guards(rng):
 
 
 def test_eq_chain_matches_dense_oracle(rng):
-    # full attention-level chain on raw triplets with fixed weights
+    # full attention-level chain on raw triplets; with a zero fc the learned
+    # head weighs the two matrices by softmax(fc_b) = (0.3, 0.7)
     c, hw = 3, 6
     q_v, k_v = rng.uniform(-1, 1, (hw, c)), rng.uniform(-1, 1, (c, hw))
     q_i, k_i = rng.uniform(-1, 1, (hw, c)), rng.uniform(-1, 1, (c, hw))
@@ -183,15 +188,18 @@ def test_eq_chain_matches_dense_oracle(rng):
     alpha, beta = 1.3, 0.8
     a_v = channel_attention(Tensor(q_v), Tensor(k_v), Tensor(alpha))
     a_i = channel_attention(Tensor(q_i), Tensor(k_i), Tensor(beta))
-    w1, w2 = 0.3, 0.7
-    combined, _, _ = fusion.attention_weighting(
-        None, None, a_v, a_i, None, weights_override=(w1, w2))
+    wp = fusion.make_aspp_weight_params(np.random.default_rng(2), c)
+    wp.fc_w.data[:] = 0.0
+    wp.fc_b.data[:] = np.log([0.3, 0.7])
+    vis, ir = (fmap(rng.uniform(-1, 1, (c, 2, 3))) for _ in range(2))
+    combined, w1, w2 = fusion.attention_weighting(vis, ir, a_v, a_i, wp)
+    assert_close([w1.item(), w2.item()], [0.3, 0.7], tol=1e-12)
     got = fusion.prefuse_transformer(combined, combined, Tensor(v_i),
                                      Tensor(v_v), 2, 3)
     # dense oracle for the whole chain
     _, ref_av = dense_attention_oracle(q_v, k_v, v_v, alpha)
     _, ref_ai = dense_attention_oracle(q_i, k_i, v_i, beta)
-    ref_a = w1 * ref_av + w2 * ref_ai
+    ref_a = w1.item() * ref_av + w2.item() * ref_ai
     ref = (v_i @ ref_a.T + v_v @ ref_a.T).T.reshape(3, 2, 3)
     assert_close(got.data, ref, tol=1e-10)
 

@@ -79,7 +79,7 @@ def test_stage_trees_share_no_tensor(name, extra):
     model = build_model(cfg_for(name, **extra))
     for tree in (stage1_parameter_tree(model), stage2_parameter_tree(model)):
         tensors = [t for section in tree
-                   for _, t in params.trainable_parameters(section)]
+                   for _, t in params.named_parameters(section)]
         assert len({id(t) for t in tensors}) == len(tensors)
 
 
@@ -190,7 +190,7 @@ def test_every_trained_tensor_gets_a_gradient_and_every_node_is_spent(
     for stage, tree in (("I", stage1_parameter_tree(model)),
                         ("II", stage2_parameter_tree(model))):
         named = [pair for section in tree
-                 for pair in params.trainable_parameters(section)]
+                 for pair in params.named_parameters(section)]
         nodes.clear()
         if stage == "I":
             loss = stage1_loss(img_a, restore(img_a, model),

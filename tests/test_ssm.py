@@ -20,7 +20,7 @@ def make_scan(channels=3, state_dim=4, seed=0):
 def scan_oracle(x, p):
     """Literal step-by-step recurrence with scalar loops, projections included."""
     length, c = x.shape
-    n = p.state_dim
+    n = p.a_log.shape[1]
     a = -np.exp(p.a_log.data)
     h = np.zeros((c, n))
     y = np.zeros((length, c))
