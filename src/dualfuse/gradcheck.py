@@ -58,11 +58,13 @@ def _away_from(rng, shape, other, margin=5e-2):
     return x
 
 
-def shaped(op, *shapes):
+def shaped(op, *shapes, label="case"):
     """A case of ``op`` on uniform inputs of ``shapes``, drawn in order
-    before the cotangent."""
+    before the cotangent. ``label`` names the case function; the test
+    suite's ids include it, so it stays fixed per case."""
     def case(rng):
         return _cotangent(rng, op), [_u(rng, shape) for shape in shapes]
+    case.__name__ = case.__qualname__ = label
     return case
 
 
@@ -111,7 +113,7 @@ def primitive_cases():
         ("mul_broadcast", shaped(ad.mul, (3, 4), (3, 1))),
         ("div", div_case),
         ("neg", shaped(ad.neg, (3, 4))),
-        ("pow", shaped(lambda x: ad.power(x, 3), (3, 4))),
+        ("pow", shaped(lambda x: ad.power(x, 3), (3, 4), label="pow_case")),
         ("maximum", maximum_case),
         ("abs", abs_case),
         ("exp", shaped(ad.exp, (3, 4))),
@@ -120,34 +122,50 @@ def primitive_cases():
         ("gelu", shaped(ad.gelu, (3, 4))),
         ("tanh", shaped(ad.tanh, (3, 4))),
         ("softplus", shaped(ad.softplus, (3, 4))),
-        ("softmax", shaped(lambda x: ad.softmax(x, axis=1), (3, 5))),
-        ("layer_norm", shaped(lambda x: ad.layer_norm(x, axis=0), (5, 3))),
-        ("matmul", shaped(ad.matmul, (3, 4), (4, 2))),
-        ("reshape", shaped(lambda x: ad.reshape(x, (4, 3)), (3, 4))),
-        ("transpose", shaped(lambda x: ad.transpose(x, (2, 0, 1)), (2, 3, 2))),
-        ("flip", shaped(lambda x: ad.flip(x, 0), (4, 3))),
-        ("concat", shaped(lambda x, y: ad.concat([x, y], axis=1), (2, 3), (2, 2))),
-        ("slice", shaped(lambda x: x[1:3, :2], (4, 3))),
+        ("softmax", shaped(lambda x: ad.softmax(x, axis=1), (3, 5),
+                label="softmax_case")),
+        ("layer_norm", shaped(lambda x: ad.layer_norm(x, axis=0), (5, 3),
+                label="layer_norm_case")),
+        ("matmul", shaped(ad.matmul, (3, 4), (4, 2), label="matmul_case")),
+        ("reshape", shaped(lambda x: ad.reshape(x, (4, 3)), (3, 4),
+                label="reshape_case")),
+        ("transpose", shaped(lambda x: ad.transpose(x, (2, 0, 1)), (2, 3, 2),
+                label="transpose_case")),
+        ("flip", shaped(lambda x: ad.flip(x, 0), (4, 3), label="flip_case")),
+        ("concat", shaped(lambda x, y: ad.concat([x, y], axis=1), (2, 3), (2, 2),
+                label="concat_case")),
+        ("slice", shaped(lambda x: x[1:3, :2], (4, 3), label="slice_case")),
         # an advanced index with a repeated row, whose contributions must
         # add, and an int index, which adds straight into one row
-        ("slice_repeated", shaped(lambda x: x[[0, 2, 0]], (4, 3))),
-        ("slice_int", shaped(lambda x: x[1], (4, 3))),
-        ("sum", shaped(lambda x: x.sum(axis=1), (3, 4))),
-        ("mean", shaped(lambda x: x.mean(axis=0, keepdims=True), (3, 4))),
-        ("conv2d_1x1", shaped(conv(0), (2, 4, 4), (3, 2, 1, 1))),
-        ("conv2d_3x3", shaped(conv(1), (2, 4, 4), (2, 2, 3, 3))),
-        ("depthwise_conv2d", shaped(ad.depthwise_conv2d, (3, 4, 4), (3, 3, 3))),
-        ("dilated_conv2d", shaped(dilated(4), (2, 5, 5), (2, 2, 3, 3))),
+        ("slice_repeated", shaped(lambda x: x[[0, 2, 0]], (4, 3),
+                label="slice_repeated_case")),
+        ("slice_int", shaped(lambda x: x[1], (4, 3), label="slice_int_case")),
+        ("sum", shaped(lambda x: x.sum(axis=1), (3, 4), label="sum_case")),
+        ("mean", shaped(lambda x: x.mean(axis=0, keepdims=True), (3, 4),
+                label="mean_case")),
+        ("conv2d_1x1", shaped(conv(0), (2, 4, 4), (3, 2, 1, 1),
+                label="conv1x1_case")),
+        ("conv2d_3x3", shaped(conv(1), (2, 4, 4), (2, 2, 3, 3),
+                label="conv3x3_case")),
+        ("depthwise_conv2d", shaped(ad.depthwise_conv2d, (3, 4, 4), (3, 3, 3),
+                label="depthwise_case")),
+        ("dilated_conv2d", shaped(dilated(4), (2, 5, 5), (2, 2, 3, 3),
+                label="dilated_case")),
         # conv2d_3x3 and dilated_conv2d have fewer input channels than taps
         # and copy tap slices; these have Ci = 10 > 9 taps and add one
         # product per tap, on non-square planes
-        ("conv2d_3x3_deep", shaped(conv(1), (10, 3, 4), (2, 10, 3, 3))),
-        ("dilated_conv2d_deep", shaped(dilated(2), (10, 4, 5), (2, 10, 3, 3))),
+        ("conv2d_3x3_deep", shaped(conv(1), (10, 3, 4), (2, 10, 3, 3),
+                label="conv3x3_deep_case")),
+        ("dilated_conv2d_deep", shaped(dilated(2), (10, 4, 5), (2, 10, 3, 3),
+                label="dilated_deep_case")),
         # valid mode on a non-square plane, and a pad wider than the
         # kernel's reach, whose outer outputs read no input
-        ("conv2d_valid", shaped(conv(0), (2, 4, 6), (3, 2, 3, 3))),
-        ("conv2d_wide_pad", shaped(conv(3), (2, 3, 4), (2, 2, 3, 3))),
-        ("pad_reflect2d", shaped(lambda x: ad.pad_reflect2d(x, 1), (2, 3, 4))),
+        ("conv2d_valid", shaped(conv(0), (2, 4, 6), (3, 2, 3, 3),
+                label="conv_valid_case")),
+        ("conv2d_wide_pad", shaped(conv(3), (2, 3, 4), (2, 2, 3, 3),
+                label="conv_wide_pad_case")),
+        ("pad_reflect2d", shaped(lambda x: ad.pad_reflect2d(x, 1), (2, 3, 4),
+                label="pad_reflect_case")),
         ("selective_scan_core", scan(4)),
         ("selective_scan_core_L1", scan(1)),
         ("selective_scan_core_L2", scan(2)),
