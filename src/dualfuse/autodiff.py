@@ -168,6 +168,9 @@ class Node(_GradTarget):
     ``parents`` holds, per op input, that input's gradient target (its Node,
     or the Tensor itself for a leaf) or None when it needs no gradient;
     ``backward_fn(g, *parents)`` adds the input gradients for cotangent g.
+    ``_make`` records the node. A one-input op's closure comes from
+    ``_unary``, which adds the op's ``grad(g)`` to its one parent; a
+    multi-input op writes its own closure and skips a None parent.
     The node holds no array of its own: the closure keeps exactly the arrays
     and shapes it reads, so an op result's ``data`` lives only as long as the
     calling code or a closure needs it.
@@ -359,9 +362,13 @@ def toposort(root: Tensor) -> list:
     return order
 
 
-def _make(out_data: np.ndarray, parents: tuple, op: str, backward_fn) -> Tensor:
-    """Wrap an op result; record a graph Node unless grads are disabled or no
-    input needs a gradient."""
+def _make(out_data: np.ndarray, parents: tuple, op: str, backward_fn,
+          flops: int = 0) -> Tensor:
+    """Wrap an op result; every op returns through here. Count the op's
+    ``flops`` into the installed FlopCounter, raise NonFiniteError on a
+    non-finite result when debug checks are on, and record a graph Node
+    unless grads are disabled or no input needs a gradient."""
+    _count(flops)
     if _debug_checks and not np.isfinite(out_data).all():
         raise NonFiniteError("op '%s' produced a non-finite value" % op)
     out = Tensor(out_data)
@@ -371,6 +378,15 @@ def _make(out_data: np.ndarray, parents: tuple, op: str, backward_fn) -> Tensor:
             out.requires_grad = True
             out._node = Node(out.shape, targets, backward_fn, op)
     return out
+
+
+def _unary(a: Tensor, out_data: np.ndarray, op: str, grad,
+           flops: int = 0) -> Tensor:
+    """``_make`` for a one-input op whose input gradient is ``grad(g)``."""
+    def backward(g, ta):
+        ta._accumulate(grad(g))
+
+    return _make(out_data, (a,), op, backward, flops)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -389,14 +405,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 #
-# Backward closures take the cotangent and one gradient target per input (None
-# for an input that needs no gradient) and save only the arrays and shapes
-# they read. Where one input's gradient reads the other input's data, that
-# data is saved only when the first input requires grad.
+# A one-input op hands ``_unary`` its gradient function, g -> input gradient.
+# A multi-input op writes its backward closure, which takes the cotangent and
+# one gradient target per input (None for an input that needs no gradient).
+# Either saves only the arrays and shapes it reads. Where one input's gradient
+# reads the other input's data, that data is saved only when the first input
+# requires grad.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
-    _count(out.size)
     sa, sb = a.shape, b.shape
 
     def backward(g, ta, tb):
@@ -405,12 +422,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if tb is not None:
             tb._accumulate(_unbroadcast(g, sb))
 
-    return _make(out, (a, b), "add", backward)
+    return _make(out, (a, b), "add", backward, out.size)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
-    _count(out.size)
     sa, sb = a.shape, b.shape
 
     def backward(g, ta, tb):
@@ -419,12 +435,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if tb is not None:
             tb._accumulate(_unbroadcast(-g, sb))
 
-    return _make(out, (a, b), "sub", backward)
+    return _make(out, (a, b), "sub", backward, out.size)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
-    _count(out.size)
     sa, sb = a.shape, b.shape
     xb = b.data if a.requires_grad else None
     xa = a.data if b.requires_grad else None
@@ -435,12 +450,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if tb is not None:
             tb._accumulate(_unbroadcast(g * xa, sb))
 
-    return _make(out, (a, b), "mul", backward)
+    return _make(out, (a, b), "mul", backward, out.size)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.data / b.data
-    _count(out.size)
     sa, sb = a.shape, b.shape
     xb = b.data
     xa = a.data if b.requires_grad else None
@@ -451,36 +465,26 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         if tb is not None:
             tb._accumulate(_unbroadcast(-g * xa / (xb * xb), sb))
 
-    return _make(out, (a, b), "div", backward)
+    return _make(out, (a, b), "div", backward, out.size)
 
 
 def neg(a: Tensor) -> Tensor:
     out = -a.data
-    _count(out.size)
-
-    def backward(g, ta):
-        ta._accumulate(-g)
-
-    return _make(out, (a,), "neg", backward)
+    return _unary(a, out, "neg", lambda g: -g, out.size)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     exponent = float(exponent)
     x = a.data
     out = x ** exponent
-    _count(out.size)
-
-    def backward(g, ta):
-        ta._accumulate(g * exponent * x ** (exponent - 1.0))
-
-    return _make(out, (a,), "pow", backward)
+    return _unary(a, out, "pow", lambda g: g * exponent * x ** (exponent - 1.0),
+                  out.size)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; at ties the gradient routes to the first operand."""
     xa, xb = a.data, b.data
     out = np.maximum(xa, xb)
-    _count(out.size)
     sa, sb = a.shape, b.shape
 
     def backward(g, ta, tb):
@@ -490,18 +494,13 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
         if tb is not None:
             tb._accumulate(_unbroadcast(g * (1.0 - mask), sb))
 
-    return _make(out, (a, b), "maximum", backward)
+    return _make(out, (a, b), "maximum", backward, out.size)
 
 
 def absolute(a: Tensor) -> Tensor:
     x = a.data
     out = np.abs(x)
-    _count(out.size)
-
-    def backward(g, ta):
-        ta._accumulate(g * np.sign(x))
-
-    return _make(out, (a,), "abs", backward)
+    return _unary(a, out, "abs", lambda g: g * np.sign(x), out.size)
 
 
 # ---------------------------------------------------------------------------
@@ -510,22 +509,12 @@ def absolute(a: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-    _count(out.size)
-
-    def backward(g, ta):
-        ta._accumulate(g * out)
-
-    return _make(out, (a,), "exp", backward)
+    return _unary(a, out, "exp", lambda g: g * out, out.size)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid_np(a.data)
-    _count(out.size)
-
-    def backward(g, ta):
-        ta._accumulate(g * out * (1.0 - out))
-
-    return _make(out, (a,), "sigmoid", backward)
+    return _unary(a, out, "sigmoid", lambda g: g * out * (1.0 - out), out.size)
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -539,12 +528,8 @@ def silu(a: Tensor) -> Tensor:
     x = a.data
     s = _sigmoid_np(x)
     out = x * s
-    _count(2 * out.size)
-
-    def backward(g, ta):
-        ta._accumulate(g * (s + x * s * (1.0 - s)))
-
-    return _make(out, (a,), "silu", backward)
+    return _unary(a, out, "silu", lambda g: g * (s + x * s * (1.0 - s)),
+                  2 * out.size)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -556,35 +541,23 @@ def gelu(a: Tensor) -> Tensor:
     inner = _GELU_C * (x + 0.044715 * x * x * x)
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
-    _count(4 * out.size)
 
-    def backward(g, ta):
+    def grad(g):
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        ta._accumulate(g * grad)
+        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
-    return _make(out, (a,), "gelu", backward)
+    return _unary(a, out, "gelu", grad, 4 * out.size)
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-    _count(out.size)
-
-    def backward(g, ta):
-        ta._accumulate(g * (1.0 - out * out))
-
-    return _make(out, (a,), "tanh", backward)
+    return _unary(a, out, "tanh", lambda g: g * (1.0 - out * out), out.size)
 
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
     out = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
-    _count(2 * out.size)
-
-    def backward(g, ta):
-        ta._accumulate(g * _sigmoid_np(x))
-
-    return _make(out, (a,), "softplus", backward)
+    return _unary(a, out, "softplus", lambda g: g * _sigmoid_np(x), 2 * out.size)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -594,13 +567,11 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
-    _count(4 * out.size)
 
-    def backward(g, ta):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        ta._accumulate(out * (g - dot))
+    def grad(g):
+        return out * (g - (g * out).sum(axis=axis, keepdims=True))
 
-    return _make(out, (a,), "softmax", backward)
+    return _unary(a, out, "softmax", grad, 4 * out.size)
 
 
 def layer_norm(a: Tensor, axis: int, eps: float = 1e-6) -> Tensor:
@@ -613,14 +584,13 @@ def layer_norm(a: Tensor, axis: int, eps: float = 1e-6) -> Tensor:
     var = (xc * xc).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     out = xc * inv
-    _count(5 * out.size)
 
-    def backward(g, ta):
+    def grad(g):
         gy_sum = g.sum(axis=axis, keepdims=True)
         gy_dot = (g * out).sum(axis=axis, keepdims=True)
-        ta._accumulate(inv / n * (n * g - gy_sum - out * gy_dot))
+        return inv / n * (n * g - gy_sum - out * gy_dot)
 
-    return _make(out, (a,), "layer_norm", backward)
+    return _unary(a, out, "layer_norm", grad, 5 * out.size)
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +599,9 @@ def layer_norm(a: Tensor, axis: int, eps: float = 1e-6) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    out = a.data.reshape(shape)
     shape_in = a.shape
-
-    def backward(g, ta):
-        ta._accumulate(g.reshape(shape_in))
-
-    return _make(out, (a,), "reshape", backward)
+    return _unary(a, a.data.reshape(shape), "reshape",
+                  lambda g: g.reshape(shape_in))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -647,20 +613,12 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     # contiguous output keeps downstream kernels on one deterministic path
     out = np.ascontiguousarray(a.data.transpose(axes))
     inverse = np.argsort(axes)
-
-    def backward(g, ta):
-        ta._accumulate(g.transpose(inverse))
-
-    return _make(out, (a,), "transpose", backward)
+    return _unary(a, out, "transpose", lambda g: g.transpose(inverse))
 
 
 def flip(a: Tensor, axis: int) -> Tensor:
-    out = np.flip(a.data, axis=axis).copy()
-
-    def backward(g, ta):
-        ta._accumulate(np.flip(g, axis=axis))
-
-    return _make(out, (a,), "flip", backward)
+    return _unary(a, np.flip(a.data, axis=axis).copy(), "flip",
+                  lambda g: np.flip(g, axis=axis))
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -737,28 +695,19 @@ def _spread(g, axis, keepdims: bool, shape_in) -> np.ndarray:
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(axis, a.ndim)
     out = a.data.sum(axis=axis, keepdims=keepdims)
-    out = np.asarray(out)
-    _count(a.size)
     shape_in = a.shape
-
-    def backward(g, ta):
-        ta._accumulate(_spread(g, axis, keepdims, shape_in))
-
-    return _make(out, (a,), "sum", backward)
+    return _unary(a, np.asarray(out), "sum",
+                  lambda g: _spread(g, axis, keepdims, shape_in), a.size)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(axis, a.ndim)
     count = a.size if axis is None else int(np.prod([a.data.shape[ax] for ax in axis]))
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    out = np.asarray(out)
-    _count(a.size)
     shape_in = a.shape
-
-    def backward(g, ta):
-        ta._accumulate(_spread(np.asarray(g) / count, axis, keepdims, shape_in))
-
-    return _make(out, (a,), "mean", backward)
+    return _unary(a, np.asarray(out), "mean",
+                  lambda g: _spread(np.asarray(g) / count, axis, keepdims,
+                                    shape_in), a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +722,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError("matmul inner dims disagree: %r vs %r"
                              % (a.shape, b.shape))
     out = a.data @ b.data
-    _count(2 * a.shape[0] * a.shape[1] * b.shape[1])
     xb = b.data if a.requires_grad else None
     xa = a.data if b.requires_grad else None
 
@@ -783,7 +731,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if tb is not None:
             tb._accumulate(xa.T @ g)
 
-    return _make(out, (a, b), "matmul", backward)
+    return _make(out, (a, b), "matmul", backward,
+                 2 * a.shape[0] * a.shape[1] * b.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +789,6 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
         raise DimensionError("%s output would be empty for input %r kernel %d"
                              % (op, x.shape, k))
 
-    _count(2 * c_out * (1 if depthwise else c_in) * k * k * h_out * w_out)
     out, xf = correlate(x.data, w.data, pad, dilation, depthwise)
     xf = xf if w.requires_grad else None
     wk = w.data if x.requires_grad else None
@@ -871,7 +819,8 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
                                      span - 1 - pad + cut, dilation,
                                      depthwise)[0])
 
-    return _make(out, (x, w), op, backward)
+    return _make(out, (x, w), op, backward,
+                 2 * c_out * (1 if depthwise else c_in) * k * k * h_out * w_out)
 
 
 # Bytes of tap slices copied for one im2col matmul: the copy and the
@@ -955,15 +904,15 @@ def pad_reflect2d(x: Tensor, pad: int) -> Tensor:
         raise ContractError("reflect pad %d too large for %dx%d image" % (pad, h, w))
     out = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
 
-    def backward(g, tx):
+    def grad(g):
         idx = np.pad(np.arange(h * w).reshape(h, w), pad, mode="reflect").ravel()
         gflat = g.reshape(c, -1)
         buf = np.zeros((c, h * w))
         for ch in range(c):
             buf[ch] = np.bincount(idx, weights=gflat[ch], minlength=h * w)
-        tx._accumulate(buf.reshape(c, h, w))
+        return buf.reshape(c, h, w)
 
-    return _make(out, (x,), "pad_reflect2d", backward)
+    return _unary(x, out, "pad_reflect2d", grad)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,7 +1036,6 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
 
     hs = states_of(lay(dd), lay(dd * ud), lay(bd))[1]
     y = unlay((hs @ lay(cd)[..., None])[..., 0]) + sd * ud
-    _count(10 * length * ch * n + 2 * length * ch)
 
     def backward(g, tu, tdelta, tb, tc, ta, td):
         # adjoint gh_t = g_t c_t + decay_{t+1} gh_{t+1}: the same recurrence
@@ -1118,4 +1066,5 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
         if td is not None:
             td._accumulate((g * ud).sum(axis=0))
 
-    return _make(y, (u, delta, b, c, a, d), "selective_scan_core", backward)
+    return _make(y, (u, delta, b, c, a, d), "selective_scan_core", backward,
+                 10 * length * ch * n + 2 * length * ch)

@@ -521,6 +521,64 @@ def test_flop_counter_counts_matmul(rng):
     assert fc.total == 2 * 3 * 4 * 5
 
 
+# op name -> (call, input shapes, flops the op reports on those shapes);
+# every input is drawn from (0.5, 1.5), so div's divisor stays away from zero
+FLOP_CASES = {
+    "add": (ad.add, [(3, 4), (1, 4)], 12),
+    "sub": (ad.sub, [(3, 4), (3, 4)], 12),
+    "mul": (ad.mul, [(3, 4), (3, 4)], 12),
+    "div": (ad.div, [(3, 4), (3, 4)], 12),
+    "neg": (ad.neg, [(3, 4)], 12),
+    "power": (lambda a: ad.power(a, 2.0), [(3, 4)], 12),
+    "maximum": (ad.maximum, [(3, 4), (3, 4)], 12),
+    "absolute": (ad.absolute, [(3, 4)], 12),
+    "exp": (ad.exp, [(3, 4)], 12),
+    "sigmoid": (ad.sigmoid, [(3, 4)], 12),
+    "silu": (ad.silu, [(3, 4)], 2 * 12),
+    "gelu": (ad.gelu, [(3, 4)], 4 * 12),
+    "tanh": (ad.tanh, [(3, 4)], 12),
+    "softplus": (ad.softplus, [(3, 4)], 2 * 12),
+    "softmax": (lambda a: ad.softmax(a, axis=1), [(3, 4)], 4 * 12),
+    "layer_norm": (lambda a: ad.layer_norm(a, axis=1), [(3, 4)], 5 * 12),
+    "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)], 0),
+    "transpose": (ad.transpose, [(3, 4)], 0),
+    "flip": (lambda a: ad.flip(a, axis=0), [(3, 4)], 0),
+    "concat": (lambda a, b: ad.concat([a, b], axis=0), [(3, 4), (2, 4)], 0),
+    "slice": (lambda a: ad.take(a, (slice(1, None), slice(None, None, 2))),
+              [(3, 4)], 0),
+    "reduce_sum": (lambda a: ad.reduce_sum(a, axis=1), [(3, 4)], 12),
+    "reduce_mean": (lambda a: ad.reduce_mean(a, axis=1), [(3, 4)], 12),
+    "matmul": (ad.matmul, [(3, 4), (4, 5)], 2 * 3 * 4 * 5),
+    "conv2d": (lambda x, w: ad.conv2d(x, w, pad=1), [(2, 5, 6), (3, 2, 3, 3)],
+               2 * 3 * 2 * 3 * 3 * 5 * 6),
+    "depthwise_conv2d": (ad.depthwise_conv2d, [(2, 5, 6), (2, 3, 3)],
+                         2 * 2 * 1 * 3 * 3 * 5 * 6),
+    "dilated_conv2d": (lambda x, w: ad.dilated_conv2d(x, w, dilation=2),
+                       [(2, 5, 6), (3, 2, 3, 3)], 2 * 3 * 2 * 3 * 3 * 5 * 6),
+    "pad_reflect2d": (lambda x: ad.pad_reflect2d(x, 1), [(2, 5, 6)], 0),
+    "selective_scan_core": (ad.selective_scan_core,
+                            [(6, 3), (6, 3), (6, 2), (6, 2), (3, 2), (3,)],
+                            10 * 6 * 3 * 2 + 2 * 6 * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOP_CASES))
+def test_flop_counter_counts_every_op(name, rng):
+    fn, shapes, flops = FLOP_CASES[name]
+    arrays = [rng.uniform(0.5, 1.5, s) for s in shapes]
+    totals = []
+    for grad in (True, False):
+        inputs = [Tensor(x, requires_grad=grad) for x in arrays]
+        with FlopCounter() as fc:
+            if grad:
+                assert fn(*inputs).requires_grad
+            else:
+                with no_grad():
+                    fn(*inputs)
+        totals.append(fc.total)
+    assert totals == [flops, flops]
+
+
 def test_sigmoid_matches_masked_form_bit_for_bit(rng):
     def masked(x):                 # the boolean-mask form it replaced
         pos = x >= 0

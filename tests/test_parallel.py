@@ -297,12 +297,41 @@ def test_leave_cpu_moves_off_the_given_cpu():
     assert affinity == others
 
 
-@pytest.mark.skipif(not two_cpus_here(), reason="needs two CPUs")
-def test_helper_runs_off_the_callers_cpu(helper):
+LEAVE_CALLS = []     # in a helper forked by the test below: its _leave_cpu calls
+
+
+def leave_calls() -> list:
+    return list(LEAVE_CALLS)
+
+
+def test_helper_runs_off_the_callers_cpu(helper, monkeypatch):
+    # The caller is not pinned, so it may share a CPU with the helper by the
+    # time either half runs. What the design guarantees is that each request
+    # carries the caller's CPU and that the helper calls _leave_cpu with it
+    # before it runs g; test_leave_cpu_moves_off_the_given_cpu shows that
+    # _leave_cpu moves the process.
+    sent = []
+    real_cpu, real_leave_cpu = parallel._cpu, parallel._leave_cpu
+
+    def caller_cpu():
+        sent.append(real_cpu())
+        return sent[-1]
+
+    def recorded_leave_cpu(cpu, allowed):
+        LEAVE_CALLS.append((cpu, sorted(allowed)))
+        real_leave_cpu(cpu, allowed)
+
     helper(True)
-    with ad.no_grad():
-        for _ in range(3):
-            caller_cpu, helper_cpu = parallel.both((parallel._cpu,),
-                                                   (parallel._cpu,))
-            assert caller_cpu != helper_cpu
+    parallel._shutdown()        # the next call forks a helper with the patches
+    monkeypatch.setattr(parallel, "_cpu", caller_cpu)
+    monkeypatch.setattr(parallel, "_leave_cpu", recorded_leave_cpu)
+    try:
+        with ad.no_grad():
+            for i in range(3):
+                _, calls = parallel.both((pow, 2, 3), (leave_calls,))
+                assert len(calls) == i + 1
+                assert calls[-1] == (sent[-1], sorted(os.sched_getaffinity(0)))
+    finally:
+        parallel._shutdown()
+    assert len(sent) == 3 and not LEAVE_CALLS
 
