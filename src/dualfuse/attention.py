@@ -75,9 +75,6 @@ def project_qkv(x: Tensor, qkv_point: Tensor,
     if x.ndim != 3:
         raise DimensionError("project_qkv expects a CxHxW map, got %r" % (x.shape,))
     c, h, w = x.shape
-    if qkv_point.shape[1] != c:
-        raise DimensionError("params built for %d channels, input has %d"
-                             % (qkv_point.shape[1], c))
     if h < 3 or w < 3:
         raise ContractError("spatial dims must be >= 3 for the depthwise 3x3")
     qkv = ad.depthwise_conv2d(ad.conv2d(x, qkv_point, pad=0), qkv_depth)

@@ -128,9 +128,6 @@ class FlopCounter:
     def __init__(self):
         self.total = 0
 
-    def add(self, n: int) -> None:
-        self.total += int(n)
-
     def __enter__(self):
         global _flop_counter
         self._prev = _flop_counter
@@ -145,7 +142,7 @@ class FlopCounter:
 
 def _count(n: int) -> None:
     if _flop_counter is not None:
-        _flop_counter.add(n)
+        _flop_counter.total += int(n)
 
 
 class _GradTarget:
@@ -271,32 +268,14 @@ class Tensor(_GradTarget):
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
     def __truediv__(self, other):
         return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -310,18 +289,10 @@ class Tensor(_GradTarget):
         return reduce_mean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes if axes else None)
-
-    @property
-    def T(self):
-        return transpose(self, None)
+        return transpose(self, axes or None)
 
 
 def _wrap(value) -> Tensor:
@@ -574,15 +545,16 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     return _unary(a, out, "softmax", grad, 4 * out.size)
 
 
-def layer_norm(a: Tensor, axis: int, eps: float = 1e-6) -> Tensor:
-    """Zero-mean unit-variance normalization along ``axis`` (no affine)."""
+def layer_norm(a: Tensor, axis: int) -> Tensor:
+    """Zero-mean unit-variance normalization along ``axis`` (no affine), with
+    1e-6 added to the variance."""
     if not -a.ndim <= axis < a.ndim:
         raise DimensionError("layer_norm axis %d invalid for shape %r" % (axis, a.shape))
     n = a.data.shape[axis]
     mu = a.data.mean(axis=axis, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     out = xc * inv
 
     def grad(g):

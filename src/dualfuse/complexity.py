@@ -14,15 +14,16 @@ import numpy as np
 from . import attention, ssm
 from .autodiff import FlopCounter, Tensor
 
+CHANNELS = 4        # token width of both measurements; inputs come from seed 0
 
-def measure_channel_attention_flops(pixel_counts, channels: int = 4,
-                                    seed: int = 0) -> list[int]:
-    rng = np.random.default_rng(seed)
+
+def measure_channel_attention_flops(pixel_counts) -> list[int]:
+    rng = np.random.default_rng(0)
     totals = []
     for hw in pixel_counts:
-        q = Tensor(rng.uniform(-1, 1, (hw, channels)))
-        k = Tensor(rng.uniform(-1, 1, (channels, hw)))
-        v = Tensor(rng.uniform(-1, 1, (hw, channels)))
+        q = Tensor(rng.uniform(-1, 1, (hw, CHANNELS)))
+        k = Tensor(rng.uniform(-1, 1, (CHANNELS, hw)))
+        v = Tensor(rng.uniform(-1, 1, (hw, CHANNELS)))
         with FlopCounter() as fc:
             attention.apply_attention(
                 attention.channel_attention(q, k, Tensor(1.0)), v)
@@ -30,13 +31,12 @@ def measure_channel_attention_flops(pixel_counts, channels: int = 4,
     return totals
 
 
-def measure_selective_scan_flops(lengths, channels: int = 4,
-                                 seed: int = 0) -> list[int]:
-    rng = np.random.default_rng(seed)
-    params = ssm.make_scan_params(rng, channels)
+def measure_selective_scan_flops(lengths) -> list[int]:
+    rng = np.random.default_rng(0)
+    params = ssm.make_scan_params(rng, CHANNELS)
     totals = []
     for length in lengths:
-        x = Tensor(rng.uniform(-1, 1, (length, channels)))
+        x = Tensor(rng.uniform(-1, 1, (length, CHANNELS)))
         with FlopCounter() as fc:
             ssm.selective_scan(x, params)
         totals.append(fc.total)

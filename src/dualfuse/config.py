@@ -111,5 +111,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s is not UTF-8 (byte offset %d)"
+                          % (path, exc.start)) from exc
+    return parse_config(text)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -141,14 +142,24 @@ def read_png(path: str) -> np.ndarray:
         pos += 12 + length
     if width is None:
         raise ParseError("missing IHDR", 8)
-    try:
-        raw = zlib.decompress(bytes(idat))
-    except zlib.error as exc:
-        raise ParseError("IDAT decompression failed: %s" % exc, pos) from exc
     channels = _PNG_CHANNELS[color_type]
     stride = width * channels
-    if len(raw) != (stride + 1) * height:
-        raise ParseError("decompressed size mismatch", pos)
+    expected = (stride + 1) * height
+    # inflate at most one byte past what IHDR declares, so a small file
+    # cannot expand to gigabytes before the size check
+    inflate = zlib.decompressobj()
+    try:
+        raw = inflate.decompress(bytes(idat), min(expected + 1, sys.maxsize))
+    except zlib.error as exc:
+        raise ParseError("IDAT decompression failed: %s" % exc, pos) from exc
+    if len(raw) > expected:
+        raise ParseError("IDAT inflates past the %d bytes IHDR declares"
+                         % expected, pos)
+    if not inflate.eof:
+        raise ParseError("IDAT stream never ends", pos)
+    if len(raw) < expected:
+        raise ParseError("IDAT inflates to %d bytes, IHDR declares %d"
+                         % (len(raw), expected), pos)
     out = np.empty((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
     for row in range(height):

@@ -73,7 +73,7 @@ def ssim(x: Tensor, y: Tensor) -> Tensor:
     sigma_x = blur(x * x) - mu_xx
     sigma_y = blur(y * y) - mu_yy
     sigma_xy = blur(x * y) - mu_xy
-    num = (2.0 * mu_xy + SSIM_C1) * (2.0 * sigma_xy + SSIM_C2)
+    num = (mu_xy * 2.0 + SSIM_C1) * (sigma_xy * 2.0 + SSIM_C2)
     den = (mu_xx + mu_yy + SSIM_C1) * (sigma_x + sigma_y + SSIM_C2)
     return (num / den).mean()
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import channel_norm
-from .autodiff import ContractError, DimensionError, Tensor
+from .autodiff import DimensionError, Tensor
 from .params import fan_in_normal
 
 STATE_DIM = 8
@@ -37,10 +37,6 @@ class ScanParams:
     b_w: Tensor         # (C, N)
     c_w: Tensor         # (C, N)
     skip: Tensor        # (C,): direct input gain
-
-    @property
-    def channels(self) -> int:
-        return self.a_log.shape[0]
 
 
 @dataclass
@@ -61,9 +57,8 @@ class SsmBlockParams:
         return self.out_proj.shape[0]
 
 
-def make_scan_params(rng: np.random.Generator, channels: int,
-                     state_dim: int = STATE_DIM) -> ScanParams:
-    c, n = channels, state_dim
+def make_scan_params(rng: np.random.Generator, channels: int) -> ScanParams:
+    c, n = channels, STATE_DIM
     a_init = np.tile(np.log(np.arange(1, n + 1, dtype=np.float64)), (c, 1))
     delta_bias = np.full(c, np.log(np.expm1(DELTA_INIT)))
     std = 1.0 / np.sqrt(c)
@@ -91,7 +86,6 @@ def _block_shell(rng: np.random.Generator, channels: int):
 
 
 def make_ssm_block_params(rng: np.random.Generator, channels: int,
-                          state_dim: int = STATE_DIM,
                           as_conv: bool = False) -> SsmBlockParams:
     """Shell weights are drawn first, then the scan or ``conv_mix``."""
     shell = _block_shell(rng, channels)
@@ -99,7 +93,7 @@ def make_ssm_block_params(rng: np.random.Generator, channels: int,
     if as_conv:
         return SsmBlockParams(scan=None, conv_mix=fan_in_normal(rng, e, 3, 3),
                               **shell)
-    scan = make_scan_params(rng, e, state_dim)
+    scan = make_scan_params(rng, e)
     return SsmBlockParams(scan=scan, conv_mix=None, **shell)
 
 
@@ -109,15 +103,9 @@ def selective_scan(x: Tensor, p: ScanParams) -> Tensor:
     Per token, the timestep is softplus of a learned projection (strictly
     positive), and the state input/readout vectors are linear in the token;
     the state matrix exp(delta * A) decays because A = -exp(a_log) < 0.
+    Shapes are checked by ``ad.matmul`` (2-D tokens, C channels) and
+    ``ad.selective_scan_core`` (at least one token).
     """
-    if x.ndim != 2:
-        raise DimensionError("selective_scan expects (L, C) tokens, got %r"
-                             % (x.shape,))
-    if x.shape[0] < 1:
-        raise ContractError("selective_scan needs at least one token")
-    if x.shape[1] != p.channels:
-        raise DimensionError("tokens have %d channels, params expect %d"
-                             % (x.shape[1], p.channels))
     delta = ad.softplus(ad.matmul(x, p.delta_w) + p.delta_bias)
     b = ad.matmul(x, p.b_w)
     c = ad.matmul(x, p.c_w)

@@ -4,6 +4,7 @@ Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see them
 inline). The toy end-to-end training run is shared module-wide.
 """
 
+import dataclasses
 import functools
 import os
 import time
@@ -56,7 +57,7 @@ def toy_run(request):
 @criterion(1, "finite-difference gradients, every op and both loss stages")
 def test_criterion_1_gradient_suite():
     start = time.monotonic()
-    results = gradcheck.run_suite(cases_per_op=20, seed=0, verbose=False)
+    results = gradcheck.run_suite(cases_per_op=20, verbose=False)
     elapsed = time.monotonic() - start
     assert len(results) >= 30
     for name, worst, _ in results:
@@ -76,7 +77,11 @@ def test_criterion_2_scan_oracles():
         channels = int(rng.integers(1, 9))
         state = int(rng.integers(1, 9))
         p = ssm.make_scan_params(np.random.default_rng(rng.integers(1 << 30)),
-                                 channels, state)
+                                 channels)
+        # the scan op takes any state size N; the model's is ssm.STATE_DIM
+        p = dataclasses.replace(p, **{
+            name: Tensor(getattr(p, name).data[:, :state])
+            for name in ("a_log", "b_w", "c_w")})
         x = rng.uniform(-1, 1, (length, channels))
         got = ssm.selective_scan(Tensor(x), p).data
         assert np.max(np.abs(got - scan_oracle(x, p))) <= 1e-10

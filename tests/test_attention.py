@@ -158,7 +158,7 @@ def test_block_parameter_gradients(rng):
 
 def test_channel_attention_flops_scale_linearly():
     sizes = [64, 256, 1024]
-    flops = complexity.measure_channel_attention_flops(sizes, channels=4)
+    flops = complexity.measure_channel_attention_flops(sizes)
     report = complexity.linearity_report(sizes, flops)
     assert report["r_squared"] > 0.999
     assert report["quadratic_share"] < 0.01

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualfuse.checkpoint import load_checkpoint, save_checkpoint
-from dualfuse.config import ConfigError, RunConfig, parse_config
+from dualfuse.config import ConfigError, RunConfig, load_config, parse_config
 from dualfuse.model import build_model
 from dualfuse.optim import AdamState
 
@@ -53,6 +53,13 @@ def test_unknown_key_is_error():
 def test_malformed_line_is_error():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config("just some words\n")
+
+
+def test_non_utf8_file_is_config_error(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"channels = 8\n\xff\xfe = 1\n")
+    with pytest.raises(ConfigError, match="not UTF-8 \\(byte offset 13\\)"):
+        load_config(str(path))
 
 
 def test_bad_types_are_errors():

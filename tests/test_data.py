@@ -1,6 +1,7 @@
 """Image IO: PGM/PNG codecs, pairing rules, crop sampling."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -140,6 +141,42 @@ def test_png_bad_signature(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"NOTPNG!!rest")
     with pytest.raises(ParseError):
+        data.read_png(path)
+
+
+def _write_1x1_gray_png(path, idat):
+    with open(path, "wb") as fh:
+        fh.write(data.PNG_SIGNATURE)
+        fh.write(data._chunk(b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)))
+        fh.write(data._chunk(b"IDAT", idat))
+        fh.write(data._chunk(b"IEND", b""))
+
+
+def test_png_idat_bomb_is_rejected_without_inflating(tmp_path):
+    # about 64 KB of IDAT that inflates to 64 MB; IHDR declares 2 bytes
+    deflate = zlib.compressobj(9)
+    block = bytes(1 << 20)
+    idat = b"".join(deflate.compress(block) for _ in range(64)) + deflate.flush()
+    path = str(tmp_path / "bomb.png")
+    _write_1x1_gray_png(path, idat)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="past the 2 bytes"):
+            data.read_png(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("idat,match", [
+    (zlib.compress(b"\x00"), "inflates to 1 bytes, IHDR declares 2"),
+    (zlib.compress(b"\x00\x07")[:-4], "never ends"),
+], ids=["short", "unterminated"])
+def test_png_idat_of_the_wrong_length_is_rejected(tmp_path, idat, match):
+    path = str(tmp_path / "short.png")
+    _write_1x1_gray_png(path, idat)
+    with pytest.raises(ParseError, match=match):
         data.read_png(path)
 
 

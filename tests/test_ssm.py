@@ -13,8 +13,8 @@ from dualfuse.autodiff import ContractError, DimensionError, Tensor
 from conftest import assert_close, numpy_build
 
 
-def make_scan(channels=3, state_dim=4, seed=0):
-    return ssm.make_scan_params(np.random.default_rng(seed), channels, state_dim)
+def make_scan(channels=3, seed=0):
+    return ssm.make_scan_params(np.random.default_rng(seed), channels)
 
 
 def scan_oracle(x, p):
@@ -55,7 +55,7 @@ def scan_oracle(x, p):
 # ---------------------------------------------------------------------------
 
 def test_single_token_has_no_history_term(rng):
-    p = make_scan(channels=2, state_dim=3)
+    p = make_scan(channels=2)
     x = rng.uniform(-1, 1, (1, 2))
     got = ssm.selective_scan(Tensor(x), p).data
     # closed form: y1 = <delta1*B1*x1, C1> + D*x1
@@ -74,7 +74,7 @@ def test_zero_input_zero_bias_gives_zero_output():
 
 
 def test_scan_matches_literal_recurrence_oracle(rng):
-    p = make_scan(channels=3, state_dim=4, seed=7)
+    p = make_scan(channels=3, seed=7)
     x = rng.uniform(-1, 1, (5, 3))
     got = ssm.selective_scan(Tensor(x), p).data
     assert_close(got, scan_oracle(x, p), tol=1e-10)
@@ -84,7 +84,7 @@ def test_scan_matches_literal_recurrence_oracle(rng):
 def test_scan_matches_oracle_for_every_chunk_shape(length, rng):
     # square (36, 49), prime (97: chunk length 1), 2 x prime (98), a
     # non-square composite (120) and a long sequence (1024)
-    p = make_scan(channels=3, state_dim=4, seed=7)
+    p = make_scan(channels=3, seed=7)
     x = rng.uniform(-1, 1, (length, 3))
     got = ssm.selective_scan(Tensor(x), p).data
     assert_close(got, scan_oracle(x, p), tol=1e-10)
@@ -210,14 +210,15 @@ def test_scan_rejects_empty_and_mismatched():
     p = make_scan(channels=3)
     with pytest.raises(ContractError):
         ssm.selective_scan(Tensor(np.zeros((0, 3))), p)
-    with pytest.raises(DimensionError):
-        ssm.selective_scan(Tensor(np.zeros((4, 2))), p)
+    for shape in ((4, 2), (4, 3, 1), (3,)):     # wrong C, not (L, C)
+        with pytest.raises(DimensionError):
+            ssm.selective_scan(Tensor(np.zeros(shape)), p)
 
 
 def test_positional_sensitivity():
     # identical tokens at positions 0 and 2 with a distinct token between:
     # the scan state differs when each is reached, so outputs must differ
-    p = make_scan(channels=2, state_dim=3, seed=3)
+    p = make_scan(channels=2, seed=3)
     token = np.array([0.5, -0.3])
     other = np.array([-0.8, 0.9])
     x = np.stack([token, other, token])
@@ -321,7 +322,7 @@ def test_block_preserves_shape(rng):
 
 
 def test_block_parameter_gradients(rng):
-    p = ssm.make_ssm_block_params(np.random.default_rng(4), 2, state_dim=2)
+    p = ssm.make_ssm_block_params(np.random.default_rng(4), 2)
     x = rng.uniform(-1, 1, (2, 4, 4))
     probe = rng.uniform(-1, 1, (2, 4, 4))
 
@@ -357,7 +358,7 @@ def test_block_parameter_paths_pinned():
 
 def test_selective_scan_flops_scale_linearly():
     lengths = [64, 256, 1024]
-    flops = complexity.measure_selective_scan_flops(lengths, channels=4)
+    flops = complexity.measure_selective_scan_flops(lengths)
     report = complexity.linearity_report(lengths, flops)
     assert report["r_squared"] > 0.999
     assert report["quadratic_share"] < 0.01
