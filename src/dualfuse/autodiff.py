@@ -8,7 +8,9 @@ graph in exact reverse topological order, accumulating gradients additively
 into every reachable leaf with ``requires_grad``. Closures save only the
 arrays their gradients read, so the graph holds no op result's Tensor, and
 backward frees the graph as it goes: after a backward pass only leaves
-(parameters, inputs) hold a ``grad``.
+(parameters, inputs) hold a ``grad``. No closure saves a view of a larger
+array, and where an op's result equals what its backward would read, the
+closure saves the result, which the next op often saves too.
 
 Engine-wide conventions:
   * float64 everywhere; convolution is cross-correlation (no kernel flip)
@@ -235,13 +237,13 @@ class Tensor(_GradTarget):
         The loss must be scalar; running backward twice over the same graph
         raises GraphStateError. Arrays are kept only where backward reads
         them: each closure saves the arrays and shapes its gradients need
-        (``add`` two shapes, ``matmul`` its operands, a conv the padded input
-        and the kernel), never an op result's Tensor, so an intermediate no
-        closure reads is freed once the calling code drops it. The graph is
-        released as it is consumed: once a node's closure has run, its
-        ``grad``, closure and parent links are cleared, so each saved array
-        is freed as soon as the last closure that reads it has run. Only
-        leaves keep their ``grad``.
+        (``add`` two shapes, ``matmul`` its operands, a conv its unpadded
+        input and the kernel, ``silu`` its result), never an op result's
+        Tensor, so an intermediate no closure reads is freed once the
+        calling code drops it. The graph is released as it is consumed:
+        once a node's closure has run, its ``grad``, closure and parent
+        links are cleared, so each saved array is freed as soon as the last
+        closure that reads it has run. Only leaves keep their ``grad``.
         """
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss, got shape %r"
@@ -498,8 +500,8 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 def silu(a: Tensor) -> Tensor:
     x = a.data
     s = _sigmoid_np(x)
-    out = x * s
-    return _unary(a, out, "silu", lambda g: g * (s + x * s * (1.0 - s)),
+    out = x * s       # saved in place of x: backward's x * s is out
+    return _unary(a, out, "silu", lambda g: g * (s + out * (1.0 - s)),
                   2 * out.size)
 
 
@@ -509,11 +511,14 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU (engine-wide choice, exact erf not needed)."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x * x * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+
+    def tanh_inner():    # run by forward and again by backward: only x is saved
+        return np.tanh(_GELU_C * (x + 0.044715 * x * x * x))
+
+    out = 0.5 * x * (1.0 + tanh_inner())
 
     def grad(g):
+        t = tanh_inner()
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
@@ -625,13 +630,16 @@ def _is_basic_index(idx) -> bool:
 
 
 def take(a: Tensor, idx) -> Tensor:
+    basic = _is_basic_index(idx)
     out = a.data[idx]
     if np.isscalar(out) or out.ndim == 0:
         out = np.asarray(out)
+    elif basic and _grad_enabled:    # a closure saving a view pins all of a
+        out = out.copy()
     shape_in = a.shape
 
     def backward(g, ta):
-        if _is_basic_index(idx):
+        if basic:
             if ta.grad is None:
                 ta.grad = np.zeros(shape_in)
             ta.grad[idx] += g
@@ -735,9 +743,10 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
     (y + dilation * i, x + dilation * j). Dense weights are w[Co,Ci,k,k],
     depthwise weights w[C,k,k] scale each tap per channel; ``pad=None`` keeps
     the spatial dims. The arithmetic runs in ``correlate`` on flat padded
-    rows. Backward takes the weight gradient per tap from the same rows and
-    the x-gradient as the correlation of the cotangent with the flipped
-    kernel (in and out channels swapped) under pad span - 1 - pad.
+    rows. The closure saves the unpadded input, not a padded copy: backward
+    pads it again for the weight gradient, per tap from those rows, and
+    takes the x-gradient as the correlation of the cotangent with the
+    flipped kernel (in and out channels swapped) under pad span - 1 - pad.
     """
     if x.ndim != 3 or w.ndim != (3 if depthwise else 4):
         raise DimensionError("%s expects x[C,H,W] and a %dD kernel; got %r, %r"
@@ -761,8 +770,8 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
         raise DimensionError("%s output would be empty for input %r kernel %d"
                              % (op, x.shape, k))
 
-    out, xf = correlate(x.data, w.data, pad, dilation, depthwise)
-    xf = xf if w.requires_grad else None
+    out = correlate(x.data, w.data, pad, dilation, depthwise)
+    xd = x.data if w.requires_grad else None
     wk = w.data if x.requires_grad else None
 
     def backward(g, tx, tw):
@@ -773,7 +782,7 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
                 gf = np.zeros((c_out, h_out, wp))
                 gf[:, :, :w_out] = g
             gf = gf.reshape(c_out, -1)[:, :(h_out - 1) * wp + w_out]
-            taps = _taps(xf, k, dilation, wp, gf.shape[1])
+            taps = _taps(_flat_padded(xd, pad), k, dilation, wp, gf.shape[1])
             if depthwise:        # per channel (1, n) @ (n, 1): (k, k, C)
                 gwt = (taps[..., None, :] @ gf[..., None])[..., 0, 0]
                 tw._accumulate(gwt.transpose(2, 0, 1))
@@ -789,7 +798,7 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
             tx._accumulate(correlate(g[:, cut:h_out - cut, cut:w_out - cut],
                                      np.ascontiguousarray(flipped),
                                      span - 1 - pad + cut, dilation,
-                                     depthwise)[0])
+                                     depthwise))
 
     return _make(out, (x, w), op, backward,
                  2 * c_out * (1 if depthwise else c_in) * k * k * h_out * w_out)
@@ -811,7 +820,7 @@ def _taps(xf: np.ndarray, k: int, dilation: int, wp: int, n: int) -> np.ndarray:
 
 
 def correlate(xd: np.ndarray, wk: np.ndarray, pad: int, dilation: int,
-              depthwise: bool):
+              depthwise: bool) -> np.ndarray:
     """Cross-correlate x[Ci,H,W] with wk[Co,Ci,k,k] (or wk[C,k,k]) on flat rows.
 
     Each channel's zero-padded plane is one flat row of Hp*Wp values, so tap
@@ -824,9 +833,8 @@ def correlate(xd: np.ndarray, wk: np.ndarray, pad: int, dilation: int,
     matmul on a free reshape. Depthwise kernels, and dense ones with more
     taps than input channels (the 11x11 SSIM window, Sobel), run one matmul
     per block of outputs over a copy of that block's k*k slices. Returns
-    out[Co,Ho,Wo] and the flat padded input (Ci, Hp*Wp). Plain arrays in,
-    no graph node or flop count: the metrics' VIF and Sobel filters call it
-    directly.
+    out[Co,Ho,Wo]. Plain arrays in, no graph node or flop count: the
+    metrics' VIF and Sobel filters call it directly.
     """
     c_in, h, wd = xd.shape
     k = wk.shape[-1]
@@ -835,11 +843,7 @@ def correlate(xd: np.ndarray, wk: np.ndarray, pad: int, dilation: int,
     span = dilation * (k - 1) + 1
     h_out, w_out = hp - span + 1, wp - span + 1
     n = (h_out - 1) * wp + w_out
-    if pad:
-        xf = np.zeros((c_in, hp * wp))
-        xf.reshape(c_in, hp, wp)[:, pad:pad + h, pad:pad + wd] = xd
-    else:
-        xf = np.ascontiguousarray(xd).reshape(c_in, hp * wp)
+    xf = _flat_padded(xd, pad)
     full = np.empty((c_out, h_out * wp))
     wide = full[:, :n]
     if depthwise or c_in < k * k:
@@ -864,7 +868,17 @@ def correlate(xd: np.ndarray, wk: np.ndarray, pad: int, dilation: int,
             off = dilation * (t // k * wp + t % k)
             wide += np.matmul(wt[t], xf[:, off:off + n], out=tmp)
     out = full.reshape(c_out, h_out, wp)[:, :, :w_out]
-    return np.ascontiguousarray(out), xf
+    return np.ascontiguousarray(out)
+
+
+def _flat_padded(xd: np.ndarray, pad: int) -> np.ndarray:
+    """x[C,H,W] zero-padded by ``pad`` as C-contiguous rows (C, Hp*Wp)."""
+    c, h, wd = xd.shape
+    if not pad:
+        return np.ascontiguousarray(xd).reshape(c, h * wd)
+    xf = np.zeros((c, (h + 2 * pad) * (wd + 2 * pad)))
+    xf.reshape(c, h + 2 * pad, wd + 2 * pad)[:, pad:pad + h, pad:pad + wd] = xd
+    return xf
 
 
 def pad_reflect2d(x: Tensor, pad: int) -> Tensor:

@@ -6,7 +6,8 @@ payload). Parameters and optimizer moments store raw float64 arrays with an
 ndim/dims header; the config snapshot stores its exact text. Loading rebuilds
 the model from the embedded config and overwrites every parameter, so a
 round trip reproduces forward outputs bit-for-bit. Adam moments load only
-as ``adam_m/`` and ``adam_v/`` pairs of one shape.
+as ``adam_m/`` and ``adam_v/`` pairs of one shape, and no array record may
+hold NaN or Inf.
 """
 
 from __future__ import annotations
@@ -147,24 +148,30 @@ def load_checkpoint(path: str) -> Checkpoint:
             struct.unpack("<QQQ", records["counters"])
     except (UnicodeDecodeError, ConfigError, struct.error) as exc:
         raise CheckpointError("malformed config/counters record: %s" % exc) from exc
+    arrays = {}
+    for key, payload in records.items():
+        if key.startswith(("param/", "adam_m/", "adam_v/")):
+            arrays[key] = _decode_array(payload)
+            if not np.isfinite(arrays[key]).all():    # a NaN weight fuses all-NaN
+                raise CheckpointError("record %r holds a non-finite value" % key)
 
     model = build_model(cfg)
     for name, tensor in named_parameters(model):
         key = "param/" + name
-        if key not in records:
+        if key not in arrays:
             raise CheckpointError("checkpoint missing parameter %r" % name)
-        arr = _decode_array(records[key])
+        arr = arrays[key]
         if arr.shape != tensor.data.shape:
             raise CheckpointError("shape mismatch for %r: %r vs %r"
                                   % (name, arr.shape, tensor.data.shape))
         tensor.data = arr
 
     adam = AdamState(step_count=adam_steps)
-    for key, payload in records.items():
+    for key, arr in arrays.items():
         if key.startswith("adam_m/"):
-            adam.m[key[len("adam_m/"):]] = _decode_array(payload)
+            adam.m[key[len("adam_m/"):]] = arr
         elif key.startswith("adam_v/"):
-            adam.v[key[len("adam_v/"):]] = _decode_array(payload)
+            adam.v[key[len("adam_v/"):]] = arr
     for name in sorted(adam.m.keys() | adam.v.keys()):
         m_key, v_key = "adam_m/" + name, "adam_v/" + name
         if name not in adam.m or name not in adam.v:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import ContractError, DimensionError, correlate
+from .autodiff import ContractError, DimensionError, NonFiniteError, correlate
 from .losses import SOBEL_X, SOBEL_Y, gaussian_window
 
 CSV_HEADER = "image_id,en,sd,sf,mi,vif,qabf"
@@ -55,9 +55,12 @@ class MetricsReport:
 
 
 def quantize_u8(img: np.ndarray) -> np.ndarray:
-    """Quantize a [0, 1] float image to uint8."""
-    return np.clip(np.rint(np.asarray(img, dtype=np.float64) * 255.0),
-                   0, 255).astype(np.uint8)
+    """Quantize a [0, 1] float image to uint8. NaN or Inf raises
+    NonFiniteError: the cast would make a NaN pixel a black one."""
+    img = np.asarray(img, dtype=np.float64)
+    if not np.isfinite(img).all():
+        raise NonFiniteError("cannot quantize an image that holds NaN or Inf")
+    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
 
 
 def _check_u8(img: np.ndarray, name: str = "image") -> np.ndarray:
@@ -137,7 +140,7 @@ def metric_mi(fused: np.ndarray, src_a: np.ndarray, src_b: np.ndarray) -> float:
 
 def _filter_valid(img: np.ndarray, win: np.ndarray) -> np.ndarray:
     """Valid-mode cross-correlation of an H x W image with a k x k window."""
-    return correlate(img[None], win[None, None], 0, 1, False)[0][0]
+    return correlate(img[None], win[None, None], 0, 1, False)[0]
 
 
 def _vif_scales(img: np.ndarray) -> list:

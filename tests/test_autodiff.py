@@ -351,15 +351,14 @@ def test_backward_frees_graph_arrays_without_collection(rng):
 UNREAD_CONSUMERS = {
     "add": lambda t, w: t + 1.0,
     "shape ops": lambda t, w: ad.flip(t.transpose(0, 2, 1), 0).reshape(2, -1),
-    "padded conv": lambda t, w: ad.conv2d(t, w, pad=1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(UNREAD_CONSUMERS))
 def test_unread_intermediate_is_freed_before_backward(rng, name):
     # closures save the arrays they read, not their inputs' tensors: an op
-    # result the caller drops dies before backward when no closure reads it
-    # (a padded conv saves its padded copy), and the gradients do not change
+    # result the caller drops dies before backward when no closure reads it,
+    # and the gradients do not change
     xd, cd = rng.uniform(-1, 1, (2, 2, 4, 4))
     wd = rng.uniform(-1, 1, (3, 2, 3, 3))
 
@@ -392,6 +391,60 @@ def _saved_objects(fn):
             stack.extend(cell.cell_contents for cell in obj.__closure__)
 
 
+def _saved_arrays(t):
+    return [obj for obj in _saved_objects(t._node.backward_fn)
+            if isinstance(obj, np.ndarray)]
+
+
+def test_padded_conv_saves_its_input_not_a_padded_copy(rng):
+    # backward pads the saved input again for the weight gradient, so the
+    # closure keeps t.data itself, which the caller or another closure
+    # often holds already, and no (C, Hp*Wp) copy; the weight gradient
+    # equals, to the byte, the one taken from rows padded up front
+    xd, cd = rng.uniform(-1, 1, (2, 2, 4, 4))
+    wd = rng.uniform(-1, 1, (3, 2, 3, 3))
+    x, w = parameter(xd), parameter(wd)
+    t = x + Tensor(cd)
+    out = ad.conv2d(t, w, pad=1)
+    saved = _saved_arrays(out)
+    assert any(obj is t.data for obj in saved)
+    assert all(obj.shape != (2, 6 * 6) for obj in saved)
+    out.sum().backward()
+    w_padded = parameter(wd)
+    ad.conv2d(Tensor(np.pad(t.data, ((0, 0), (1, 1), (1, 1)))), w_padded,
+              pad=0).sum().backward()
+    assert w.grad.tobytes() == w_padded.grad.tobytes()
+    assert_close(x.grad, conv2d_adjoint_oracle(t.data, wd, np.ones((3, 4, 4)),
+                                               pad=1)[0])
+
+
+def test_silu_saves_its_result_not_its_input(rng):
+    # backward's x * s is the result, which the next op often saves anyway
+    x = parameter(rng.uniform(-3, 3, (3, 4)))
+    y = ad.silu(x)
+    saved = _saved_arrays(y)
+    assert not any(obj is x.data for obj in saved)
+    assert any(obj is y.data for obj in saved)
+
+
+def test_gelu_saves_only_its_input(rng):
+    # backward rebuilds tanh(c (x + 0.044715 x^3)) with the forward's call
+    x = parameter(rng.uniform(-3, 3, (3, 4)))
+    saved = _saved_arrays(ad.gelu(x))
+    assert saved and all(obj is x.data for obj in saved)
+
+
+@pytest.mark.parametrize("idx", [slice(2, 4), (slice(None), 1),
+                                 (Ellipsis, slice(None, None, 2))])
+def test_basic_slice_owns_its_memory(rng, idx):
+    # a view would keep the whole input alive in every closure that saves
+    # the slice: project_qkv's k = flat[c:2c] kept all of qkv that way
+    x = parameter(rng.uniform(-1, 1, (6, 4)))
+    out = ad.take(x, idx)
+    assert not np.shares_memory(out.data, x.data)
+    assert out.data.tobytes() == x.data[idx].tobytes()
+
+
 @pytest.mark.parametrize("ablation", [{}, {"mamba_as_conv": True},
                                       {"interaction": False}])
 def test_graph_holds_no_op_result_tensor(ablation):
@@ -413,11 +466,10 @@ def test_graph_holds_no_op_result_tensor(ablation):
             assert not isinstance(obj, Tensor), "%s saves a Tensor" % node.op
 
 
-@pytest.fixture(scope="module")
-def desk_stage2_memory():
+def desk_stage2_memory_of(**ablation):
     """(bytes live after one desk-shape stage-II forward, peak during its
     backward), traced by tracemalloc."""
-    cfg = RunConfig(channels=8, crop=32, batch=1, seed=0).validate()
+    cfg = RunConfig(channels=8, crop=32, batch=1, seed=0, **ablation).validate()
     model = build_model(cfg)
     pair = make_toy_pairs(1, 32, seed=0)[0]
     tracemalloc.start()
@@ -434,6 +486,11 @@ def desk_stage2_memory():
     return live, peak
 
 
+@pytest.fixture(scope="module")
+def desk_stage2_memory():
+    return desk_stage2_memory_of()
+
+
 def test_backward_peak_stays_near_forward_live_memory(desk_stage2_memory):
     # one desk-shape stage-II step: with the graph freed as backward goes,
     # the backward peak stays close to what forward left live; a graph kept
@@ -443,11 +500,20 @@ def test_backward_peak_stays_near_forward_live_memory(desk_stage2_memory):
         peak / 1e6, live / 1e6)
 
 
-def test_desk_stage2_forward_leaves_under_55_mb_live(desk_stage2_memory):
-    # about 49 MB: the scans save only their inputs; one scan closure that
-    # keeps its state history again makes it 78 MB
+def test_desk_stage2_forward_leaves_under_46_mb_live(desk_stage2_memory):
+    # about 43.5 MB: the scans save only their inputs and no closure saves
+    # an array twice (silu its result, gelu only x, a conv its unpadded
+    # input, a slice its own copy): 48.8 MB without that; one scan closure
+    # that keeps its state history again adds 29 MB
     live, _ = desk_stage2_memory
-    assert live < 55e6, "%.1f MB live after forward" % (live / 1e6)
+    assert live < 46e6, "%.1f MB live after forward" % (live / 1e6)
+
+
+def test_desk_stage2_noscan_forward_leaves_under_31_mb_live():
+    # about 28.3 MB with mamba_as_conv, 34.7 MB when closures save an
+    # array twice
+    live, _ = desk_stage2_memory_of(mamba_as_conv=True)
+    assert live < 31e6, "%.1f MB live after forward" % (live / 1e6)
 
 
 def test_scan_core_keeps_no_state_sized_array_for_backward(rng):

@@ -200,6 +200,33 @@ def test_adam_moments_of_different_shapes_are_refused(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("prefix,value", [("param/", np.nan),
+                                          ("adam_m/", np.inf),
+                                          ("adam_v/", -np.inf)])
+def test_non_finite_record_is_refused(tmp_path, prefix, value):
+    # one NaN parameter makes every fused pixel NaN, so the record that
+    # holds it is named at load, not met as a black image
+    def poison(payload):
+        arr = ckpt_mod._decode_array(payload)
+        arr.flat[-1] = value
+        return ckpt_mod._encode_array(arr)
+    path = str(tmp_path / "poisoned.tmam")
+    first = save_adam_checkpoint(path, prefix, poison)
+    with pytest.raises(CheckpointError, match=re.escape(
+            "record %r holds a non-finite value" % (prefix + first))):
+        load_checkpoint(path)
+
+
+def test_nan_decoder_bias_is_refused(tmp_path):
+    cfg = small_config()
+    model = build_model(cfg)
+    model.decoder.out_b.data[...] = np.nan
+    path = str(tmp_path / "nan.tmam")
+    save_checkpoint(path, cfg, model, AdamState(), 1, 1)
+    with pytest.raises(CheckpointError, match="'param/decoder.out_b'"):
+        load_checkpoint(path)
+
+
 @pytest.fixture(scope="module")
 def tiny_blob(tmp_path_factory):
     cfg = RunConfig(channels=1, crop=16, batch=1, seed=3)

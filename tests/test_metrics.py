@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualfuse import metrics
-from dualfuse.autodiff import ContractError, DimensionError
+from dualfuse.autodiff import ContractError, DimensionError, NonFiniteError
 from dualfuse.losses import SOBEL_X, SOBEL_Y, gaussian_window
 
 from conftest import assert_close, conv2d_oracle
@@ -73,6 +73,15 @@ def test_en_permutation_invariant_sf_not(rng):
     sorted_img = np.sort(img.ravel()).reshape(8, 8)   # same histogram
     assert metrics.metric_en(img) == metrics.metric_en(sorted_img)
     assert metrics.metric_sf(img) != metrics.metric_sf(sorted_img)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_quantize_refuses_a_non_finite_image(value):
+    # the cast would make NaN a black pixel that fuse writes and eval scores
+    img = np.full((4, 5), 0.5)
+    img[2, 3] = value
+    with pytest.raises(NonFiniteError):
+        metrics.quantize_u8(img)
 
 
 def test_metrics_reject_unquantized_and_empty(rng):
