@@ -5,12 +5,12 @@ one contiguous float64 numpy array plus an optional gradient buffer; a
 forward op whose inputs need gradients gives its result a graph Node with
 parent links and a backward closure, and ``backward()`` replays the recorded
 graph in exact reverse topological order, accumulating gradients additively
-into every reachable leaf with ``requires_grad``. Closures save only the
-arrays their gradients read, so the graph holds no op result's Tensor, and
+into every reachable leaf with ``requires_grad``. Gradient functions save
+only the arrays they read, so the graph holds no op result's Tensor, and
 backward frees the graph as it goes: after a backward pass only leaves
-(parameters, inputs) hold a ``grad``. No closure saves a view of a larger
+(parameters, inputs) hold a ``grad``. No function saves a view of a larger
 array, and where an op's result equals what its backward would read, the
-closure saves the result, which the next op often saves too.
+function saves the result, which the next op often saves too.
 
 Engine-wide conventions:
   * float64 everywhere; convolution is cross-correlation (no kernel flip)
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 
 import numpy as np
 
@@ -154,8 +155,15 @@ class _GradTarget:
     __slots__ = ()
 
     def _accumulate(self, g: np.ndarray) -> None:
+        shape = self.shape
+        if g.shape != shape:         # sum a broadcast gradient back down
+            while g.ndim > len(shape):
+                g = g.sum(axis=0)
+            for axis, dim in enumerate(shape):
+                if dim == 1 and g.shape[axis] != 1:
+                    g = g.sum(axis=axis, keepdims=True)
         if self.grad is None:        # a copy: add and sub pass one g to both
-            self.grad = np.empty(self.shape)
+            self.grad = np.empty(shape)
             np.copyto(self.grad, g)
         else:
             self.grad += g
@@ -166,16 +174,17 @@ class Node(_GradTarget):
 
     ``parents`` holds, per op input, that input's gradient target (its Node,
     or the Tensor itself for a leaf) or None when it needs no gradient;
-    ``backward_fn(g, *parents)`` adds the input gradients for cotangent g.
-    ``_make`` records the node. A one-input op's closure comes from
-    ``_unary``, which adds the op's ``grad(g)`` to its one parent; a
-    multi-input op writes its own closure and skips a None parent.
-    The node holds no array of its own: the closure keeps exactly the arrays
-    and shapes it reads, so an op result's ``data`` lives only as long as the
-    calling code or a closure needs it.
+    ``backward_fn(g, *parents)`` adds the input gradients for cotangent g,
+    and is None once backward has run it. ``_make`` records the node. Every
+    op but two builds ``backward_fn`` with ``_grads`` from one gradient
+    function per input; ``take``, which adds into a view of the gradient
+    buffer, and ``selective_scan_core``, whose six gradients share one
+    rebuild, write their own. The node holds no array of its own: the
+    gradient functions keep exactly the arrays they read, so an op result's
+    ``data`` lives only as long as the calling code or a function needs it.
     """
 
-    __slots__ = ("grad", "parents", "backward_fn", "op", "spent", "shape")
+    __slots__ = ("grad", "parents", "backward_fn", "op", "shape")
 
     def __init__(self, shape: tuple, parents: tuple, backward_fn, op: str):
         self.grad = None
@@ -183,7 +192,6 @@ class Node(_GradTarget):
         self.parents = parents
         self.backward_fn = backward_fn
         self.op = op
-        self.spent = False
 
 
 class Tensor(_GradTarget):
@@ -236,11 +244,11 @@ class Tensor(_GradTarget):
 
         The loss must be scalar; running backward twice over the same graph
         raises GraphStateError. Arrays are kept only where backward reads
-        them: each closure saves the arrays and shapes its gradients need
-        (``add`` two shapes, ``matmul`` its operands, a conv its unpadded
-        input and the kernel, ``silu`` its result), never an op result's
-        Tensor, so an intermediate no closure reads is freed once the
-        calling code drops it. The graph is released as it is consumed:
+        them: each gradient function saves the arrays it reads (``add``
+        none, ``matmul`` the other operand, a conv its unpadded input or
+        the kernel, ``silu`` its result), never an op result's Tensor, so
+        an intermediate nothing reads is freed once the calling code drops
+        it. The graph is released as it is consumed:
         once a node's closure has run, its ``grad``, closure and parent
         links are cleared, so each saved array is freed as soon as the last
         closure that reads it has run. Only leaves keep their ``grad``.
@@ -252,7 +260,7 @@ class Tensor(_GradTarget):
             raise ContractError("loss does not require grad; nothing to differentiate")
         order = toposort(self)
         for node in order:
-            if isinstance(node, Node) and node.spent:
+            if isinstance(node, Node) and node.backward_fn is None:
                 raise GraphStateError(
                     "graph already consumed by a previous backward(); "
                     "rebuild the forward pass before differentiating again")
@@ -261,7 +269,6 @@ class Tensor(_GradTarget):
             node = order.pop()
             if isinstance(node, Node):
                 node.backward_fn(node.grad, *node.parents)
-                node.spent = True
                 node.grad = node.backward_fn = None
                 node.parents = ()
 
@@ -353,127 +360,96 @@ def _make(out_data: np.ndarray, parents: tuple, op: str, backward_fn,
     return out
 
 
-def _unary(a: Tensor, out_data: np.ndarray, op: str, grad,
-           flops: int = 0) -> Tensor:
-    """``_make`` for a one-input op whose input gradient is ``grad(g)``."""
-    def backward(g, ta):
-        ta._accumulate(grad(g))
+def _grads(out_data: np.ndarray, op: str, flops: int, *pairs) -> Tensor:
+    """``_make`` for an op whose gradient for each input is a function of the
+    cotangent alone. ``pairs`` alternates the op's inputs with their
+    gradient functions, g -> that input's gradient. A recorded node gets a
+    backward that adds each function's result to its input's target; the
+    function of an input that needs no gradient is dropped first, and with
+    it every array it closes over."""
+    out = _make(out_data, pairs[::2], op, None, flops)
+    node = out._node
+    if node is not None:
+        grads = pairs[1::2]
+        if None in node.parents:
+            grads = tuple(None if t is None else grad
+                          for t, grad in zip(node.parents, grads))
 
-    return _make(out_data, (a,), op, backward, flops)
+        def backward(g, *targets):
+            for target, grad in zip(targets, grads):
+                if grad is not None:
+                    target._accumulate(grad(g))
 
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+        node.backward_fn = backward
+    return out
 
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 #
-# A one-input op hands ``_unary`` its gradient function, g -> input gradient.
-# A multi-input op writes its backward closure, which takes the cotangent and
-# one gradient target per input (None for an input that needs no gradient).
-# Either saves only the arrays and shapes it reads. Where one input's gradient
-# reads the other input's data, that data is saved only when the first input
-# requires grad.
+# Every op but ``take`` and ``selective_scan_core`` goes through ``_grads``
+# with one gradient function per input. A function closes over only the
+# arrays it reads, never an input's Tensor, and may return the gradient at
+# the output's broadcast shape: ``_accumulate`` sums it back down to the
+# input's. Where one input's gradient reads the other input's data (``mul``,
+# ``matmul``, a conv's weight), that data is saved only when the first input
+# requires grad, because ``_grads`` drops the function otherwise.
+
+def _same(g: np.ndarray) -> np.ndarray:
+    return g
+
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
-    sa, sb = a.shape, b.shape
-
-    def backward(g, ta, tb):
-        if ta is not None:
-            ta._accumulate(_unbroadcast(g, sa))
-        if tb is not None:
-            tb._accumulate(_unbroadcast(g, sb))
-
-    return _make(out, (a, b), "add", backward, out.size)
+    return _grads(out, "add", out.size, a, _same, b, _same)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
-    sa, sb = a.shape, b.shape
-
-    def backward(g, ta, tb):
-        if ta is not None:
-            ta._accumulate(_unbroadcast(g, sa))
-        if tb is not None:
-            tb._accumulate(_unbroadcast(-g, sb))
-
-    return _make(out, (a, b), "sub", backward, out.size)
+    return _grads(out, "sub", out.size, a, _same, b, np.negative)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-    sa, sb = a.shape, b.shape
-    xb = b.data if a.requires_grad else None
-    xa = a.data if b.requires_grad else None
-
-    def backward(g, ta, tb):
-        if ta is not None:
-            ta._accumulate(_unbroadcast(g * xb, sa))
-        if tb is not None:
-            tb._accumulate(_unbroadcast(g * xa, sb))
-
-    return _make(out, (a, b), "mul", backward, out.size)
+    xa, xb = a.data, b.data
+    out = xa * xb
+    return _grads(out, "mul", out.size, a, lambda g: g * xb,
+                  b, lambda g: g * xa)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-    sa, sb = a.shape, b.shape
-    xb = b.data
-    xa = a.data if b.requires_grad else None
-
-    def backward(g, ta, tb):
-        if ta is not None:
-            ta._accumulate(_unbroadcast(g / xb, sa))
-        if tb is not None:
-            tb._accumulate(_unbroadcast(-g * xa / (xb * xb), sb))
-
-    return _make(out, (a, b), "div", backward, out.size)
+    xa, xb = a.data, b.data
+    out = xa / xb
+    return _grads(out, "div", out.size, a, lambda g: g / xb,
+                  b, lambda g: -g * xa / (xb * xb))
 
 
 def neg(a: Tensor) -> Tensor:
     out = -a.data
-    return _unary(a, out, "neg", lambda g: -g, out.size)
+    return _grads(out, "neg", out.size, a, np.negative)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     exponent = float(exponent)
     x = a.data
     out = x ** exponent
-    return _unary(a, out, "pow", lambda g: g * exponent * x ** (exponent - 1.0),
-                  out.size)
+    return _grads(out, "pow", out.size,
+                  a, lambda g: g * exponent * x ** (exponent - 1.0))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; at ties the gradient routes to the first operand."""
+    """Elementwise max; at ties the gradient routes to the first operand,
+    and where either is NaN to the second."""
     xa, xb = a.data, b.data
     out = np.maximum(xa, xb)
-    sa, sb = a.shape, b.shape
-
-    def backward(g, ta, tb):
-        mask = (xa >= xb).astype(np.float64)
-        if ta is not None:
-            ta._accumulate(_unbroadcast(g * mask, sa))
-        if tb is not None:
-            tb._accumulate(_unbroadcast(g * (1.0 - mask), sb))
-
-    return _make(out, (a, b), "maximum", backward, out.size)
+    return _grads(out, "maximum", out.size, a, lambda g: g * (xa >= xb),
+                  b, lambda g: g * ~(xa >= xb))
 
 
 def absolute(a: Tensor) -> Tensor:
     x = a.data
     out = np.abs(x)
-    return _unary(a, out, "abs", lambda g: g * np.sign(x), out.size)
+    return _grads(out, "abs", out.size, a, lambda g: g * np.sign(x))
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +458,12 @@ def absolute(a: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-    return _unary(a, out, "exp", lambda g: g * out, out.size)
+    return _grads(out, "exp", out.size, a, lambda g: g * out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid_np(a.data)
-    return _unary(a, out, "sigmoid", lambda g: g * out * (1.0 - out), out.size)
+    return _grads(out, "sigmoid", out.size, a, lambda g: g * out * (1.0 - out))
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -501,8 +477,8 @@ def silu(a: Tensor) -> Tensor:
     x = a.data
     s = _sigmoid_np(x)
     out = x * s       # saved in place of x: backward's x * s is out
-    return _unary(a, out, "silu", lambda g: g * (s + out * (1.0 - s)),
-                  2 * out.size)
+    return _grads(out, "silu", 2 * out.size,
+                  a, lambda g: g * (s + out * (1.0 - s)))
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -522,18 +498,18 @@ def gelu(a: Tensor) -> Tensor:
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
-    return _unary(a, out, "gelu", grad, 4 * out.size)
+    return _grads(out, "gelu", 4 * out.size, a, grad)
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-    return _unary(a, out, "tanh", lambda g: g * (1.0 - out * out), out.size)
+    return _grads(out, "tanh", out.size, a, lambda g: g * (1.0 - out * out))
 
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
     out = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
-    return _unary(a, out, "softplus", lambda g: g * _sigmoid_np(x), 2 * out.size)
+    return _grads(out, "softplus", 2 * out.size, a, lambda g: g * _sigmoid_np(x))
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -547,7 +523,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     def grad(g):
         return out * (g - (g * out).sum(axis=axis, keepdims=True))
 
-    return _unary(a, out, "softmax", grad, 4 * out.size)
+    return _grads(out, "softmax", 4 * out.size, a, grad)
 
 
 def layer_norm(a: Tensor, axis: int) -> Tensor:
@@ -567,7 +543,7 @@ def layer_norm(a: Tensor, axis: int) -> Tensor:
         gy_dot = (g * out).sum(axis=axis, keepdims=True)
         return inv / n * (n * g - gy_sum - out * gy_dot)
 
-    return _unary(a, out, "layer_norm", grad, 5 * out.size)
+    return _grads(out, "layer_norm", 5 * out.size, a, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +553,8 @@ def layer_norm(a: Tensor, axis: int) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     shape_in = a.shape
-    return _unary(a, a.data.reshape(shape), "reshape",
-                  lambda g: g.reshape(shape_in))
+    return _grads(a.data.reshape(shape), "reshape", 0,
+                  a, lambda g: g.reshape(shape_in))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -590,12 +566,12 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     # contiguous output keeps downstream kernels on one deterministic path
     out = np.ascontiguousarray(a.data.transpose(axes))
     inverse = np.argsort(axes)
-    return _unary(a, out, "transpose", lambda g: g.transpose(inverse))
+    return _grads(out, "transpose", 0, a, lambda g: g.transpose(inverse))
 
 
 def flip(a: Tensor, axis: int) -> Tensor:
-    return _unary(a, np.flip(a.data, axis=axis).copy(), "flip",
-                  lambda g: np.flip(g, axis=axis))
+    return _grads(np.flip(a.data, axis=axis).copy(), "flip", 0,
+                  a, lambda g: np.flip(g, axis=axis))
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -603,17 +579,13 @@ def concat(tensors, axis: int) -> Tensor:
     if not tensors:
         raise ContractError("concat needs at least one tensor")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g, *targets):
-        for t, lo, hi in zip(targets, offsets[:-1], offsets[1:]):
-            if t is not None:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return _make(out, tuple(tensors), "concat", backward)
+    lead = (slice(None),) * (axis % out.ndim)
+    pairs, lo = [], 0
+    for t in tensors:            # input i's gradient: its slice of g
+        hi = lo + t.shape[axis]
+        pairs += (t, operator.itemgetter(lead + (slice(lo, hi),)))
+        lo = hi
+    return _grads(out, "concat", 0, *pairs)
 
 
 def _is_basic_index(idx) -> bool:
@@ -665,7 +637,6 @@ def _norm_axis(axis, ndim):
 
 def _spread(g, axis, keepdims: bool, shape_in) -> np.ndarray:
     """A reduction's cotangent broadcast back over the reduced axes."""
-    g = np.asarray(g)
     if axis is not None and not keepdims:
         for ax in sorted(axis):
             g = np.expand_dims(g, ax)
@@ -676,8 +647,8 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(axis, a.ndim)
     out = a.data.sum(axis=axis, keepdims=keepdims)
     shape_in = a.shape
-    return _unary(a, np.asarray(out), "sum",
-                  lambda g: _spread(g, axis, keepdims, shape_in), a.size)
+    return _grads(np.asarray(out), "sum", a.size,
+                  a, lambda g: _spread(g, axis, keepdims, shape_in))
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -685,9 +656,8 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.size if axis is None else int(np.prod([a.data.shape[ax] for ax in axis]))
     out = a.data.mean(axis=axis, keepdims=keepdims)
     shape_in = a.shape
-    return _unary(a, np.asarray(out), "mean",
-                  lambda g: _spread(np.asarray(g) / count, axis, keepdims,
-                                    shape_in), a.size)
+    return _grads(np.asarray(out), "mean", a.size,
+                  a, lambda g: _spread(g / count, axis, keepdims, shape_in))
 
 
 # ---------------------------------------------------------------------------
@@ -701,18 +671,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError("matmul inner dims disagree: %r vs %r"
                              % (a.shape, b.shape))
-    out = a.data @ b.data
-    xb = b.data if a.requires_grad else None
-    xa = a.data if b.requires_grad else None
-
-    def backward(g, ta, tb):
-        if ta is not None:
-            ta._accumulate(g @ xb.T)
-        if tb is not None:
-            tb._accumulate(xa.T @ g)
-
-    return _make(out, (a, b), "matmul", backward,
-                 2 * a.shape[0] * a.shape[1] * b.shape[1])
+    xa, xb = a.data, b.data
+    return _grads(xa @ xb, "matmul", 2 * a.shape[0] * a.shape[1] * b.shape[1],
+                  a, lambda g: g @ xb.T, b, lambda g: xa.T @ g)
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +704,10 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
     (y + dilation * i, x + dilation * j). Dense weights are w[Co,Ci,k,k],
     depthwise weights w[C,k,k] scale each tap per channel; ``pad=None`` keeps
     the spatial dims. The arithmetic runs in ``correlate`` on flat padded
-    rows. The closure saves the unpadded input, not a padded copy: backward
-    pads it again for the weight gradient, per tap from those rows, and
-    takes the x-gradient as the correlation of the cotangent with the
-    flipped kernel (in and out channels swapped) under pad span - 1 - pad.
+    rows. ``grad_w`` saves the unpadded input, not a padded copy, and pads it
+    again to form the weight gradient per tap; ``grad_x`` saves the kernel
+    and correlates the cotangent with it flipped (in and out channels
+    swapped) under pad span - 1 - pad.
     """
     if x.ndim != 3 or w.ndim != (3 if depthwise else 4):
         raise DimensionError("%s expects x[C,H,W] and a %dD kernel; got %r, %r"
@@ -770,38 +731,36 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
         raise DimensionError("%s output would be empty for input %r kernel %d"
                              % (op, x.shape, k))
 
-    out = correlate(x.data, w.data, pad, dilation, depthwise)
-    xd = x.data if w.requires_grad else None
-    wk = w.data if x.requires_grad else None
+    xd, wk = x.data, w.data
+    out = correlate(xd, wk, pad, dilation, depthwise)
 
-    def backward(g, tx, tw):
-        if tw is not None:
-            wp = wd + 2 * pad
-            gf = g
-            if w_out < wp:                       # zero wrap-around columns
-                gf = np.zeros((c_out, h_out, wp))
-                gf[:, :, :w_out] = g
-            gf = gf.reshape(c_out, -1)[:, :(h_out - 1) * wp + w_out]
-            taps = _taps(_flat_padded(xd, pad), k, dilation, wp, gf.shape[1])
-            if depthwise:        # per channel (1, n) @ (n, 1): (k, k, C)
-                gwt = (taps[..., None, :] @ gf[..., None])[..., 0, 0]
-                tw._accumulate(gwt.transpose(2, 0, 1))
-            else:                # (Co, n) @ (n, Ci): (k, k, Co, Ci)
-                tw._accumulate((gf @ taps.swapaxes(-1, -2)).transpose(2, 3, 0, 1))
-        if tx is not None:
-            # outputs beyond span - 1 pixels of padding read no input
-            cut = max(0, pad - span + 1)
-            flipped = wk[..., ::-1, ::-1]
-            if not depthwise:
-                flipped = flipped.swapaxes(0, 1)
-            # contiguous, so correlate's kernel reshapes stay BLAS operands
-            tx._accumulate(correlate(g[:, cut:h_out - cut, cut:w_out - cut],
-                                     np.ascontiguousarray(flipped),
-                                     span - 1 - pad + cut, dilation,
-                                     depthwise))
+    def grad_x(g):
+        # outputs beyond span - 1 pixels of padding read no input
+        cut = max(0, pad - span + 1)
+        flipped = wk[..., ::-1, ::-1]
+        if not depthwise:
+            flipped = flipped.swapaxes(0, 1)
+        # contiguous, so correlate's kernel reshapes stay BLAS operands
+        return correlate(g[:, cut:h_out - cut, cut:w_out - cut],
+                         np.ascontiguousarray(flipped), span - 1 - pad + cut,
+                         dilation, depthwise)
 
-    return _make(out, (x, w), op, backward,
-                 2 * c_out * (1 if depthwise else c_in) * k * k * h_out * w_out)
+    def grad_w(g):
+        wp = wd + 2 * pad
+        gf = g
+        if w_out < wp:                           # zero wrap-around columns
+            gf = np.zeros((c_out, h_out, wp))
+            gf[:, :, :w_out] = g
+        gf = gf.reshape(c_out, -1)[:, :(h_out - 1) * wp + w_out]
+        taps = _taps(_flat_padded(xd, pad), k, dilation, wp, gf.shape[1])
+        if depthwise:            # per channel (1, n) @ (n, 1): (k, k, C)
+            return (taps[..., None, :] @ gf[..., None])[..., 0, 0].transpose(2, 0, 1)
+        # (Co, n) @ (n, Ci): (k, k, Co, Ci)
+        return (gf @ taps.swapaxes(-1, -2)).transpose(2, 3, 0, 1)
+
+    return _grads(out, op,
+                  2 * c_out * (1 if depthwise else c_in) * k * k * h_out * w_out,
+                  x, grad_x, w, grad_w)
 
 
 # Bytes of tap slices copied for one im2col matmul: the copy and the
@@ -898,7 +857,7 @@ def pad_reflect2d(x: Tensor, pad: int) -> Tensor:
             buf[ch] = np.bincount(idx, weights=gflat[ch], minlength=h * w)
         return buf.reshape(c, h, w)
 
-    return _unary(x, out, "pad_reflect2d", grad)
+    return _grads(out, "pad_reflect2d", 0, x, grad)
 
 
 # ---------------------------------------------------------------------------

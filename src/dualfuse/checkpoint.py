@@ -13,6 +13,7 @@ hold NaN or Inf.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -61,7 +62,7 @@ def _decode_array(payload: bytes) -> np.ndarray:
         data = np.frombuffer(payload, dtype="<f8", offset=1 + 4 * ndim)
     except (struct.error, ValueError) as exc:
         raise CheckpointError("malformed array payload: %s" % exc) from exc
-    expected = int(np.prod(dims)) if dims else 1
+    expected = math.prod(dims)      # Python ints: np.prod wraps past 2**63
     if data.size != expected:
         raise CheckpointError("array payload size mismatch")
     return data.reshape(dims).copy()

@@ -52,6 +52,8 @@ class RunConfig:
             raise ConfigError("channels, depth and batch must be >= 1")
         if self.epochs_stage1 < 0 or self.epochs_stage2 < 0:
             raise ConfigError("epoch counts cannot be negative")
+        if self.seed < 0:        # numpy's generators take no negative seed
+            raise ConfigError("seed must be >= 0, got %d" % self.seed)
         return self
 
     def to_text(self) -> str:

@@ -330,7 +330,7 @@ def test_backward_releases_interior_nodes(rng):
     assert_close(h.data, x.data @ w.data)
     assert h.grad is None and loss.data is not None
     for node in interior:
-        assert node.spent and node.grad is None and node.backward_fn is None
+        assert node.grad is None and node.backward_fn is None
         assert node.parents == ()
 
 
@@ -432,6 +432,26 @@ def test_gelu_saves_only_its_input(rng):
     x = parameter(rng.uniform(-3, 3, (3, 4)))
     saved = _saved_arrays(ad.gelu(x))
     assert saved and all(obj is x.data for obj in saved)
+
+
+CONSTANT_THEN_PARAMETER = {
+    "mul": (ad.mul, (3, 4), (3, 4)),
+    "matmul": (ad.matmul, (3, 4), (4, 2)),
+    "conv2d": (lambda c, p: ad.conv2d(c, p, pad=1), (2, 5, 5), (3, 2, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_THEN_PARAMETER))
+def test_gradient_function_of_a_constant_input_is_dropped(rng, name):
+    # the parameter's gradient reads the constant's array, which is saved;
+    # the constant's gradient would read the parameter's, and is dropped
+    # with it when the node is built
+    op, c_shape, p_shape = CONSTANT_THEN_PARAMETER[name]
+    c = Tensor(rng.uniform(-1, 1, c_shape))
+    p = parameter(rng.uniform(-1, 1, p_shape))
+    saved = _saved_arrays(op(c, p))
+    assert any(obj is c.data for obj in saved)
+    assert not any(np.shares_memory(obj, p.data) for obj in saved)
 
 
 @pytest.mark.parametrize("idx", [slice(2, 4), (slice(None), 1),

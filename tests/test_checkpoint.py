@@ -2,6 +2,7 @@
 
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -224,6 +225,31 @@ def test_nan_decoder_bias_is_refused(tmp_path):
     path = str(tmp_path / "nan.tmam")
     save_checkpoint(path, cfg, model, AdamState(), 1, 1)
     with pytest.raises(CheckpointError, match="'param/decoder.out_b'"):
+        load_checkpoint(path)
+
+
+def test_negative_seed_in_config_record_is_refused(tmp_path):
+    # numpy refuses a negative seed when the model is rebuilt, so the config
+    # record is refused first, as a checkpoint fault
+    cfg = small_config()
+    path = str(tmp_path / "seed.tmam")
+    save_checkpoint(path, cfg, build_model(cfg), AdamState(), 1, 1)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    assert blob.count(b"seed = 3\n") == 1
+    with open(path, "wb") as fh:       # same length, so no header changes
+        fh.write(blob.replace(b"seed = 3\n", b"seed =-3\n"))
+    with pytest.raises(CheckpointError, match="seed must be >= 0"):
+        load_checkpoint(path)
+
+
+def test_array_record_whose_element_count_overflows_int64_is_refused(tmp_path):
+    # 65536**4 = 2**64 elements wrap to 0 in int64, which matches an empty
+    # data section
+    path = str(tmp_path / "overflow.tmam")
+    save_adam_checkpoint(path, "param/", lambda payload: struct.pack(
+        "<B4I", 4, 65536, 65536, 65536, 65536))
+    with pytest.raises(CheckpointError, match="size mismatch"):
         load_checkpoint(path)
 
 

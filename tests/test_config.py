@@ -84,6 +84,7 @@ def test_bad_types_are_errors():
     "lr_decay = nan\n",
     "batch = 0\n",
     "epochs_stage1 = -1\n",
+    "seed = -1\n",                     # numpy's generators refuse it
 ])
 def test_invariant_violations(text):
     with pytest.raises(ConfigError):
