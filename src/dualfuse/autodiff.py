@@ -148,6 +148,18 @@ def _count(n: int) -> None:
         _flop_counter.total += int(n)
 
 
+def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """A gradient at an op's broadcast output shape, summed back down to the
+    shape of the input it belongs to."""
+    if g.shape != shape:
+        while g.ndim > len(shape):
+            g = g.sum(axis=0)
+        for axis, dim in enumerate(shape):
+            if dim == 1 and g.shape[axis] != 1:
+                g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
 class _GradTarget:
     """What backward accumulates a gradient into: a leaf Tensor (parameter or
     input) or the Node of an op result. Both have ``grad`` and ``shape``."""
@@ -156,12 +168,7 @@ class _GradTarget:
 
     def _accumulate(self, g: np.ndarray) -> None:
         shape = self.shape
-        if g.shape != shape:         # sum a broadcast gradient back down
-            while g.ndim > len(shape):
-                g = g.sum(axis=0)
-            for axis, dim in enumerate(shape):
-                if dim == 1 and g.shape[axis] != 1:
-                    g = g.sum(axis=axis, keepdims=True)
+        g = _sum_to(g, shape)
         if self.grad is None:        # a copy: add and sub pass one g to both
             self.grad = np.empty(shape)
             np.copyto(self.grad, g)
@@ -252,6 +259,11 @@ class Tensor(_GradTarget):
         once a node's closure has run, its ``grad``, closure and parent
         links are cleared, so each saved array is freed as soon as the last
         closure that reads it has run. Only leaves keep their ``grad``.
+
+        A graph may read ``StandIn`` leaves, the outputs of a graph that
+        another process holds; ``_schedule`` then orders the pass and
+        backward tells each stand-in's ``half`` when the stand-in's
+        gradient is final and when its place in the order comes.
         """
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss, got shape %r"
@@ -259,18 +271,30 @@ class Tensor(_GradTarget):
         if not self.requires_grad:
             raise ContractError("loss does not require grad; nothing to differentiate")
         order = toposort(self)
+        halves: dict = {}
         for node in order:
             if isinstance(node, Node) and node.backward_fn is None:
                 raise GraphStateError(
                     "graph already consumed by a previous backward(); "
                     "rebuild the forward pass before differentiating again")
+            if type(node) is StandIn:
+                halves.setdefault(node.half, []).append(node)
+        ready: dict = {}
+        if halves:
+            order, ready = _schedule(order, halves)
         order[-1]._accumulate(np.ones_like(self.data))
+        for stand_in in ready.pop(None, ()):
+            stand_in.half.ready(stand_in)
         while order:
             node = order.pop()
             if isinstance(node, Node):
                 node.backward_fn(node.grad, *node.parents)
                 node.grad = node.backward_fn = None
                 node.parents = ()
+                for stand_in in ready.pop(id(node), ()):
+                    stand_in.half.ready(stand_in)
+            elif type(node) is StandIn:
+                node.half.reached(node)
 
     # -- operator sugar -----------------------------------------------------
 
@@ -320,12 +344,41 @@ def _target(t: Tensor):
     return t if t._node is None else t._node
 
 
+class StandIn(Tensor):
+    """A leaf that holds output ``index`` of a graph another process keeps
+    (``parallel`` makes them). ``half``, that graph's proxy here, takes
+    part in backward in three calls:
+
+    - ``half.begin(found)`` with the stand-ins backward reaches, in the
+      order ``toposort`` lists them; it returns those at whose place the
+      remote graph's backward belongs (its heads);
+    - ``half.ready(s)`` once the last op that reads ``s`` has run, so
+      ``s.grad`` is final;
+    - ``half.reached(s)`` at ``s``'s place in the order, where the remote
+      graph's contributions are added in.
+
+    ``half.leaves`` lists the tensors those contributions go to, besides
+    ``half.stand_ins``."""
+
+    __slots__ = ("half", "index")
+
+    def __init__(self, data, half, index: int):
+        super().__init__(data, requires_grad=True)
+        self.half = half
+        self.index = index
+
+
 def toposort(root: Tensor) -> list:
     """Gradient targets below ``root`` in topological order (parents before
     children, ``root``'s own target last): Nodes and leaf Tensors."""
+    return _postorder(_target(root), set())
+
+
+def _postorder(start, seen: set) -> list:
+    """``toposort`` from the gradient target ``start``, leaving out and
+    adding to ``seen`` (target ids)."""
     order: list = []
-    seen: set = set()
-    stack = [(_target(root), False)]
+    stack = [(start, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -340,6 +393,71 @@ def toposort(root: Tensor) -> list:
                 if parent is not None and id(parent) not in seen:
                     stack.append((parent, False))
     return order
+
+
+def _schedule(order: list, halves: dict) -> tuple[list, dict]:
+    """The order of a backward pass that reaches stand-ins (``halves`` maps
+    each half to its stand-ins in ``order``), and when each is ready.
+
+    The ops downstream of a stand-in move ahead of the others, keeping
+    their own order, so that each stand-in's gradient is final as early as
+    it can be, unless that would change the order of some target's
+    contributions: no moved op may add into a target that an op left
+    behind, or a remote backward at its head's place, adds into before it.
+    Returns the order and a map from an op's id to the stand-ins it is the
+    last reader of (key None: stand-ins no op reads)."""
+    heads = set()
+    for half, found in halves.items():
+        heads.update(map(id, half.begin(found)))
+    unread = {id(s): s for found in halves.values() for s in found}
+    down = set(unread)
+    ready: dict = {}
+    for node in order:
+        if isinstance(node, Node):
+            for parent in node.parents:
+                if id(parent) in down:
+                    down.add(id(node))
+                    if id(parent) in unread:    # the last reader comes first
+                        ready.setdefault(id(node), []).append(
+                            unread.pop(id(parent)))
+    if unread:
+        ready[None] = list(unread.values())
+    fed: set = set()
+    for node in reversed(order):
+        if isinstance(node, Node):
+            ids = [id(p) for p in node.parents if p is not None]
+            if id(node) not in down:
+                fed.update(ids)
+            elif not fed.isdisjoint(ids):
+                return order, ready
+        elif id(node) in heads:
+            fed.update(map(id, node.half.leaves))
+            fed.update(map(id, node.half.stand_ins))
+    moved = [n for n in order if isinstance(n, Node) and id(n) in down]
+    kept = [n for n in order if not isinstance(n, Node) or id(n) not in down]
+    return kept + moved, ready
+
+
+def _segments(heads: list) -> list:
+    """The Nodes above ``heads`` (gradient targets) as backward runs them
+    when it reaches the heads in this order, each head before the ones after
+    it: per head, the targets first reached from it, in the order backward
+    runs them. The lists come in the order backward runs them, so the last
+    head's first."""
+    seen: set = set()
+    return [_postorder(head, seen)[::-1] for head in heads][::-1]
+
+
+def _run(nodes: list, redirect: dict) -> None:
+    """Run the gradient functions of the Nodes among ``nodes``, in order, as
+    backward does; a contribution to a target whose id ``redirect`` holds
+    goes to what it maps to instead."""
+    for node in nodes:
+        if isinstance(node, Node):
+            node.backward_fn(node.grad,
+                             *[redirect.get(id(p), p) for p in node.parents])
+            node.grad = node.backward_fn = None
+            node.parents = ()
 
 
 def _make(out_data: np.ndarray, parents: tuple, op: str, backward_fn,

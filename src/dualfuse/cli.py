@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import complexity, metrics
+from . import complexity, metrics, parallel
 from .checkpoint import load_checkpoint
 from .config import load_config
 from .data import load_dataset, load_pair, save_gray, write_png, ycbcr_to_rgb
@@ -35,14 +35,19 @@ def _cmd_train(args) -> int:
           % (result.stage1_steps, result.stage2_steps, result.checkpoint_path))
     if final:
         print("final loss: %s" % final[-1])
-    print("peak resident memory: %.1f MB" % _peak_rss_mb())
+    print("peak resident memory: %.1f MB"
+          % _mb(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+    # the helper ran modality b's half of every step, which this process's
+    # figure does not cover
+    helper = parallel.helper_peak_rss()
+    print("helper peak resident memory: %s"
+          % ("%.1f MB" % _mb(helper) if helper else "none (no helper ran)"))
     return 0
 
 
-def _peak_rss_mb() -> float:
-    """This process's peak resident set (``ru_maxrss``: KiB on Linux, bytes
-    on macOS) in MB."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+def _mb(peak: int) -> float:
+    """A peak resident set (``ru_maxrss``: KiB on Linux, bytes on macOS) in
+    MB."""
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 

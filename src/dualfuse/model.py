@@ -80,8 +80,9 @@ def fuse_pair(img_a: Tensor, img_b: Tensor, m: ModelParams, cfg: RunConfig,
               fusion_trained: bool = True) -> Tensor:
     """Full fusion forward pass.
 
-    Both modalities run through the shared encoder (under ``no_grad``, on
-    two cores when there are two: see ``parallel``), ``fuse_features``
+    Both modalities run through the shared encoder (on two cores when
+    there are two, under ``no_grad`` or in a training step: see
+    ``parallel``), ``fuse_features``
     fuses them and the decoder renders the image. With ``fusion_trained``
     false (a stage-one-only model) the fusion head is bypassed and branch
     features average, which reduces to plain restoration when both inputs

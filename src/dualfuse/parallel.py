@@ -1,46 +1,74 @@
-"""Two independent ``no_grad`` calls on two cores.
+"""Two calls on two cores, forward and, in a training step, backward.
 
 ``both((f, *f_args), (g, *g_args))`` returns ``(f(*f_args), g(*g_args))``.
-With grad off and at least two CPUs in this process's affinity set, ``g``
-runs on one persistent helper process, forked on first use, while the caller
-runs ``f``. Otherwise both run in the caller, ``f`` first. Training always
-takes the serial path: its graph must stay in one process.
+With at least two CPUs in this process's affinity set, ``g`` runs on one
+persistent helper process, forked on first use, while the caller runs
+``f``. Otherwise both run in the caller, ``f`` first. With grad off any
+call may use the helper; with grad on, only a call inside
+``training_step()``, and only while the helper holds no other graph. A
+graph-building call anywhere else runs serially.
 
 The helper computes what the caller would. It is a fork of the caller, runs
 the same functions on the same arrays (OpenBLAS is pinned to one thread in
 both), and gets every argument, parameters included, with each call, so it
-never computes with stale weights. It runs under ``no_grad`` with the
-caller's debug-check setting and counts its flops under its own
-``FlopCounter``; the caller adds that total to its own counter. An exception
-from either half is raised in the caller only after the helper's reply has
-been read, so no reply is left in the pipe for the next call. A call that
-finds the helper dead runs ``g`` itself, and the next call forks a new one.
-Only one call uses the helper at a time; a concurrent one runs serially.
-``g`` must be picklable by reference: a module-level function.
+never computes with stale weights. It runs with the caller's debug-check
+setting and counts its flops under its own ``FlopCounter``; the caller adds
+that total to its own counter.
+
+A grad-mode call keeps ``g``'s graph in the helper, whose leaves are fresh
+copies of the caller's, and returns ``g``'s outputs as ``autodiff.StandIn``
+leaves. In backward the caller sends each stand-in's gradient as soon as the
+last op reading it has run, back-propagates its own graph while the helper
+back-propagates ``g``'s, and, at the place where the serial backward would
+have run ``g``'s graph, adds the helper's contributions one by one in the
+helper's order. *The ordering invariant*: every gradient target, parameter
+or node, gets the same contributions in the same order as on the serial
+path, so gradients, loss logs and checkpoints keep every byte. What makes
+the two backwards overlap is ``autodiff._schedule``: it moves the ops that
+read a stand-in ahead of the rest when, and only when, that keeps the
+invariant.
+
+An exception from either half is raised in the caller only after the
+helper's reply has been read, so no reply is left in the pipe for the next
+call, and a graph the helper holds for a failed or abandoned step is
+dropped. A call that finds the helper dead runs ``g`` itself, and the next
+call forks a new one; a graph lost with its helper is rebuilt here, and
+its backward finishes here with the same bytes. Only one call, or one held
+graph, uses the helper at a time; a concurrent call runs serially. A
+function crosses the pipe by module and name, so a wrapper that copies its
+wrapped function's name (``functools.wraps``) sends the wrapped function.
 
 The helper is daemonic, closes its copy of the caller's pipe end (so it exits
 on end-of-file when the caller exits or dies) and is joined at interpreter
 exit. ``multiprocessing`` is imported by the first call that forks. Each
 call also sends the CPU the caller runs on, and a helper found there moves
-off it (see ``_leave_cpu``).
+off it (see ``_leave_cpu``). Each reply carries the helper's peak resident
+set (``helper_peak_rss``).
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import copyreg
 import ctypes
+import importlib
 import io
 import os
 import pickle
 import signal
 import threading
+import types
 
 from . import autodiff as ad
 
-_lock = threading.Lock()    # one call uses the helper at a time
+_lock = threading.Lock()    # one call or held graph uses the helper at a time
 _helper = None              # (process, connection) once forked
 _in_helper = False
+_in_step = False            # inside training_step()
+_pending = None             # the _Half whose graph the helper holds
+_held = None                # in the helper: (leaves, output nodes, parts)
+_helper_peak = 0            # the largest ru_maxrss a helper has replied with
 _getcpu = None              # libc's sched_getcpu, looked up on first use
 
 
@@ -61,45 +89,189 @@ def _two_cpus() -> bool:
 
 
 def _helper_usable() -> bool:
-    """Grad off, two CPUs, not in the helper itself, and, before the fork,
-    no other thread: a fork copies only the calling thread, so a lock held
-    by another would stay held in the helper."""
-    return not ad._grad_enabled and not _in_helper and _two_cpus() \
+    """Grad off or inside a training step, two CPUs, not in the helper
+    itself, and, before the fork, no other thread: a fork copies only the
+    calling thread, so a lock held by another would stay held in the
+    helper."""
+    return (not ad._grad_enabled or _in_step) and not _in_helper \
+        and _two_cpus() \
         and (_helper is not None or threading.active_count() == 1)
+
+
+def helper_peak_rss() -> int:
+    """The largest peak resident set (``ru_maxrss``) a helper has reported
+    in this process, 0 when none ran."""
+    return _helper_peak
+
+
+@contextlib.contextmanager
+def training_step():
+    """One training step: a grad-mode ``both`` inside may run its second
+    call on the helper. A graph the helper still holds at the end, because
+    the step failed or its backward never reached the stand-ins, is
+    dropped."""
+    global _in_step
+    _in_step = True
+    try:
+        yield
+    finally:
+        _in_step = False
+        if _pending is not None:
+            _pending.close()
+
+
+# ---------------------------------------------------------------------------
+# what crosses the pipe
+# ---------------------------------------------------------------------------
+
+class _NotALeaf(Exception):
+    """A grad-mode call was given an op result with grad: its graph cannot
+    cross, so the call runs serially."""
+
+
+def _by_name(module: str, qualname: str):
+    obj = importlib.import_module(module)
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
 
 
 # a Tensor crosses the pipe as its array: grad and graph links stay behind
 _DISPATCH = dict(copyreg.dispatch_table)
-_DISPATCH[ad.Tensor] = lambda t: (ad.Tensor, (t.data,))
+_DISPATCH[ad.Tensor] = _DISPATCH[ad.StandIn] = lambda t: (ad.Tensor, (t.data,))
 
 
-def _dumps(obj) -> bytes:
+class _GradPickler(pickle.Pickler):
+    """Pickles a grad-mode call and its reply. ``leaves`` (a list, in the
+    caller) numbers the call's leaves with grad, which arrive as leaves with
+    grad; ``outputs`` (in the helper) the tensors with grad it returns,
+    which arrive as stand-ins. A function whose module and name lead to
+    another object crosses as that name."""
+
+    dispatch_table = _DISPATCH
+
+    def __init__(self, file, leaves=None, outputs=None):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.leaves, self.outputs = leaves, outputs
+        self.numbers: dict = {}
+
+    def persistent_id(self, obj):
+        if not isinstance(obj, ad.Tensor) or not obj.requires_grad:
+            return None
+        if self.outputs is not None:
+            return ("out", self._number(obj, self.outputs), obj.data)
+        if obj._node is not None:
+            raise _NotALeaf
+        return ("leaf", self._number(obj, self.leaves), obj.data)
+
+    def _number(self, t, found: list) -> int:
+        if id(t) not in self.numbers:
+            self.numbers[id(t)] = len(found)
+            found.append(t)
+        return self.numbers[id(t)]
+
+    def reducer_override(self, obj):
+        if isinstance(obj, types.FunctionType):
+            try:
+                named = _by_name(obj.__module__, obj.__qualname__)
+            except (AttributeError, ImportError):
+                return NotImplemented
+            if named is not obj:
+                return _by_name, (obj.__module__, obj.__qualname__)
+        return NotImplemented
+
+
+class _Unpickler(pickle.Unpickler):
+    """Rebuilds what ``_GradPickler`` wrote: leaves with grad into
+    ``leaves``, and outputs as ``half``'s stand-ins."""
+
+    def __init__(self, data: bytes, half=None):
+        super().__init__(io.BytesIO(data))
+        self.half = half
+        self.leaves: list = []
+
+    def persistent_load(self, pid):
+        kind, index, data = pid
+        found = self.leaves if kind == "leaf" else self.half.stand_ins
+        if index == len(found):
+            found.append(ad.Tensor(data, requires_grad=True) if kind == "leaf"
+                         else ad.StandIn(data, self.half, index))
+        return found[index]
+
+
+def _dumps(obj, **grad) -> bytes:
+    """``obj`` pickled; with ``leaves`` or ``outputs``, by ``_GradPickler``."""
     buf = io.BytesIO()
-    pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
-    pickler.dispatch_table = _DISPATCH
-    pickler.dump(obj)
+    if grad:
+        _GradPickler(buf, **grad).dump(obj)
+    else:
+        pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
+        pickler.dispatch_table = _DISPATCH
+        pickler.dump(obj)
     return buf.getvalue()
 
 
+_DROP = _dumps(("drop",))
+
+
+def _result(reply: bytes):
+    """The value of an (ok, value, flops, peak rss) reply; raises the
+    helper's exception."""
+    global _helper_peak
+    ok, value, flops, peak = pickle.loads(reply)
+    _helper_peak = max(_helper_peak, peak)
+    if not ok:
+        raise value
+    ad._count(flops)
+    return value
+
+
+class _Sink:
+    """A caller-side gradient target, as the helper sees it: each
+    contribution, summed to the target's shape, goes to ``log`` under the
+    target's ``index``, for the caller to add in the same order."""
+
+    __slots__ = ("index", "shape", "log")
+
+    def __init__(self, index: int, shape: tuple, log: list):
+        self.index, self.shape, self.log = index, shape, log
+
+    def _accumulate(self, g) -> None:
+        self.log.append((self.index, ad._sum_to(g, self.shape)))
+
+
+# ---------------------------------------------------------------------------
+# the caller
+# ---------------------------------------------------------------------------
+
 def both(first: tuple, second: tuple) -> tuple:
     """``(first[0](*first[1:]), second[0](*second[1:]))``, the second on the
-    helper process when ``_helper_usable()`` and no other call is using it."""
+    helper process when ``_helper_usable()`` and no other call or graph is
+    using it."""
     if not _helper_usable() or not _lock.acquire(blocking=False):
         return first[0](*first[1:]), second[0](*second[1:])
+    if ad._grad_enabled:
+        return _both_with_grad(first, second)
     try:
-        return _both_on_two_cores(first, second)
+        request = _dumps(("call", second, ad._debug_checks, _cpu(), False))
+        result, reply = _exchange(request, first)
+        if reply is None:
+            return result, second[0](*second[1:])
+        return result, _result(reply)
     finally:
         _lock.release()
 
 
-def _both_on_two_cores(first: tuple, second: tuple) -> tuple:
-    request = _dumps((second, ad._debug_checks, _cpu()))
+def _exchange(request: bytes, first: tuple) -> tuple:
+    """Send ``request``, run ``first`` here and read the reply: (first's
+    result, the reply, or None when the helper could not be reached or
+    died). An exception from ``first`` is raised after the reply is read."""
     try:
         conn = _connection()
         conn.send_bytes(request)
     except OSError:         # no fork, or the helper died since the last call
         _shutdown()
-        return first[0](*first[1:]), second[0](*second[1:])
+        return first[0](*first[1:]), None
     failure = None
     try:
         result = first[0](*first[1:])
@@ -115,14 +287,207 @@ def _both_on_two_cores(first: tuple, second: tuple) -> tuple:
         raise
     if failure is not None:
         raise failure
-    if reply is None:
-        return result, second[0](*second[1:])
-    ok, value, flops = pickle.loads(reply)
-    if not ok:
-        raise value
-    ad._count(flops)
-    return result, value
+    return result, reply
 
+
+def _both_with_grad(first: tuple, second: tuple) -> tuple:
+    """``both`` with grad on and ``_lock`` held. The helper keeps
+    ``second``'s graph when that returns a tensor with grad; the graph's
+    ``_Half`` is then ``_pending`` and keeps the lock."""
+    global _pending
+    half = _Half(second)
+    try:
+        try:
+            request = _dumps(("call", second, ad._debug_checks, _cpu(), True),
+                             leaves=half.leaves)
+        except _NotALeaf:
+            return first[0](*first[1:]), second[0](*second[1:])
+        try:
+            result, reply = _exchange(request, first)
+        except BaseException:
+            _drop()
+            raise
+        if reply is None:
+            return result, second[0](*second[1:])
+        payload, half.reach = _result(reply)
+        value = _Unpickler(payload, half).load()
+        if half.stand_ins:
+            _pending = half
+        return result, value
+    finally:
+        if _pending is not half:
+            _lock.release()
+
+
+def _drop() -> None:
+    """Have the helper drop the graph it holds, if any."""
+    if _helper is not None:
+        try:
+            _helper[1].send_bytes(_DROP)
+        except OSError:
+            _shutdown()
+
+
+class _Half:
+    """The caller's side of a graph the helper holds: the call (to rebuild
+    the graph here if the helper dies), the leaves it was sent with grad,
+    the stand-ins of its outputs and, per output, the outputs above it.
+
+    In backward the graph splits into groups, one per head: the stand-ins
+    first reached from a head are its group's members, and the helper runs
+    a group's part of the graph from their gradients (see
+    ``autodiff.StandIn`` for the calls). Groups are sent in the order they
+    run, each once all its members are final; when one group's part may
+    add into another's members (``chained``), each also waits until the one
+    before has been added in."""
+
+    def __init__(self, call: tuple):
+        self.call = call
+        self.leaves: list = []
+        self.stand_ins: list = []
+        self.reach: list = []
+        self.groups: list = []      # (head, member indices), in run order
+        self.waiting: set = set()   # member indices not yet final
+        self.chained = False
+        self.sent = self.applied = 0
+        self.local = None           # (outputs, parts) once rebuilt here
+        self.done = False
+
+    def begin(self, found: list) -> list:
+        if self.done or self.groups:
+            raise ad.GraphStateError(
+                "the helper's part of this graph is gone; rebuild the forward "
+                "pass before differentiating again")
+        claimed: set = set()
+        for stand_in in found:
+            if stand_in.index in claimed:
+                continue
+            above = self.reach[stand_in.index]
+            self.chained |= not claimed.isdisjoint(above)
+            members = [stand_in.index] + [j for j in above if j not in claimed]
+            claimed.update(members)
+            self.groups.append((stand_in, members))
+        self.groups.reverse()
+        self.waiting = {s.index for s in found}
+        self._flush()
+        return [head for head, _ in self.groups]
+
+    def ready(self, stand_in) -> None:
+        self.waiting.discard(stand_in.index)
+        self._flush()
+
+    def _flush(self) -> None:
+        """Send every group that may go now, in run order."""
+        while self.local is None and self.sent < len(self.groups) \
+                and (not self.chained or self.sent == self.applied):
+            members = self.groups[self.sent][1]
+            if not self.waiting.isdisjoint(members):
+                return
+            heads = None if self.sent else \
+                [head.index for head, _ in reversed(self.groups)]
+            grads = {j: self.stand_ins[j].grad for j in members}
+            self.sent += 1
+            try:
+                _helper[1].send_bytes(_dumps(("grads", heads, grads)))
+            except OSError:
+                self._rebuild()
+
+    def reached(self, stand_in) -> None:
+        if self.applied == len(self.groups) \
+                or stand_in is not self.groups[self.applied][0]:
+            return      # a member: its head comes later
+        self._flush()
+        log = None if self.local is not None else self._receive()
+        if log is None:
+            self._run_here(self.applied, discard=False)
+        else:
+            targets = self.leaves + self.stand_ins
+            for index, g in log:
+                targets[index]._accumulate(g)
+        self.applied += 1
+        if self.applied == len(self.groups):
+            self._finish()      # the helper dropped the graph after it
+        else:
+            self._flush()
+
+    def _receive(self):
+        """The next group's contribution log, or None when the helper died
+        (the graph is then rebuilt here)."""
+        conn = _helper[1]
+        try:
+            reply = conn.recv_bytes()
+        except (EOFError, OSError):
+            self._rebuild()
+            return None
+        except BaseException:
+            _shutdown()
+            self._finish()
+            raise
+        try:
+            return _result(reply)
+        except BaseException:
+            self.applied += 1
+            self.close()        # reads the replies still due
+            raise
+
+    def _rebuild(self) -> None:
+        """Run the call here with grad, numbered as the helper numbered it,
+        and rerun the groups already added in, dropping their
+        contributions, so the nodes they share with later groups hold what
+        the serial backward would."""
+        _shutdown()
+        with ad.FlopCounter():      # counted from the helper's reply
+            value = self.call[0](*self.call[1:])
+        outputs: list = []
+        _dumps(value, outputs=outputs)
+        heads = [outputs[head.index]._node for head, _ in reversed(self.groups)]
+        self.local = (outputs, ad._segments(heads))
+        for k in range(self.applied):
+            self._run_here(k, discard=True)
+
+    def _run_here(self, k: int, discard: bool) -> None:
+        outputs, parts = self.local
+        members = self.groups[k][1]
+        for j in members:
+            g = self.stand_ins[j].grad
+            outputs[j]._node.grad = None if g is None else g.copy()
+        redirect = {}
+        for j, out in enumerate(outputs):
+            if j not in members:
+                redirect[id(out._node)] = _Sink(j, out.shape, []) if discard \
+                    else self.stand_ins[j]
+        if discard:
+            redirect.update((id(t), _Sink(0, t.shape, [])) for t in self.leaves)
+        ad._run(parts[k], redirect)
+
+    def close(self) -> None:
+        """Stop using the helper for this graph: read the replies still due
+        and have it drop the graph."""
+        try:
+            if self.local is None and not self.done and _helper is not None:
+                for _ in range(self.sent - self.applied):
+                    _helper[1].recv_bytes()
+                _drop()
+        except (EOFError, OSError):
+            _shutdown()
+        except BaseException:
+            _shutdown()
+            raise
+        finally:
+            self._finish()
+
+    def _finish(self) -> None:
+        global _pending
+        if not self.done:
+            self.done = True
+            if _pending is self:
+                _pending = None
+            _lock.release()
+
+
+# ---------------------------------------------------------------------------
+# the helper process
+# ---------------------------------------------------------------------------
 
 def _connection():
     global _helper
@@ -155,31 +520,98 @@ def _shutdown() -> None:
 atexit.register(_shutdown)
 
 
+def _peak() -> int:
+    import resource     # Unix only, as the fork is
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _serve(conn, caller_conn) -> None:
-    """Helper loop: run each call received, reply (ok, value, flops)."""
-    global _in_helper
+    """Helper loop: answer each call, and each group of a held graph's
+    backward, with (ok, value, flops, peak rss)."""
+    global _in_helper, _held
     _in_helper = True
     caller_conn.close()     # else the caller's death would not end recv
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller handles ^C
+    ad._grad_enabled = True     # the fork may have come from inside no_grad
     allowed = os.sched_getaffinity(0)
     while True:
         try:
-            (call, debug, caller_cpu) = pickle.loads(conn.recv_bytes())
+            data = conn.recv_bytes()
         except EOFError:
             return
-        _leave_cpu(caller_cpu, allowed)
-        ad.set_debug_checks(debug)
-        try:
-            with ad.no_grad(), ad.FlopCounter() as flops:
-                reply = (True, call[0](*call[1:]), flops.total)
-        except Exception as exc:
-            reply = (False, exc, 0)
+        unpickler = _Unpickler(data)
+        message = unpickler.load()
+        if message[0] == "call":
+            _, call, debug, caller_cpu, grad = message
+            _leave_cpu(caller_cpu, allowed)
+            ad.set_debug_checks(debug)
+            reply = _call(call, grad, unpickler.leaves)
+        else:
+            held, _held = _held, None
+            if message[0] == "drop":
+                continue
+            reply = _backward_group(held, *message[1:])
         # a reply that cannot be pickled ends the helper: the caller then
         # reads end-of-file and runs the call itself
         try:
             conn.send_bytes(_dumps(reply))
         except OSError:
             return
+
+
+def _call(call: tuple, grad: bool, leaves: list) -> tuple:
+    """Run a call; with ``grad``, keep its graph in ``_held``."""
+    global _held
+    if grad:
+        _held = None
+    try:
+        with ad.FlopCounter() as flops:
+            if grad:
+                value = call[0](*call[1:])
+            else:
+                with ad.no_grad():
+                    value = call[0](*call[1:])
+        if grad:
+            outputs: list = []
+            payload = _dumps(value, outputs=outputs)
+            nodes = [t._node for t in outputs]
+            above = [{id(n) for n in ad._postorder(node, set())}
+                     for node in nodes]
+            reach = [[i for i, n in enumerate(nodes) if i != j and id(n) in ids]
+                     for j, ids in enumerate(above)]
+            value = (payload, reach)
+            _held = (leaves, nodes, None) if nodes else None
+        return True, value, flops.total, _peak()
+    except Exception as exc:
+        return False, exc, 0, _peak()
+
+
+def _backward_group(held, heads, grads: dict) -> tuple:
+    """Run the next group of ``held``'s backward from its members'
+    gradients; reply with the log of contributions to the caller's targets
+    (leaves by number, then outputs). The graph stays in ``_held`` until
+    its last group has run or one has failed."""
+    global _held
+    if held is None:
+        return False, ad.GraphStateError("the helper holds no graph"), 0, \
+            _peak()
+    leaves, nodes, parts = held
+    try:
+        if heads is not None:
+            parts = ad._segments([nodes[j] for j in heads])
+        log: list = []
+        redirect = {id(t): _Sink(i, t.shape, log) for i, t in enumerate(leaves)}
+        for j, node in enumerate(nodes):
+            if j in grads:
+                node.grad = grads[j]
+            else:
+                redirect[id(node)] = _Sink(len(leaves) + j, node.shape, log)
+        ad._run(parts.pop(0), redirect)
+        if parts:
+            _held = (leaves, nodes, parts)
+        return True, log, 0, _peak()
+    except Exception as exc:
+        return False, exc, 0, _peak()
 
 
 def _leave_cpu(cpu: int, allowed: set) -> None:

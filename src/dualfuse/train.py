@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
 from .config import RunConfig
@@ -74,14 +75,17 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
                 pair = crop_sampler(dataset[idx], cfg.crop, rng)
                 img_a = image_to_tensor(pair.a)
                 img_b = image_to_tensor(pair.b)
-                if stage == "I":
-                    pred_a = restore(img_a, model)
-                    pred_b = restore(img_b, model)
-                    breakdown = stage1_loss(img_a, pred_a, img_b, pred_b)
-                else:
-                    fused = fuse_pair(img_a, img_b, model, cfg)
-                    breakdown = stage2_loss(fused, img_a, img_b)
-                (breakdown.total * Tensor(scale)).backward()
+                # modality b's restore or encode, forward and backward, runs
+                # on the helper when there is one (see parallel)
+                with parallel.training_step():
+                    if stage == "I":
+                        pred_a, pred_b = parallel.both(
+                            (restore, img_a, model), (restore, img_b, model))
+                        breakdown = stage1_loss(img_a, pred_a, img_b, pred_b)
+                    else:
+                        fused = fuse_pair(img_a, img_b, model, cfg)
+                        breakdown = stage2_loss(fused, img_a, img_b)
+                    (breakdown.total * Tensor(scale)).backward()
                 intensity += breakdown.intensity.item() * scale
                 structural += breakdown.ssim_or_grad.item() * scale
                 total += breakdown.total.item() * scale

@@ -300,6 +300,72 @@ def test_backward_twice_is_error(rng):
         loss.backward()
 
 
+class RecordingLeaf(Tensor):
+    """A parameter that keeps a copy of each gradient contribution."""
+
+    __slots__ = ("got",)
+
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
+        self.got = []
+
+    def _accumulate(self, g):
+        self.got.append(np.array(g).tobytes())
+        super()._accumulate(g)
+
+
+class FakeHalf:
+    """A remote graph's proxy that adds nothing: it records when backward
+    calls it, and how many contributions ``p`` had by then."""
+
+    def __init__(self, p):
+        self.p = p
+        self.leaves = [p]
+        self.stand_ins = []
+        self.events = []
+
+    def begin(self, found):
+        return list(found)
+
+    def ready(self, stand_in):
+        self.events.append(("ready", len(self.p.got)))
+
+    def reached(self, stand_in):
+        self.events.append(("reached", len(self.p.got)))
+
+
+def two_part_loss(p, s, b_reads_p):
+    # serial backward runs the a part (x * p) before the part that reads s
+    a_part = (Tensor([1.0, 2.0, 3.0]) * p).sum()
+    b = s * Tensor([0.5, 0.25, 2.0])
+    if b_reads_p:
+        b = b * p
+    return a_part + b.sum()
+
+
+@pytest.mark.parametrize("b_reads_p", [False, True])
+def test_stand_in_readers_move_ahead_only_when_no_target_order_changes(
+        b_reads_p):
+    data = [0.3, -1.7, 2.9]
+    serial_p = RecordingLeaf(np.array([1.1, 2.3, -0.7]))
+    two_part_loss(serial_p, parameter(data), b_reads_p).backward()
+    p = RecordingLeaf(np.array([1.1, 2.3, -0.7]))
+    half = FakeHalf(p)
+    s = ad.StandIn(np.array(data), half, 0)
+    half.stand_ins.append(s)
+    two_part_loss(p, s, b_reads_p).backward()
+    assert p.got == serial_p.got
+    assert p.grad.tobytes() == serial_p.grad.tobytes()
+    if b_reads_p:
+        # the ops reading s also add into p, after the a part: they stay
+        assert half.events == [("ready", 2), ("reached", 2)]
+    else:
+        # s's gradient is final before the a part runs, and the remote
+        # graph's place is still after it
+        assert half.events == [("ready", 0), ("reached", 1)]
+        assert s.grad.tobytes() == np.array([0.5, 0.25, 2.0]).tobytes()
+
+
 def test_backward_on_stale_subgraph_is_error(rng):
     x = parameter(rng.uniform(-1, 1, (3,)))
     mid = x * x

@@ -3,8 +3,8 @@
 ``perfbench/tracer.py`` wraps each hooked function in every namespace that
 calls it, and refuses to install when a site is missing or binds a
 different object. These checks catch such a break without a traced run,
-and one traced fuse checks that the fusion path's hooks record spans in the
-caller.
+and a traced fuse and a traced training run check that the hooks their
+benchmark workloads read record spans in the caller.
 """
 
 import importlib
@@ -16,7 +16,7 @@ import pytest
 from dualfuse import parallel
 from dualfuse.config import RunConfig
 from dualfuse.model import build_model
-from dualfuse.toydata import make_toy_pairs
+from dualfuse.toydata import make_toy_pairs, write_toy_dataset
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "tracer.py")
@@ -72,3 +72,54 @@ def test_traced_fuse_records_every_fusion_span(helper_on, monkeypatch):
         parallel._shutdown()    # a helper forked here runs the wrappers
     recorded = {span[0] for span in rec.spans}
     assert [n for n in FUSE_SPANS if n not in recorded] == []
+
+
+def load_workload(monkeypatch):
+    """perfbench/workload.py, which imports ``tracer`` by that name."""
+    monkeypatch.syspath_prepend(os.path.dirname(TRACER))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workload",
+        os.path.join(os.path.dirname(TRACER), "workload.py"))
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    return workload
+
+
+def test_traced_training_records_every_training_span_in_the_caller(
+        tmp_path, monkeypatch):
+    # one stage-I and one stage-II step with b's half on the helper: the
+    # spans and scan counts the traced training workloads check come from
+    # the caller's recorder, which sees only a's half
+    zeros = load_workload(monkeypatch).expected_zero("train-toy")
+    monkeypatch.setattr(parallel, "_two_cpus", lambda: True)
+    data_dir = str(tmp_path / "pairs")
+    write_toy_dataset(data_dir, n_pairs=1, size=16, seed=3)
+    cfg = RunConfig(channels=4, crop=16, batch=1, epochs_stage1=1,
+                    epochs_stage2=1, seed=2, out_dir=str(tmp_path / "out"))
+    modules = {mod: importlib.import_module("dualfuse." + mod)
+               for sites in HOOKS.values() for mod, _ in sites}
+    finished = []
+    finish = parallel._Half._finish
+
+    def recording_finish(half):
+        finished.append(half.local is None and not half.done)
+        finish(half)
+    monkeypatch.setattr(parallel._Half, "_finish", recording_finish)
+    parallel._shutdown()        # a helper forked earlier is not this one
+    rec = tracer.Recorder()
+    try:
+        rec.install(modules)
+        dataset = modules["data"].load_dataset(data_dir)
+        result = modules["train"].train(cfg, dataset)
+    finally:
+        rec.unpatch()
+        parallel._shutdown()    # a helper forked here runs the wrappers
+    assert (result.stage1_steps, result.stage2_steps) == (1, 1)
+    assert finished == [True, True]
+    recorded = {span[0] for span in rec.spans}
+    other = {"autodiff." + op for op in tracer.OTHER_OPS}
+    needed = [n for n in HOOKS if n not in zeros and n not in other]
+    assert [n for n in needed + ["autodiff.backward"]
+            if n not in recorded] == []
+    assert recorded & other
+    assert rec.counts["ssm.tokens"] == 4 * rec.counts["ssm.pixels"] > 0

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from dualfuse import cli, data, metrics
+from dualfuse import cli, data, metrics, parallel
 from dualfuse.autodiff import ContractError
 from dualfuse.gradcheck import run_suite
 from dualfuse.toydata import write_toy_dataset
@@ -34,7 +34,8 @@ def trained(tmp_path_factory):
     with open(cfg_path, "w", encoding="utf-8") as fh:
         fh.write(TINY_CONFIG)
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    with contextlib.redirect_stdout(stdout), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel, "_two_cpus", lambda: True)    # a helper trains
         rc = cli.main(["train", "--config", cfg_path, "--data", data_dir,
                        "--out", out_dir])
     assert rc == 0
@@ -54,7 +55,10 @@ def test_train_summary_reports_steps_loss_and_peak_memory(trained):
     assert lines[1].startswith("final loss: ")
     peak = re.fullmatch(r"peak resident memory: (\d+\.\d) MB", lines[2])
     assert peak and float(peak.group(1)) > 0.0
-    assert len(lines) == 3
+    helper = re.fullmatch(r"helper peak resident memory: (\d+\.\d) MB",
+                          lines[3])
+    assert helper and float(helper.group(1)) > 0.0
+    assert len(lines) == 4
 
 
 def test_fuse_pgm_output(trained):

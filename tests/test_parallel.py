@@ -13,14 +13,17 @@ import numpy as np
 import pytest
 
 from dualfuse import autodiff as ad
-from dualfuse import cli, metrics, parallel
+from dualfuse import cli, metrics, parallel, params
+from dualfuse import train as train_module
 from dualfuse.checkpoint import save_checkpoint
 from dualfuse.config import RunConfig
 from dualfuse.data import ImagePair
+from dualfuse.losses import stage1_loss, stage2_loss
 from dualfuse.model import build_model, fuse_pair, fuse_pair_arrays, \
-    image_to_tensor
+    image_to_tensor, restore, stage1_parameter_tree, stage2_parameter_tree
 from dualfuse.optim import AdamState
 from dualfuse.toydata import make_toy_pairs, write_toy_dataset
+from dualfuse.train import train
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -183,14 +186,14 @@ def test_grad_mode_never_reaches_the_helper(helper, monkeypatch):
 
 
 def test_training_does_not_import_multiprocessing(tmp_path):
+    # with one CPU training never forks, so multiprocessing stays unimported
     code = """
 import sys
-import threading
 from dualfuse import parallel
 from dualfuse.config import RunConfig
 from dualfuse.toydata import make_toy_pairs
 from dualfuse.train import train
-parallel._two_cpus = lambda: True
+parallel._two_cpus = lambda: False
 cfg = RunConfig(channels=2, crop=16, batch=1, epochs_stage1=1,
                 epochs_stage2=1, seed=0, out_dir="out")
 train(cfg, make_toy_pairs(1, 16, seed=0))
@@ -201,6 +204,248 @@ print("multiprocessing" in sys.modules)
                          check=True, timeout=300, capture_output=True,
                          text=True)
     assert run.stdout.strip() == "False"
+
+
+@pytest.fixture
+def remote_backwards(monkeypatch):
+    """Per finished graph the helper held: True when all of its backward
+    ran on the helper, False when it was rebuilt here."""
+    done = []
+    finish = parallel._Half._finish
+
+    def recording_finish(self):
+        if not self.done:
+            done.append(self.local is None
+                        and self.applied == len(self.groups) > 0)
+        finish(self)
+    monkeypatch.setattr(parallel._Half, "_finish", recording_finish)
+    return done
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_training_bytes_equal_with_helper_on_and_off(name, helper, tmp_path,
+                                                     monkeypatch,
+                                                     remote_backwards):
+    steps = []
+    adam_step = train_module.adam_step
+
+    def counted_adam_step(*args):
+        adam_step(*args)
+        steps.append((flops.total, len(remote_backwards)))
+    monkeypatch.setattr(train_module, "adam_step", counted_adam_step)
+    runs = []
+    for on in (False, True):
+        helper(on)
+        steps.clear()
+        remote_backwards.clear()
+        out = tmp_path / ("on" if on else "off")
+        cfg = RunConfig(channels=4, crop=16, batch=1, epochs_stage1=1,
+                        epochs_stage2=1, seed=1, out_dir=str(out),
+                        **CONFIGS[name])
+        with ad.FlopCounter() as flops:
+            train(cfg, make_toy_pairs(2, 16, seed=3))
+        files = {f: (out / f).read_bytes() for f in (
+            "loss_log.csv", "checkpoint_stage1.tmam", "checkpoint.tmam")}
+        runs.append((files, [total for total, _ in steps],
+                     [n for _, n in steps], list(remote_backwards)))
+    (serial, serial_flops, _, serial_remote), \
+        (two_core, two_core_flops, per_step, remote) = runs
+    assert serial == two_core
+    assert serial_flops == two_core_flops
+    # each of the two stage-I and two stage-II steps ran b's half, forward
+    # and backward, on the helper
+    assert serial_remote == [] and remote == [True] * 4
+    assert per_step == [1, 2, 3, 4]
+
+
+def poisoned_restore(img, m):
+    """``restore`` with a last op whose gradient function raises."""
+    out = restore(img, m)
+
+    def fail(g):
+        raise ad.NonFiniteError("op 'poison' produced a non-finite gradient")
+    return ad._grads(out.data, "poison", 0, out, fail)
+
+
+def helper_holds_a_graph() -> bool:
+    return parallel._held is not None
+
+
+def helper_state(helper) -> bool:
+    """Whether the helper holds a graph, asked with a no_grad call."""
+    helper(True)
+    with ad.no_grad():
+        _, held = parallel.both((pow, 2, 3), (helper_holds_a_graph,))
+    return held
+
+
+def step_gradients(m, cfg, pair, stage="I", second=restore, between=None):
+    """One training step's parameter gradients as bytes: stage I through
+    ``parallel.both`` with ``second`` restoring b, stage II through
+    ``fuse_pair``. ``between`` runs after the forward pass."""
+    tree = stage1_parameter_tree(m) if stage == "I" \
+        else stage2_parameter_tree(m)
+    named = [p for section in tree for p in params.named_parameters(section)]
+    a, b = image_to_tensor(pair.a), image_to_tensor(pair.b)
+    try:
+        with parallel.training_step():
+            if stage == "I":
+                pred_a, pred_b = parallel.both((restore, a, m), (second, b, m))
+                loss = stage1_loss(a, pred_a, b, pred_b).total
+            else:
+                loss = stage2_loss(fuse_pair(a, b, m, cfg), a, b).total
+            if between is not None:
+                between()
+            loss.backward()
+        return b"".join(t.grad.tobytes() for _, t in named)
+    finally:
+        for _, t in named:
+            t.grad = None
+
+
+def kill(process) -> None:
+    os.kill(process.pid, signal.SIGKILL)
+    process.join(30)
+    assert not process.is_alive()
+
+
+def test_helper_forward_error_names_the_op_and_leaves_no_stale_reply(helper):
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    clean = make_toy_pairs(2, 20, seed=3)
+    b = clean[0].b.copy()
+    b[4, 5] = np.nan
+    broken = ImagePair("nan", clean[0].a, b)
+    messages = []
+    ad.set_debug_checks(True)
+    try:
+        for on in (False, True):
+            helper(on)
+            with pytest.raises(ad.NonFiniteError) as info:
+                step_gradients(m, cfg, broken)
+            messages.append(str(info.value))
+        helper(True)
+        after = step_gradients(m, cfg, clean[1])
+        helper(False)
+        serial = step_gradients(m, cfg, clean[1])
+    finally:
+        ad.set_debug_checks(False)
+    assert messages[0] == messages[1]
+    assert "op '" in messages[0]
+    assert after == serial
+    assert not helper_state(helper)
+
+
+def test_helper_backward_error_reaches_the_caller_and_leaves_no_stale_reply(
+        helper, remote_backwards):
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    pairs = make_toy_pairs(2, 20, seed=3)
+    messages = []
+    for on in (False, True):
+        helper(on)
+        with pytest.raises(ad.NonFiniteError) as info:
+            step_gradients(m, cfg, pairs[0], second=poisoned_restore)
+        messages.append(str(info.value))
+    helper(True)
+    after = step_gradients(m, cfg, pairs[1])
+    helper(False)
+    assert messages == ["op 'poison' produced a non-finite gradient"] * 2
+    assert after == step_gradients(m, cfg, pairs[1])
+    assert remote_backwards == [True, True]     # the failed step's, the next
+    assert not helper_state(helper)
+
+
+def test_a_helper_killed_between_a_steps_requests_is_replaced(
+        helper, remote_backwards):
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    pair = make_toy_pairs(1, 20, seed=3)[0]
+    helper(False)
+    serial = step_gradients(m, cfg, pair)
+    helper(True)
+    step_gradients(m, cfg, pair)
+    dead = parallel._helper[0]
+    after_death = step_gradients(m, cfg, pair,
+                                 between=lambda: kill(parallel._helper[0]))
+    replaced = step_gradients(m, cfg, pair)     # forks a new helper
+    assert parallel._helper[0].pid != dead.pid
+    assert after_death == replaced == serial
+    assert remote_backwards == [True, False, True]
+
+
+def test_a_helper_killed_between_two_groups_is_replaced(helper, monkeypatch,
+                                                        remote_backwards):
+    # without the interaction, b's attention part runs before a's in the
+    # serial backward, so the helper's graph runs as two groups; a helper
+    # lost after the first has its graph rebuilt here and the first group
+    # rerun without adding its contributions again
+    cfg = RunConfig(channels=4, seed=2, interaction=False)
+    m = build_model(cfg)
+    pair = make_toy_pairs(1, 20, seed=3)[0]
+    helper(False)
+    serial = step_gradients(m, cfg, pair, stage="II")
+    reached = parallel._Half.reached
+
+    def kill_after_the_first_group(self, stand_in):
+        reached(self, stand_in)
+        if self.applied == 1 and self.local is None:
+            kill(parallel._helper[0])
+    monkeypatch.setattr(parallel._Half, "reached", kill_after_the_first_group)
+    helper(True)
+    two_core = step_gradients(m, cfg, pair, stage="II")
+    assert two_core == serial
+    assert remote_backwards == [False]
+
+
+def feeding_pair(x, w):
+    """Two outputs, the second computed from the first."""
+    t = x * w
+    return t, t * w
+
+
+def test_outputs_that_feed_each_other_keep_the_bytes(helper, monkeypatch):
+    # the caller's backward reaches t first, so the serial backward runs
+    # u's part, which adds into t, before t's: t's group waits until that
+    # contribution has been added to t's stand-in, in its serial place
+    chained = []
+    begin = parallel._Half.begin
+
+    def recording_begin(self, found):
+        heads = begin(self, found)
+        chained.append(self.chained)
+        return heads
+    monkeypatch.setattr(parallel._Half, "begin", recording_begin)
+    grads = []
+    for on in (False, True):
+        helper(on)
+        w = ad.parameter(np.array([0.7, -1.3, 2.1]))
+        x = ad.Tensor(np.array([1.5, 0.25, -0.5]))
+        with parallel.training_step():
+            _, (t, u) = parallel.both((pow, 2, 3), (feeding_pair, x, w))
+            ((u * t) * ad.Tensor([0.3, 0.9, -0.4])).sum().backward()
+        grads.append(w.grad.tobytes())
+    assert grads[0] == grads[1]
+    assert chained == [True]
+
+
+@pytest.mark.parametrize("where", ["forward", "between"])
+def test_a_failed_step_leaves_the_helper_no_graph(where, helper):
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    pair = make_toy_pairs(1, 20, seed=3)[0]
+    a, b = image_to_tensor(pair.a), image_to_tensor(pair.b)
+    helper(True)
+    with pytest.raises(ZeroDivisionError):
+        with parallel.training_step():
+            if where == "forward":
+                parallel.both((divmod, 1, 0), (restore, b, m))
+            outs = parallel.both((restore, a, m), (restore, b, m))
+            assert parallel._pending is not None
+            assert isinstance(outs[1], ad.StandIn)
+            divmod(1, 0)
+    assert parallel._pending is None
+    assert not helper_state(helper)
 
 
 HELPER_SCRIPT = """
