@@ -263,7 +263,9 @@ class Tensor(_GradTarget):
         A graph may read ``StandIn`` leaves, the outputs of a graph that
         another process holds; ``_schedule`` then orders the pass and
         backward tells each stand-in's ``half`` when the stand-in's
-        gradient is final and when its place in the order comes.
+        gradient is final and when its place in the order comes. A
+        stand-in's ``parents`` are the op results here that its remote
+        graph read, so each of them runs after that place.
         """
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss, got shape %r"
@@ -295,6 +297,7 @@ class Tensor(_GradTarget):
                     stand_in.half.ready(stand_in)
             elif type(node) is StandIn:
                 node.half.reached(node)
+                node.parents = ()
 
     # -- operator sugar -----------------------------------------------------
 
@@ -357,15 +360,20 @@ class StandIn(Tensor):
     - ``half.reached(s)`` at ``s``'s place in the order, where the remote
       graph's contributions are added in.
 
-    ``half.leaves`` lists the tensors those contributions go to, besides
-    ``half.stand_ins``."""
+    ``half.leaves`` lists the gradient targets those contributions go to,
+    besides ``half.stand_ins``: leaves, and the Nodes of op results the
+    remote graph read, which are also ``parents`` of each stand-in whose
+    graph reads them. So ``toposort`` lists those Nodes before the
+    stand-in, as it lists an op's inputs before the op, and backward runs
+    them after the stand-in's place."""
 
-    __slots__ = ("half", "index")
+    __slots__ = ("half", "index", "parents")
 
     def __init__(self, data, half, index: int):
         super().__init__(data, requires_grad=True)
         self.half = half
         self.index = index
+        self.parents = ()
 
 
 def toposort(root: Tensor) -> list:
@@ -376,7 +384,8 @@ def toposort(root: Tensor) -> list:
 
 def _postorder(start, seen: set) -> list:
     """``toposort`` from the gradient target ``start``, leaving out and
-    adding to ``seen`` (target ids)."""
+    adding to ``seen`` (target ids). A stand-in's parents come before it,
+    as a Node's do."""
     order: list = []
     stack = [(start, False)]
     while stack:
@@ -388,7 +397,7 @@ def _postorder(start, seen: set) -> list:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        if isinstance(node, Node):
+        if isinstance(node, (Node, StandIn)):
             for parent in node.parents:
                 if parent is not None and id(parent) not in seen:
                     stack.append((parent, False))
@@ -401,50 +410,59 @@ def _schedule(order: list, halves: dict) -> tuple[list, dict]:
 
     The ops downstream of a stand-in move ahead of the others, keeping
     their own order, so that each stand-in's gradient is final as early as
-    it can be, unless that would change the order of some target's
-    contributions: no moved op may add into a target that an op left
-    behind, or a remote backward at its head's place, adds into before it.
-    Returns the order and a map from an op's id to the stand-ins it is the
-    last reader of (key None: stand-ins no op reads)."""
+    it can be. A stand-in whose parent moves moves with it, so its place,
+    where the remote graph adds into that parent, stays ahead of the
+    parent. Nothing moves if that would change the order of some target's
+    contributions: no moved op, or moved head's place, may add into a
+    target that an op left behind, or a remote backward at a head's place
+    left behind, adds into before it. Returns the order and a map from an
+    op's id to the stand-ins it is the last reader of (key None: stand-ins
+    no op reads)."""
     heads = set()
     for half, found in halves.items():
         heads.update(map(id, half.begin(found)))
     unread = {id(s): s for found in halves.values() for s in found}
     down = set(unread)
+    moving: set = set()
     ready: dict = {}
     for node in order:
         if isinstance(node, Node):
             for parent in node.parents:
                 if id(parent) in down:
                     down.add(id(node))
+                    moving.add(id(node))
                     if id(parent) in unread:    # the last reader comes first
                         ready.setdefault(id(node), []).append(
                             unread.pop(id(parent)))
+        elif type(node) is StandIn \
+                and not moving.isdisjoint(map(id, node.parents)):
+            moving.add(id(node))
     if unread:
         ready[None] = list(unread.values())
     fed: set = set()
     for node in reversed(order):
         if isinstance(node, Node):
             ids = [id(p) for p in node.parents if p is not None]
-            if id(node) not in down:
-                fed.update(ids)
-            elif not fed.isdisjoint(ids):
-                return order, ready
         elif id(node) in heads:
-            fed.update(map(id, node.half.leaves))
-            fed.update(map(id, node.half.stand_ins))
-    moved = [n for n in order if isinstance(n, Node) and id(n) in down]
-    kept = [n for n in order if not isinstance(n, Node) or id(n) not in down]
+            ids = [id(t) for t in node.half.leaves + node.half.stand_ins]
+        else:
+            continue
+        if id(node) not in moving:
+            fed.update(ids)
+        elif not fed.isdisjoint(ids):
+            return order, ready
+    moved = [n for n in order if id(n) in moving]
+    kept = [n for n in order if id(n) not in moving]
     return kept + moved, ready
 
 
-def _segments(heads: list) -> list:
+def _segments(heads: list, stop=()) -> list:
     """The Nodes above ``heads`` (gradient targets) as backward runs them
     when it reaches the heads in this order, each head before the ones after
     it: per head, the targets first reached from it, in the order backward
-    runs them. The lists come in the order backward runs them, so the last
-    head's first."""
-    seen: set = set()
+    runs them, none at or above a target in ``stop``. The lists come in the
+    order backward runs them, so the last head's first."""
+    seen = set(map(id, stop))
     return [_postorder(head, seen)[::-1] for head in heads][::-1]
 
 

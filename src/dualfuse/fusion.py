@@ -205,9 +205,13 @@ def fuse_features(enc_a: tuple, enc_b: tuple, p: FusionParams,
     stage-one decoder was trained in (a raw sum saturates it). The
     attention-side block keeps only its attention-branch output and the
     scan-side block only its scan output. With both present, the two
-    blocks run through ``parallel.both``, the attention side on the helper:
-    it is the shorter of the two (at most one scan layer to two), so a
-    helper slowed by a busy CPU has slack before it holds up the caller.
+    blocks share no parameter and run through ``parallel.both``. Under
+    ``no_grad`` the attention side runs on the helper: it is the shorter
+    of the two (at most one scan layer to two), so a helper slowed by a
+    busy CPU has slack before it holds up the caller. In a training step
+    the scan side does, forward and backward: the serial backward reaches
+    it last, after the attention side and the rest of the head, so its
+    remote backward runs while the caller runs those.
     """
     (trans_a, mamba_a), (trans_b, mamba_b) = enc_a, enc_b
     pre_mamba = mamba_a + mamba_b if mamba_a is not None else None
@@ -224,9 +228,11 @@ def fuse_features(enc_a: tuple, enc_b: tuple, p: FusionParams,
                                     *trans_a.shape[1:])
     if pre_mamba is None:
         return _attention_side(pre_trans, p.fuse_trans), None
-    fused_m, fused_t = parallel.both(
-        (_scan_side, pre_mamba, p.fuse_mamba),
-        (_attention_side, pre_trans, p.fuse_trans))
+    scan = (_scan_side, pre_mamba, p.fuse_mamba)
+    attention = (_attention_side, pre_trans, p.fuse_trans)
+    if ad._grad_enabled:
+        return parallel.both(attention, scan)
+    fused_m, fused_t = parallel.both(scan, attention)
     return fused_t, fused_m
 
 

@@ -80,10 +80,13 @@ def fuse_pair(img_a: Tensor, img_b: Tensor, m: ModelParams, cfg: RunConfig,
               fusion_trained: bool = True) -> Tensor:
     """Full fusion forward pass.
 
-    Both modalities run through the shared encoder (on two cores when
-    there are two, under ``no_grad`` or in a training step: see
-    ``parallel``), ``fuse_features``
-    fuses them and the decoder renders the image. With ``fusion_trained``
+    Both modalities run through the shared encoder, ``fuse_features``
+    fuses them and the decoder renders the image. With two cores, under
+    ``no_grad`` or in a training step (see ``parallel``), modality b's
+    encode runs on the helper, and so does one of the two fusion blocks:
+    the attention side at inference, the scan side in training, where its
+    backward runs while the caller runs the attention side and the head
+    (see ``fuse_features``). With ``fusion_trained``
     false (a stage-one-only model) the fusion head is bypassed and branch
     features average, which reduces to plain restoration when both inputs
     agree.

@@ -5,8 +5,8 @@ With at least two CPUs in this process's affinity set, ``g`` runs on one
 persistent helper process, forked on first use, while the caller runs
 ``f``. Otherwise both run in the caller, ``f`` first. With grad off any
 call may use the helper; with grad on, only a call inside
-``training_step()``, and only while the helper holds no other graph. A
-graph-building call anywhere else runs serially.
+``training_step()``. A graph-building call anywhere else runs serially,
+and so does any call while a held graph's backward waits on a reply.
 
 The helper computes what the caller would. It is a fork of the caller, runs
 the same functions on the same arrays (OpenBLAS is pinned to one thread in
@@ -15,28 +15,40 @@ never computes with stale weights. It runs with the caller's debug-check
 setting and counts its flops under its own ``FlopCounter``; the caller adds
 that total to its own counter.
 
-A grad-mode call keeps ``g``'s graph in the helper, whose leaves are fresh
-copies of the caller's, and returns ``g``'s outputs as ``autodiff.StandIn``
-leaves. In backward the caller sends each stand-in's gradient as soon as the
-last op reading it has run, back-propagates its own graph while the helper
+A grad-mode call keeps ``g``'s graph in the helper and returns ``g``'s
+outputs as ``autodiff.StandIn`` leaves. The helper holds one such graph
+per call, several in one step: a stage-II step holds encode(b) and the
+scan-side fusion block (see ``fusion.fuse_features``). ``g``'s tensors
+with grad cross as fresh leaves: parameters, and at most one op result of
+the caller's graph (the scan side reads ``pre_mamba``, computed from
+encode(b)'s stand-in). A stand-in keeps that op result's Node as a parent,
+so the caller's graph above it runs after the stand-in's place.
+
+In backward the caller sends each stand-in's gradient as soon as the last
+op reading it has run, back-propagates its own graph while the helper
 back-propagates ``g``'s, and, at the place where the serial backward would
-have run ``g``'s graph, adds the helper's contributions one by one in the
-helper's order. *The ordering invariant*: every gradient target, parameter
-or node, gets the same contributions in the same order as on the serial
-path, so gradients, loss logs and checkpoints keep every byte. What makes
-the two backwards overlap is ``autodiff._schedule``: it moves the ops that
-read a stand-in ahead of the rest when, and only when, that keeps the
-invariant.
+have run ``g``'s graph, adds the helper's contributions, to parameters and
+to the op result's Node alike, one by one in the helper's order. *The
+ordering invariant*: every gradient target, parameter or node, gets the
+same contributions in the same order as on the serial path, so gradients,
+loss logs and checkpoints keep every byte. The two backwards overlap
+where the serial order gives them room: ``autodiff._schedule`` moves the
+ops that read a stand-in ahead of the rest when, and only when, that keeps
+the invariant, and a graph the serial backward reaches late, as it
+reaches the scan side after the attention side and the head, runs in the
+helper while the caller runs those. The helper answers the graphs'
+requests in the order they were sent; a reply that comes before the one
+the caller waits for is kept for its graph.
 
 An exception from either half is raised in the caller only after the
 helper's reply has been read, so no reply is left in the pipe for the next
 call, and a graph the helper holds for a failed or abandoned step is
 dropped. A call that finds the helper dead runs ``g`` itself, and the next
-call forks a new one; a graph lost with its helper is rebuilt here, and
-its backward finishes here with the same bytes. Only one call, or one held
-graph, uses the helper at a time; a concurrent call runs serially. A
-function crosses the pipe by module and name, so a wrapper that copies its
-wrapped function's name (``functools.wraps``) sends the wrapped function.
+call forks a new one; every graph lost with its helper is rebuilt here, and
+its backward finishes here with the same bytes. Only one thread uses the
+helper at a time; a call from another thread runs serially. A function
+crosses the pipe by module and name, so a wrapper that copies its wrapped
+function's name (``functools.wraps``) sends the wrapped function.
 
 The helper is daemonic, closes its copy of the caller's pipe end (so it exits
 on end-of-file when the caller exits or dies) and is joined at interpreter
@@ -54,6 +66,7 @@ import copyreg
 import ctypes
 import importlib
 import io
+import itertools
 import os
 import pickle
 import signal
@@ -62,12 +75,14 @@ import types
 
 from . import autodiff as ad
 
-_lock = threading.Lock()    # one call or held graph uses the helper at a time
+_lock = threading.RLock()   # held by a call and by each held graph: one thread
 _helper = None              # (process, connection) once forked
 _in_helper = False
 _in_step = False            # inside training_step()
-_pending = None             # the _Half whose graph the helper holds
-_held = None                # in the helper: (leaves, output nodes, parts)
+_pending: list = []         # the _Halves whose graphs the helper holds
+_due: list = []             # per reply still due, in send order: its _Half
+_keys = itertools.count()   # names each held graph to the helper
+_held: dict = {}            # in the helper: key -> (leaves, output nodes, parts)
 _helper_peak = 0            # the largest ru_maxrss a helper has replied with
 _getcpu = None              # libc's sched_getcpu, looked up on first use
 
@@ -90,11 +105,11 @@ def _two_cpus() -> bool:
 
 def _helper_usable() -> bool:
     """Grad off or inside a training step, two CPUs, not in the helper
-    itself, and, before the fork, no other thread: a fork copies only the
-    calling thread, so a lock held by another would stay held in the
-    helper."""
+    itself, no reply due to a held graph's backward, and, before the fork,
+    no other thread: a fork copies only the calling thread, so a lock held
+    by another would stay held in the helper."""
     return (not ad._grad_enabled or _in_step) and not _in_helper \
-        and _two_cpus() \
+        and not _due and _two_cpus() \
         and (_helper is not None or threading.active_count() == 1)
 
 
@@ -106,7 +121,7 @@ def helper_peak_rss() -> int:
 
 @contextlib.contextmanager
 def training_step():
-    """One training step: a grad-mode ``both`` inside may run its second
+    """One training step: each grad-mode ``both`` inside may run its second
     call on the helper. A graph the helper still holds at the end, because
     the step failed or its backward never reached the stand-ins, is
     dropped."""
@@ -116,17 +131,20 @@ def training_step():
         yield
     finally:
         _in_step = False
-        if _pending is not None:
-            _pending.close()
+        for half in list(_pending):
+            half.close()
 
 
 # ---------------------------------------------------------------------------
 # what crosses the pipe
 # ---------------------------------------------------------------------------
 
-class _NotALeaf(Exception):
-    """A grad-mode call was given an op result with grad: its graph cannot
-    cross, so the call runs serially."""
+class _Serial(Exception):
+    """A grad-mode call's inputs cannot cross, so the call runs serially:
+    it was given a stand-in, whose gradient would then be final only at a
+    place in another graph's backward, or a second op result with grad,
+    which the serial backward could reach between the remote graph's
+    contributions into the first."""
 
 
 def _by_name(module: str, qualname: str):
@@ -143,10 +161,12 @@ _DISPATCH[ad.Tensor] = _DISPATCH[ad.StandIn] = lambda t: (ad.Tensor, (t.data,))
 
 class _GradPickler(pickle.Pickler):
     """Pickles a grad-mode call and its reply. ``leaves`` (a list, in the
-    caller) numbers the call's leaves with grad, which arrive as leaves with
-    grad; ``outputs`` (in the helper) the tensors with grad it returns,
-    which arrive as stand-ins. A function whose module and name lead to
-    another object crosses as that name."""
+    caller) numbers the gradient targets of the call's tensors with grad:
+    parameters and other leaves, and the Node of at most one op result.
+    Each arrives as a fresh leaf with grad. ``outputs`` (in the helper)
+    numbers the tensors with grad it returns, which arrive as stand-ins. A
+    function whose module and name lead to another object crosses as that
+    name."""
 
     dispatch_table = _DISPATCH
 
@@ -154,15 +174,19 @@ class _GradPickler(pickle.Pickler):
         super().__init__(file, pickle.HIGHEST_PROTOCOL)
         self.leaves, self.outputs = leaves, outputs
         self.numbers: dict = {}
+        self.op_result = False
 
     def persistent_id(self, obj):
         if not isinstance(obj, ad.Tensor) or not obj.requires_grad:
             return None
         if self.outputs is not None:
             return ("out", self._number(obj, self.outputs), obj.data)
-        if obj._node is not None:
-            raise _NotALeaf
-        return ("leaf", self._number(obj, self.leaves), obj.data)
+        target = ad._target(obj)
+        if id(target) not in self.numbers:
+            if type(obj) is ad.StandIn or target is not obj and self.op_result:
+                raise _Serial
+            self.op_result |= target is not obj
+        return ("leaf", self._number(target, self.leaves), obj.data)
 
     def _number(self, t, found: list) -> int:
         if id(t) not in self.numbers:
@@ -211,9 +235,6 @@ def _dumps(obj, **grad) -> bytes:
     return buf.getvalue()
 
 
-_DROP = _dumps(("drop",))
-
-
 def _result(reply: bytes):
     """The value of an (ok, value, flops, peak rss) reply; raises the
     helper's exception."""
@@ -246,14 +267,14 @@ class _Sink:
 
 def both(first: tuple, second: tuple) -> tuple:
     """``(first[0](*first[1:]), second[0](*second[1:]))``, the second on the
-    helper process when ``_helper_usable()`` and no other call or graph is
-    using it."""
+    helper process when ``_helper_usable()`` and no other thread is using
+    it."""
     if not _helper_usable() or not _lock.acquire(blocking=False):
         return first[0](*first[1:]), second[0](*second[1:])
     if ad._grad_enabled:
         return _both_with_grad(first, second)
     try:
-        request = _dumps(("call", second, ad._debug_checks, _cpu(), False))
+        request = _dumps(("call", second, ad._debug_checks, _cpu(), None))
         result, reply = _exchange(request, first)
         if reply is None:
             return result, second[0](*second[1:])
@@ -293,45 +314,61 @@ def _exchange(request: bytes, first: tuple) -> tuple:
 def _both_with_grad(first: tuple, second: tuple) -> tuple:
     """``both`` with grad on and ``_lock`` held. The helper keeps
     ``second``'s graph when that returns a tensor with grad; the graph's
-    ``_Half`` is then ``_pending`` and keeps the lock."""
-    global _pending
+    ``_Half`` then joins ``_pending`` and keeps its hold on the lock."""
     half = _Half(second)
     try:
         try:
-            request = _dumps(("call", second, ad._debug_checks, _cpu(), True),
-                             leaves=half.leaves)
-        except _NotALeaf:
+            request = _dumps(("call", second, ad._debug_checks, _cpu(),
+                              half.key), leaves=half.leaves)
+        except _Serial:
             return first[0](*first[1:]), second[0](*second[1:])
         try:
             result, reply = _exchange(request, first)
         except BaseException:
-            _drop()
+            _drop(half.key)
             raise
         if reply is None:
             return result, second[0](*second[1:])
-        payload, half.reach = _result(reply)
+        payload, half.reach, reads = _result(reply)
         value = _Unpickler(payload, half).load()
         if half.stand_ins:
-            _pending = half
+            half.hold(reads)
         return result, value
     finally:
-        if _pending is not half:
+        if half.helper is None:
             _lock.release()
 
 
-def _drop() -> None:
-    """Have the helper drop the graph it holds, if any."""
+def _drop(key: int) -> None:
+    """Have the helper drop the graph it holds under ``key``, if any."""
     if _helper is not None:
         try:
-            _helper[1].send_bytes(_DROP)
+            _helper[1].send_bytes(_dumps(("drop", key)))
         except OSError:
             _shutdown()
 
 
+def _reply_for(half) -> bytes:
+    """The next reply due to ``half``'s graph. Replies due to other graphs
+    that come first are read into their ``inbox``. Raises EOFError when
+    the helper that holds the graph is gone."""
+    if half.inbox:
+        return half.inbox.pop(0)
+    if _helper is not half.helper:
+        raise EOFError
+    while True:
+        owner = _due.pop(0)
+        reply = _helper[1].recv_bytes()
+        if owner is half:
+            return reply
+        owner.inbox.append(reply)
+
+
 class _Half:
     """The caller's side of a graph the helper holds: the call (to rebuild
-    the graph here if the helper dies), the leaves it was sent with grad,
-    the stand-ins of its outputs and, per output, the outputs above it.
+    the graph here if the helper dies), the gradient targets of the inputs
+    it was sent with grad, the stand-ins of its outputs and, per output,
+    the outputs above it.
 
     In backward the graph splits into groups, one per head: the stand-ins
     first reached from a head are its group's members, and the helper runs
@@ -339,10 +376,12 @@ class _Half:
     ``autodiff.StandIn`` for the calls). Groups are sent in the order they
     run, each once all its members are final; when one group's part may
     add into another's members (``chained``), each also waits until the one
-    before has been added in."""
+    before has been added in. The helper answers every graph's groups in
+    the order they were sent (``_due``)."""
 
     def __init__(self, call: tuple):
         self.call = call
+        self.key = next(_keys)
         self.leaves: list = []
         self.stand_ins: list = []
         self.reach: list = []
@@ -350,8 +389,20 @@ class _Half:
         self.waiting: set = set()   # member indices not yet final
         self.chained = False
         self.sent = self.applied = 0
+        self.inbox: list = []       # replies read ahead of their turn
+        self.helper = None          # the helper that holds the graph
         self.local = None           # (outputs, parts) once rebuilt here
         self.done = False
+
+    def hold(self, reads: list) -> None:
+        """Keep the graph in the helper. Each stand-in's parents are the
+        op results among the inputs its output was computed from."""
+        nodes = [i for i, t in enumerate(self.leaves) if isinstance(t, ad.Node)]
+        for stand_in, read in zip(self.stand_ins, reads):
+            stand_in.parents = tuple(self.leaves[i] for i in nodes
+                                     if i in read)
+        self.helper = _helper
+        _pending.append(self)
 
     def begin(self, found: list) -> list:
         if self.done or self.groups:
@@ -387,10 +438,16 @@ class _Half:
                 [head.index for head, _ in reversed(self.groups)]
             grads = {j: self.stand_ins[j].grad for j in members}
             self.sent += 1
+            if _helper is not self.helper:
+                self._rebuild()     # the helper that held the graph is gone
+                return
             try:
-                _helper[1].send_bytes(_dumps(("grads", heads, grads)))
+                _helper[1].send_bytes(_dumps(("grads", self.key, heads,
+                                              grads)))
             except OSError:
                 self._rebuild()
+                return
+            _due.append(self)
 
     def reached(self, stand_in) -> None:
         if self.applied == len(self.groups) \
@@ -413,9 +470,8 @@ class _Half:
     def _receive(self):
         """The next group's contribution log, or None when the helper died
         (the graph is then rebuilt here)."""
-        conn = _helper[1]
         try:
-            reply = conn.recv_bytes()
+            reply = _reply_for(self)
         except (EOFError, OSError):
             self._rebuild()
             return None
@@ -434,14 +490,16 @@ class _Half:
         """Run the call here with grad, numbered as the helper numbered it,
         and rerun the groups already added in, dropping their
         contributions, so the nodes they share with later groups hold what
-        the serial backward would."""
-        _shutdown()
+        the serial backward would. The rebuilt graph reads this process's
+        op results themselves: its parts stop at ``leaves``."""
+        if _helper is self.helper:
+            _shutdown()
         with ad.FlopCounter():      # counted from the helper's reply
             value = self.call[0](*self.call[1:])
         outputs: list = []
         _dumps(value, outputs=outputs)
         heads = [outputs[head.index]._node for head, _ in reversed(self.groups)]
-        self.local = (outputs, ad._segments(heads))
+        self.local = (outputs, ad._segments(heads, self.leaves))
         for k in range(self.applied):
             self._run_here(k, discard=True)
 
@@ -464,10 +522,11 @@ class _Half:
         """Stop using the helper for this graph: read the replies still due
         and have it drop the graph."""
         try:
-            if self.local is None and not self.done and _helper is not None:
+            if self.local is None and not self.done \
+                    and self.helper is _helper:
                 for _ in range(self.sent - self.applied):
-                    _helper[1].recv_bytes()
-                _drop()
+                    _reply_for(self)
+                _drop(self.key)
         except (EOFError, OSError):
             _shutdown()
         except BaseException:
@@ -477,12 +536,12 @@ class _Half:
             self._finish()
 
     def _finish(self) -> None:
-        global _pending
         if not self.done:
             self.done = True
-            if _pending is self:
-                _pending = None
-            _lock.release()
+            self.inbox.clear()
+            if self.helper is not None:
+                _pending.remove(self)
+                _lock.release()
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +569,7 @@ def _shutdown() -> None:
         return
     process, conn = _helper
     _helper = None
+    _due.clear()
     conn.close()
     process.join(5.0)
     if process.is_alive():
@@ -528,7 +588,7 @@ def _peak() -> int:
 def _serve(conn, caller_conn) -> None:
     """Helper loop: answer each call, and each group of a held graph's
     backward, with (ok, value, flops, peak rss)."""
-    global _in_helper, _held
+    global _in_helper
     _in_helper = True
     caller_conn.close()     # else the caller's death would not end recv
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller handles ^C
@@ -542,15 +602,15 @@ def _serve(conn, caller_conn) -> None:
         unpickler = _Unpickler(data)
         message = unpickler.load()
         if message[0] == "call":
-            _, call, debug, caller_cpu, grad = message
+            _, call, debug, caller_cpu, key = message
             _leave_cpu(caller_cpu, allowed)
             ad.set_debug_checks(debug)
-            reply = _call(call, grad, unpickler.leaves)
+            reply = _call(call, key, unpickler.leaves)
+        elif message[0] == "drop":
+            _held.pop(message[1], None)
+            continue
         else:
-            held, _held = _held, None
-            if message[0] == "drop":
-                continue
-            reply = _backward_group(held, *message[1:])
+            reply = _backward_group(*message[1:])
         # a reply that cannot be pickled ends the helper: the caller then
         # reads end-of-file and runs the call itself
         try:
@@ -559,11 +619,11 @@ def _serve(conn, caller_conn) -> None:
             return
 
 
-def _call(call: tuple, grad: bool, leaves: list) -> tuple:
-    """Run a call; with ``grad``, keep its graph in ``_held``."""
-    global _held
-    if grad:
-        _held = None
+def _call(call: tuple, key, leaves: list) -> tuple:
+    """Run a call; with a ``key`` (grad on), keep its graph in ``_held``
+    and reply with the outputs, the outputs above each output, and the
+    leaves each output was computed from."""
+    grad = key is not None
     try:
         with ad.FlopCounter() as flops:
             if grad:
@@ -579,22 +639,25 @@ def _call(call: tuple, grad: bool, leaves: list) -> tuple:
                      for node in nodes]
             reach = [[i for i, n in enumerate(nodes) if i != j and id(n) in ids]
                      for j, ids in enumerate(above)]
-            value = (payload, reach)
-            _held = (leaves, nodes, None) if nodes else None
+            reads = [{i for i, t in enumerate(leaves) if id(t) in ids}
+                     for ids in above]
+            value = (payload, reach, reads)
+            if nodes:
+                _held[key] = (leaves, nodes, None)
         return True, value, flops.total, _peak()
     except Exception as exc:
         return False, exc, 0, _peak()
 
 
-def _backward_group(held, heads, grads: dict) -> tuple:
-    """Run the next group of ``held``'s backward from its members'
-    gradients; reply with the log of contributions to the caller's targets
-    (leaves by number, then outputs). The graph stays in ``_held`` until
-    its last group has run or one has failed."""
-    global _held
+def _backward_group(key: int, heads, grads: dict) -> tuple:
+    """Run the next group of held graph ``key``'s backward from its
+    members' gradients; reply with the log of contributions to the caller's
+    targets (leaves by number, then outputs). The graph stays in ``_held``
+    until its last group has run or one has failed."""
+    held = _held.pop(key, None)
     if held is None:
-        return False, ad.GraphStateError("the helper holds no graph"), 0, \
-            _peak()
+        return False, ad.GraphStateError("the helper holds no such graph"), \
+            0, _peak()
     leaves, nodes, parts = held
     try:
         if heads is not None:
@@ -608,7 +671,7 @@ def _backward_group(held, heads, grads: dict) -> tuple:
                 redirect[id(node)] = _Sink(len(leaves) + j, node.shape, log)
         ad._run(parts.pop(0), redirect)
         if parts:
-            _held = (leaves, nodes, parts)
+            _held[key] = (leaves, nodes, parts)
         return True, log, 0, _peak()
     except Exception as exc:
         return False, exc, 0, _peak()

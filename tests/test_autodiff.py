@@ -366,6 +366,59 @@ def test_stand_in_readers_move_ahead_only_when_no_target_order_changes(
         assert s.grad.tobytes() == np.array([0.5, 0.25, 2.0]).tobytes()
 
 
+class ParentHalf(FakeHalf):
+    """A FakeHalf whose remote graph read the op result behind ``node``:
+    at its place it adds ones into that node."""
+
+    def __init__(self, p, node):
+        super().__init__(p)
+        self.leaves = [p, node]
+
+    def reached(self, stand_in):
+        super().reached(stand_in)
+        self.leaves[1]._accumulate(np.ones(self.leaves[1].shape))
+
+
+def stand_in_reading(p, data):
+    """A stand-in whose remote graph read h = x * p, and h."""
+    h = Tensor([1.5, 0.25, -0.5]) * p
+    half = ParentHalf(p, h._node)
+    s = ad.StandIn(np.array(data), half, 0)
+    s.parents = (h._node,)
+    half.stand_ins.append(s)
+    return s, h
+
+
+@pytest.mark.parametrize("first_part", ["independent", "reads_h"])
+def test_a_stand_ins_parent_runs_after_its_place(first_part):
+    # serial backward runs the first part before the part that reads s.
+    # Hoisting s's reader, which adds into h, is refused when the first
+    # part adds into h too: h would get its contributions in another order
+    p = RecordingLeaf(np.array([1.1, 2.3, -0.7]))
+    q = parameter(np.array([0.4, -0.8, 1.2]))
+    s, h = stand_in_reading(p, [0.3, -1.7, 2.9])
+    first = h if first_part == "reads_h" else q
+    loss = (first * Tensor([1.0, 2.0, 3.0])).sum() + (s * h).sum()
+    order = ad.toposort(loss)
+    scheduled, ready = ad._schedule(list(order), {s.half: [s]})
+    assert scheduled.index(h._node) < scheduled.index(s)
+    reader = next(n for n in order if isinstance(n, ad.Node)
+                  and s in n.parents)
+    assert ready == {id(reader): [s]}
+    first_sum = loss._node.parents[0]
+    assert order.index(reader) < order.index(first_sum)
+    if first_part == "reads_h":
+        assert scheduled == order
+    else:
+        # s's reader now runs before the first part (toposort lists an op
+        # after the ops backward runs after it)
+        assert scheduled.index(reader) > scheduled.index(first_sum)
+    loss.backward()
+    # h ran once, after s's place had added into it
+    assert s.half.events == [("ready", 0), ("reached", 0)]
+    assert len(p.got) == 1
+
+
 def test_backward_on_stale_subgraph_is_error(rng):
     x = parameter(rng.uniform(-1, 1, (3,)))
     mid = x * x

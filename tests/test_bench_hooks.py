@@ -87,9 +87,10 @@ def load_workload(monkeypatch):
 
 def test_traced_training_records_every_training_span_in_the_caller(
         tmp_path, monkeypatch):
-    # one stage-I and one stage-II step with b's half on the helper: the
-    # spans and scan counts the traced training workloads check come from
-    # the caller's recorder, which sees only a's half
+    # one stage-I and one stage-II step with b's half, and in stage II the
+    # scan-side fusion block, on the helper: the spans and scan counts the
+    # traced training workloads check come from the caller's recorder,
+    # which sees only what runs in the caller
     zeros = load_workload(monkeypatch).expected_zero("train-toy")
     monkeypatch.setattr(parallel, "_two_cpus", lambda: True)
     data_dir = str(tmp_path / "pairs")
@@ -115,7 +116,7 @@ def test_traced_training_records_every_training_span_in_the_caller(
         rec.unpatch()
         parallel._shutdown()    # a helper forked here runs the wrappers
     assert (result.stage1_steps, result.stage2_steps) == (1, 1)
-    assert finished == [True, True]
+    assert finished == [True] * 3   # restore(b); the scan side, encode(b)
     recorded = {span[0] for span in rec.spans}
     other = {"autodiff." + op for op in tracer.OTHER_OPS}
     needed = [n for n in HOOKS if n not in zeros and n not in other]

@@ -208,18 +208,36 @@ print("multiprocessing" in sys.modules)
 
 @pytest.fixture
 def remote_backwards(monkeypatch):
-    """Per finished graph the helper held: True when all of its backward
+    """Per finished graph the helper held, in the order they finished: the
+    name of the function that built it, and True when all of its backward
     ran on the helper, False when it was rebuilt here."""
     done = []
     finish = parallel._Half._finish
 
     def recording_finish(self):
         if not self.done:
-            done.append(self.local is None
-                        and self.applied == len(self.groups) > 0)
+            done.append((self.call[0].__name__, self.local is None
+                         and self.applied == len(self.groups) > 0))
         finish(self)
     monkeypatch.setattr(parallel._Half, "_finish", recording_finish)
     return done
+
+
+# Per build, the graphs the helper held in a two-step stage I and a two-step
+# stage II, as ``remote_backwards`` lists them: restore(b) in each stage-I
+# step; in each stage-II step encode(b) and, with both fusion sides, the
+# scan-side block, whose backward the caller adds in first.
+RESTORE, ENCODE, SCAN = ("restore", True), ("encode", True), \
+    ("_scan_side", True)
+REMOTE_BACKWARDS = {
+    "default": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
+    "depth_2": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
+    "mamba_as_conv": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
+    "no_cross_modal": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
+    "no_interaction": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
+    "no_mamba": [RESTORE] * 2 + [ENCODE] * 2,
+    "no_transformer": [RESTORE] * 2 + [ENCODE] * 2,
+}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -252,10 +270,11 @@ def test_training_bytes_equal_with_helper_on_and_off(name, helper, tmp_path,
         (two_core, two_core_flops, per_step, remote) = runs
     assert serial == two_core
     assert serial_flops == two_core_flops
-    # each of the two stage-I and two stage-II steps ran b's half, forward
-    # and backward, on the helper
-    assert serial_remote == [] and remote == [True] * 4
-    assert per_step == [1, 2, 3, 4]
+    # every graph the helper held ran wholly there, forward and backward:
+    # one per stage-I step, two per stage-II step with both fusion sides
+    assert serial_remote == [] and remote == REMOTE_BACKWARDS[name]
+    per_stage2_step = (len(remote) - 2) // 2
+    assert per_step == [1, 2, 2 + per_stage2_step, 2 + 2 * per_stage2_step]
 
 
 def poisoned_restore(img, m):
@@ -268,7 +287,7 @@ def poisoned_restore(img, m):
 
 
 def helper_holds_a_graph() -> bool:
-    return parallel._held is not None
+    return bool(parallel._held)
 
 
 def helper_state(helper) -> bool:
@@ -352,7 +371,8 @@ def test_helper_backward_error_reaches_the_caller_and_leaves_no_stale_reply(
     helper(False)
     assert messages == ["op 'poison' produced a non-finite gradient"] * 2
     assert after == step_gradients(m, cfg, pairs[1])
-    assert remote_backwards == [True, True]     # the failed step's, the next
+    # the failed step's, the next
+    assert remote_backwards == [("poisoned_restore", True), RESTORE]
     assert not helper_state(helper)
 
 
@@ -371,7 +391,7 @@ def test_a_helper_killed_between_a_steps_requests_is_replaced(
     replaced = step_gradients(m, cfg, pair)     # forks a new helper
     assert parallel._helper[0].pid != dead.pid
     assert after_death == replaced == serial
-    assert remote_backwards == [True, False, True]
+    assert remote_backwards == [RESTORE, ("restore", False), RESTORE]
 
 
 def test_a_helper_killed_between_two_groups_is_replaced(helper, monkeypatch,
@@ -389,13 +409,132 @@ def test_a_helper_killed_between_two_groups_is_replaced(helper, monkeypatch,
 
     def kill_after_the_first_group(self, stand_in):
         reached(self, stand_in)
-        if self.applied == 1 and self.local is None:
+        if self.call[0].__name__ == "encode" and self.applied == 1 \
+                and self.local is None:
             kill(parallel._helper[0])
     monkeypatch.setattr(parallel._Half, "reached", kill_after_the_first_group)
     helper(True)
     two_core = step_gradients(m, cfg, pair, stage="II")
     assert two_core == serial
-    assert remote_backwards == [False]
+    assert remote_backwards == [("_scan_side", True), ("encode", False)]
+
+
+@pytest.mark.parametrize("when", ["after_forward", "after_the_scan_side"])
+def test_a_helper_killed_while_it_holds_two_graphs_is_replaced(
+        when, helper, monkeypatch, remote_backwards):
+    # a stage-II step holds encode(b) and the scan-side block in the helper;
+    # every graph lost with it is rebuilt here, each at its own place
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    pair = make_toy_pairs(1, 20, seed=3)[0]
+    helper(False)
+    serial = step_gradients(m, cfg, pair, stage="II")
+    between = None
+    if when == "after_forward":
+        def between():
+            assert [h.call[0].__name__ for h in parallel._pending] == \
+                ["encode", "_scan_side"]
+            kill(parallel._helper[0])
+        expected = [("_scan_side", False), ("encode", False)]
+    else:
+        reached = parallel._Half.reached
+        killed = []
+
+        def kill_after_the_scan_side(self, stand_in):
+            reached(self, stand_in)
+            if self.call[0].__name__ == "_scan_side" and self.done \
+                    and not killed:
+                killed.append(parallel._helper[0])
+                kill(killed[0])
+        monkeypatch.setattr(parallel._Half, "reached", kill_after_the_scan_side)
+        expected = [("_scan_side", True), ("encode", False)]
+    helper(True)
+    two_core = step_gradients(m, cfg, pair, stage="II", between=between)
+    assert two_core == serial
+    assert remote_backwards == expected
+    assert step_gradients(m, cfg, pair, stage="II") == serial   # a new helper
+    assert remote_backwards[2:] == [("_scan_side", True), ("encode", True)]
+    assert not helper_state(helper)
+
+
+def test_a_scan_side_forward_error_in_the_helper_reaches_the_caller(
+        helper, remote_backwards):
+    # the helper's scan-side forward raises while it holds encode(b): the
+    # caller raises it after reading the reply, and the step's end has the
+    # helper drop encode(b)'s graph
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    broken = build_model(cfg)
+    broken.fusion.fuse_mamba.mamba1.in_proj.data[0, 0, 0, 0] = np.nan
+    pairs = make_toy_pairs(2, 20, seed=3)
+    messages = []
+    ad.set_debug_checks(True)
+    try:
+        for on in (False, True):
+            helper(on)
+            with pytest.raises(ad.NonFiniteError) as info:
+                step_gradients(broken, cfg, pairs[0], stage="II")
+            messages.append(str(info.value))
+        assert not helper_state(helper)
+        helper(True)
+        after = step_gradients(m, cfg, pairs[1], stage="II")
+        helper(False)
+        serial = step_gradients(m, cfg, pairs[1], stage="II")
+    finally:
+        ad.set_debug_checks(False)
+    assert messages[0] == messages[1]
+    assert "op '" in messages[0]
+    assert after == serial
+    assert remote_backwards == [("encode", False), ("_scan_side", True),
+                                ("encode", True)]
+    assert not helper_state(helper)
+
+
+def scaled(x, w):
+    return ad.exp(x * w)
+
+
+def shared_reader(h, w):
+    """Reads the op result ``h`` three times, as the caller's half does."""
+    return ((h * w + ad.Tensor(0.1)) * h + ad.Tensor(-0.7)) * h
+
+
+def take_both(h, s):
+    return h + s
+
+
+@pytest.mark.parametrize("third", [None, "stand_in", "two_op_results"])
+def test_op_result_inputs_keep_the_bytes(third, helper, remote_backwards):
+    # as in a stage-II step: the helper holds the graph of b's half of the
+    # first call, and the second call's input g, an op result, is computed
+    # from that half's stand-in. g crosses as a fresh leaf; the helper's
+    # contributions to it are added into its node at the stand-in's place,
+    # between the caller's own (the caller reads g too) as the serial
+    # backward orders them. A call given a stand-in or two op results runs
+    # serially.
+    grads = []
+    for on in (False, True):
+        helper(on)
+        rng = np.random.default_rng(0)
+        w1, w2 = (ad.parameter(rng.uniform(-1, 1, 8)) for _ in range(2))
+        x, c = (ad.Tensor(rng.uniform(-1, 1, 8)) for _ in range(2))
+        with parallel.training_step():
+            ta, ua = parallel.both((scaled, x, w1), (scaled, x[::-1], w1))
+            g = ta + ua
+            t, u = parallel.both((shared_reader, g, w2), (shared_reader, g, w2))
+            # the serial backward runs the caller's readers of g first and
+            # u's graph last, as it runs the scan side in a stage-II step
+            out = g * g + t * c + u
+            if third == "stand_in":
+                v = parallel.both((take_both, g, t), (take_both, g, u))
+            elif third == "two_op_results":
+                v = parallel.both((take_both, g, t), (take_both, t, g))
+            if third is not None:
+                out = out + v[0] * v[1]
+            (out * c).sum().backward()
+        grads.append(w1.grad.tobytes() + w2.grad.tobytes())
+    assert grads[0] == grads[1]
+    assert remote_backwards == [("shared_reader", True), ("scaled", True)]
 
 
 def feeding_pair(x, w):
@@ -441,10 +580,10 @@ def test_a_failed_step_leaves_the_helper_no_graph(where, helper):
             if where == "forward":
                 parallel.both((divmod, 1, 0), (restore, b, m))
             outs = parallel.both((restore, a, m), (restore, b, m))
-            assert parallel._pending is not None
+            assert parallel._pending
             assert isinstance(outs[1], ad.StandIn)
             divmod(1, 0)
-    assert parallel._pending is None
+    assert not parallel._pending
     assert not helper_state(helper)
 
 
