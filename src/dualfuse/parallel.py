@@ -82,7 +82,7 @@ _in_step = False            # inside training_step()
 _pending: list = []         # the _Halves whose graphs the helper holds
 _due: list = []             # per reply still due, in send order: its _Half
 _keys = itertools.count()   # names each held graph to the helper
-_held: dict = {}            # in the helper: key -> (leaves, output nodes, parts)
+_held: dict = {}            # in the helper: key -> (leaves, nodes, parts)
 _helper_peak = 0            # the largest ru_maxrss a helper has replied with
 _getcpu = None              # libc's sched_getcpu, looked up on first use
 
@@ -397,10 +397,9 @@ class _Half:
     def hold(self, reads: list) -> None:
         """Keep the graph in the helper. Each stand-in's parents are the
         op results among the inputs its output was computed from."""
-        nodes = [i for i, t in enumerate(self.leaves) if isinstance(t, ad.Node)]
         for stand_in, read in zip(self.stand_ins, reads):
-            stand_in.parents = tuple(self.leaves[i] for i in nodes
-                                     if i in read)
+            stand_in.parents = tuple(t for i, t in enumerate(self.leaves)
+                                     if i in read and isinstance(t, ad.Node))
         self.helper = _helper
         _pending.append(self)
 

@@ -446,7 +446,8 @@ def test_a_helper_killed_while_it_holds_two_graphs_is_replaced(
                     and not killed:
                 killed.append(parallel._helper[0])
                 kill(killed[0])
-        monkeypatch.setattr(parallel._Half, "reached", kill_after_the_scan_side)
+        monkeypatch.setattr(parallel._Half, "reached",
+                            kill_after_the_scan_side)
         expected = [("_scan_side", True), ("encode", False)]
     helper(True)
     two_core = step_gradients(m, cfg, pair, stage="II", between=between)
@@ -521,7 +522,8 @@ def test_op_result_inputs_keep_the_bytes(third, helper, remote_backwards):
         with parallel.training_step():
             ta, ua = parallel.both((scaled, x, w1), (scaled, x[::-1], w1))
             g = ta + ua
-            t, u = parallel.both((shared_reader, g, w2), (shared_reader, g, w2))
+            t, u = parallel.both((shared_reader, g, w2),
+                                 (shared_reader, g, w2))
             # the serial backward runs the caller's readers of g first and
             # u's graph last, as it runs the scan side in a stage-II step
             out = g * g + t * c + u
