@@ -36,9 +36,8 @@ where the serial order gives them room: ``autodiff._schedule`` moves the
 ops that read a stand-in ahead of the rest when, and only when, that keeps
 the invariant, and a graph the serial backward reaches late, as it
 reaches the scan side after the attention side and the head, runs in the
-helper while the caller runs those. The helper answers the graphs'
-requests in the order they were sent; a reply that comes before the one
-the caller waits for is kept for its graph.
+helper while the caller runs those. One request at most is in flight: a
+request waits for the reply still due, which is kept for its graph.
 
 An exception from either half is raised in the caller only after the
 helper's reply has been read, so no reply is left in the pipe for the next
@@ -80,7 +79,7 @@ _helper = None              # (process, connection) once forked
 _in_helper = False
 _in_step = False            # inside training_step()
 _pending: list = []         # the _Halves whose graphs the helper holds
-_due: list = []             # per reply still due, in send order: its _Half
+_due = None                 # the _Half whose reply is due: one at most
 _keys = itertools.count()   # names each held graph to the helper
 _held: dict = {}            # in the helper: key -> (leaves, nodes, parts)
 _helper_peak = 0            # the largest ru_maxrss a helper has replied with
@@ -109,7 +108,7 @@ def _helper_usable() -> bool:
     no other thread: a fork copies only the calling thread, so a lock held
     by another would stay held in the helper."""
     return (not ad._grad_enabled or _in_step) and not _in_helper \
-        and not _due and _two_cpus() \
+        and _due is None and _two_cpus() \
         and (_helper is not None or threading.active_count() == 1)
 
 
@@ -348,20 +347,31 @@ def _drop(key: int) -> None:
             _shutdown()
 
 
+def _read_due() -> None:
+    """Read the reply still due, if any, into its graph's ``inbox``. Every
+    backward request is sent after this, so one request at most is in
+    flight: the helper reads nothing while it sends a reply, and a request
+    and a reply both larger than the pipe's buffer would wait on each other
+    for ever."""
+    global _due
+    if _due is not None:
+        try:
+            reply = _helper[1].recv_bytes()
+        except BaseException:
+            _shutdown()
+            raise
+        _due.inbox.append(reply)
+        _due = None
+
+
 def _reply_for(half) -> bytes:
-    """The next reply due to ``half``'s graph. Replies due to other graphs
-    that come first are read into their ``inbox``. Raises EOFError when
-    the helper that holds the graph is gone."""
-    if half.inbox:
-        return half.inbox.pop(0)
-    if _helper is not half.helper:
-        raise EOFError
-    while True:
-        owner = _due.pop(0)
-        reply = _helper[1].recv_bytes()
-        if owner is half:
-            return reply
-        owner.inbox.append(reply)
+    """The next reply due to ``half``'s graph. Raises EOFError when the
+    helper that holds the graph is gone."""
+    if not half.inbox:
+        if _helper is not half.helper:
+            raise EOFError
+        _read_due()
+    return half.inbox.pop(0)
 
 
 class _Half:
@@ -376,8 +386,8 @@ class _Half:
     ``autodiff.StandIn`` for the calls). Groups are sent in the order they
     run, each once all its members are final; when one group's part may
     add into another's members (``chained``), each also waits until the one
-    before has been added in. The helper answers every graph's groups in
-    the order they were sent (``_due``)."""
+    before has been added in. A group waits for the reply still due to
+    any graph's group before it goes (``_read_due``)."""
 
     def __init__(self, call: tuple):
         self.call = call
@@ -389,7 +399,7 @@ class _Half:
         self.waiting: set = set()   # member indices not yet final
         self.chained = False
         self.sent = self.applied = 0
-        self.inbox: list = []       # replies read ahead of their turn
+        self.inbox: list = []       # replies read, not yet added in
         self.helper = None          # the helper that holds the graph
         self.local = None           # (outputs, parts) once rebuilt here
         self.done = False
@@ -428,6 +438,7 @@ class _Half:
 
     def _flush(self) -> None:
         """Send every group that may go now, in run order."""
+        global _due
         while self.local is None and self.sent < len(self.groups) \
                 and (not self.chained or self.sent == self.applied):
             members = self.groups[self.sent][1]
@@ -441,12 +452,13 @@ class _Half:
                 self._rebuild()     # the helper that held the graph is gone
                 return
             try:
+                _read_due()
                 _helper[1].send_bytes(_dumps(("grads", self.key, heads,
                                               grads)))
-            except OSError:
+            except (EOFError, OSError):
                 self._rebuild()
                 return
-            _due.append(self)
+            _due = self
 
     def reached(self, stand_in) -> None:
         if self.applied == len(self.groups) \
@@ -523,8 +535,8 @@ class _Half:
         try:
             if self.local is None and not self.done \
                     and self.helper is _helper:
-                for _ in range(self.sent - self.applied):
-                    _reply_for(self)
+                if _due is self:
+                    _read_due()
                 _drop(self.key)
         except (EOFError, OSError):
             _shutdown()
@@ -563,12 +575,11 @@ def _connection():
 
 def _shutdown() -> None:
     """Close the caller's pipe end, so the helper exits, and join it."""
-    global _helper
+    global _helper, _due
     if _helper is None:
         return
     process, conn = _helper
-    _helper = None
-    _due.clear()
+    _helper = _due = None
     conn.close()
     process.join(5.0)
     if process.is_alive():

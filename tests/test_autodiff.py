@@ -419,6 +419,35 @@ def test_a_stand_ins_parent_runs_after_its_place(first_part):
     assert len(p.got) == 1
 
 
+def test_a_moving_stand_ins_place_is_refused_before_a_kept_contribution():
+    # s2's remote graph read q and h, and h is computed from the stand-in
+    # s1, so h moves with s1's readers and s2 moves with h. But the first
+    # part, which stays, adds into q before s2's place does in the serial
+    # backward: moving the place ahead of it would reorder q's
+    # contributions, so nothing moves
+    q = RecordingLeaf(np.array([0.4, -0.8, 1.2]))
+    half1 = FakeHalf(RecordingLeaf(np.array([1.1, 2.3, -0.7])))
+    s1 = ad.StandIn(np.array([0.3, -1.7, 2.9]), half1, 0)
+    half1.stand_ins.append(s1)
+    h = s1 * Tensor([1.5, 0.25, -0.5])
+    half2 = ParentHalf(q, h._node)
+    s2 = ad.StandIn(np.array([0.6, 0.1, -1.0]), half2, 0)
+    s2.parents = (h._node,)
+    half2.stand_ins.append(s2)
+    loss = (q * Tensor([1.0, 2.0, 3.0])).sum() + (s2 * h).sum()
+    order = ad.toposort(loss)
+    first_sum = loss._node.parents[0]
+    assert order.index(s2) < order.index(first_sum)
+    # no op that would move adds into a target a kept op fed: only the
+    # place of s2 would reorder one
+    scheduled, _ = ad._schedule(list(order), {half1: [s1], half2: [s2]})
+    assert scheduled == order
+    loss.backward()
+    # s2's place came after the first part's contribution to q
+    assert half2.events == [("ready", 1), ("reached", 1)]
+    assert len(q.got) == 1
+
+
 def test_backward_on_stale_subgraph_is_error(rng):
     x = parameter(rng.uniform(-1, 1, (3,)))
     mid = x * x

@@ -4,6 +4,7 @@ serial path, and a helper process that never outlives its caller."""
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -417,6 +418,45 @@ def test_a_helper_killed_between_two_groups_is_replaced(helper, monkeypatch,
     two_core = step_gradients(m, cfg, pair, stage="II")
     assert two_core == serial
     assert remote_backwards == [("_scan_side", True), ("encode", False)]
+
+
+def test_a_gradient_larger_than_the_pipe_buffer_does_not_stall(
+        helper, remote_backwards):
+    # without the interaction, encode(b)'s attention part is ready while the
+    # helper still runs the scan side's backward. Its gradient (8 x 64 x 64
+    # doubles) and the scan side's reply are each larger than the pipe's
+    # buffer: sent while that reply is due, it would leave neither side
+    # reading. A helper still busy a minute after the forward is killed, so
+    # a stall fails the test (its graphs are rebuilt here) instead of
+    # hanging it
+    one, other = socket.socketpair()    # what multiprocessing's Pipe makes
+    try:
+        buffer = one.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+    finally:
+        one.close()
+        other.close()
+    if 8 * 64 * 64 * 8 <= buffer:
+        pytest.skip("the pipe's buffer holds a whole gradient here")
+    cfg = RunConfig(channels=8, crop=64, seed=2, interaction=False)
+    m = build_model(cfg)
+    pair = make_toy_pairs(1, 64, seed=3)[0]
+    helper(False)
+    serial = step_gradients(m, cfg, pair, stage="II")
+    watchdog = []
+
+    def start_watchdog():
+        watchdog.append(threading.Timer(60, os.kill, (parallel._helper[0].pid,
+                                                      signal.SIGKILL)))
+        watchdog[0].start()
+    helper(True)
+    try:
+        two_core = step_gradients(m, cfg, pair, stage="II",
+                                  between=start_watchdog)
+    finally:
+        for timer in watchdog:
+            timer.cancel()
+    assert two_core == serial
+    assert remote_backwards == [SCAN, ENCODE]
 
 
 @pytest.mark.parametrize("when", ["after_forward", "after_the_scan_side"])
