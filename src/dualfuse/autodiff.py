@@ -456,13 +456,13 @@ def _schedule(order: list, halves: dict) -> tuple[list, dict]:
     return kept + moved, ready
 
 
-def _segments(heads: list, stop=()) -> list:
+def _segments(heads: list) -> list:
     """The Nodes above ``heads`` (gradient targets) as backward runs them
     when it reaches the heads in this order, each head before the ones after
     it: per head, the targets first reached from it, in the order backward
-    runs them, none at or above a target in ``stop``. The lists come in the
-    order backward runs them, so the last head's first."""
-    seen = set(map(id, stop))
+    runs them. The lists come in the order backward runs them, so the last
+    head's first."""
+    seen: set = set()
     return [_postorder(head, seen)[::-1] for head in heads][::-1]
 
 

@@ -188,16 +188,17 @@ def prefuse_transformer(attn_ir: Tensor, attn_vis: Tensor, v_ir: Tensor,
 # fusion blocks and decoder
 # ---------------------------------------------------------------------------
 
-def fuse_features(enc_a: tuple, enc_b: tuple, p: FusionParams,
-                  cross_modal: bool) -> tuple[Tensor | None, Tensor | None]:
+def fuse_features(enc_a: tuple, enc_b: tuple,
+                  p: FusionParams) -> tuple[Tensor | None, Tensor | None]:
     """The stage-two head: pre-fuse both modalities' encodings, then pass
     each pre-fused map through its own dual-branch block.
 
     ``enc_a`` and ``enc_b`` are ``model.encode``'s (transformer, mamba)
     pairs of the infrared-like and the visible-like modality. Scan features
     pre-fuse by addition; attention features through ``modality_attentions``
-    and, when ``cross_modal``, the learned ``attention_weighting`` (else
-    each modality keeps its own matrix). Returns the fused (transformer,
+    and, when ``p.cross`` has weights (``cross_modal_attention``), the
+    learned ``attention_weighting`` (else each modality keeps its own
+    matrix). Returns the fused (transformer,
     mamba) pair; a disabled branch yields None.
 
     Pre-fused features are two-modality sums, so they enter the blocks
@@ -220,7 +221,7 @@ def fuse_features(enc_a: tuple, enc_b: tuple, p: FusionParams,
     # visible-like modality is b, infrared-like is a
     attn_vis, attn_ir, v_vis, v_ir = modality_attentions(trans_b, trans_a,
                                                          p.cross)
-    if cross_modal:
+    if p.cross.weights is not None:
         combined, _, _ = attention_weighting(trans_b, trans_a, attn_vis,
                                              attn_ir, p.cross.weights)
         attn_ir = attn_vis = combined

@@ -100,8 +100,7 @@ def fuse_pair(img_a: Tensor, img_b: Tensor, m: ModelParams, cfg: RunConfig,
         half = Tensor(0.5)
         return decode(*[(fa + fb) * half if fa is not None else None
                         for fa, fb in zip(enc_a, enc_b)], m.decoder)
-    return decode(*fuse_features(enc_a, enc_b, m.fusion,
-                                 cfg.cross_modal_attention), m.decoder)
+    return decode(*fuse_features(enc_a, enc_b, m.fusion), m.decoder)
 
 
 def stage1_parameter_tree(m: ModelParams):

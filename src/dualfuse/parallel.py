@@ -5,7 +5,7 @@ With at least two CPUs in this process's affinity set, ``g`` runs on one
 persistent helper process, forked on first use, while the caller runs
 ``f``. Otherwise both run in the caller, ``f`` first. With grad off any
 call may use the helper; with grad on, only a call inside
-``training_step()``. A graph-building call anywhere else runs serially,
+``training_step``. A graph-building call anywhere else runs serially,
 and so does any call while a held graph's backward waits on a reply.
 
 The helper computes what the caller would. It is a fork of the caller, runs
@@ -43,9 +43,10 @@ An exception from either half is raised in the caller only after the
 helper's reply has been read, so no reply is left in the pipe for the next
 call, and a graph the helper holds for a failed or abandoned step is
 dropped. A call that finds the helper dead runs ``g`` itself, and the next
-call forks a new one; every graph lost with its helper is rebuilt here, and
-its backward finishes here with the same bytes. Only one thread uses the
-helper at a time; a call from another thread runs serially. A function
+call forks a new one. A helper lost during a held graph's backward is shut
+down, and ``training_step`` reruns the whole step serially: the serial path
+is the byte oracle, so the rerun gives the same bytes. Only one thread uses
+the helper at a time; a call from another thread runs serially. A function
 crosses the pipe by module and name, so a wrapper that copies its wrapped
 function's name (``functools.wraps``) sends the wrapped function.
 
@@ -60,7 +61,6 @@ set (``helper_peak_rss``).
 from __future__ import annotations
 
 import atexit
-import contextlib
 import copyreg
 import ctypes
 import importlib
@@ -77,7 +77,7 @@ from . import autodiff as ad
 _lock = threading.RLock()   # held by a call and by each held graph: one thread
 _helper = None              # (process, connection) once forked
 _in_helper = False
-_in_step = False            # inside training_step()
+_in_step = False            # inside training_step, helper allowed
 _pending: list = []         # the _Halves whose graphs the helper holds
 _due = None                 # the _Half whose reply is due: one at most
 _keys = itertools.count()   # names each held graph to the helper
@@ -118,25 +118,47 @@ def helper_peak_rss() -> int:
     return _helper_peak
 
 
-@contextlib.contextmanager
-def training_step():
-    """One training step: each grad-mode ``both`` inside may run its second
+def training_step(step, targets: list):
+    """``step()``, one training step that builds its graph and runs its
+    backward, with each grad-mode ``both`` inside allowed to run its second
     call on the helper. A graph the helper still holds at the end, because
     the step failed or its backward never reached the stand-ins, is
-    dropped."""
-    global _in_step
-    _in_step = True
+    dropped. When the helper is lost during the backward, each of
+    ``targets`` (the tensors the step adds gradients into) gets back the
+    ``grad`` it had before, and ``step()`` runs again serially. Each attempt
+    counts its flops into the installed ``FlopCounter`` only when it
+    succeeds, so a rerun step counts the serial flops once."""
+    saved = [None if t.grad is None else t.grad.copy() for t in targets]
     try:
-        yield
+        return _attempt(step, True)
+    except _HelperLost:
+        for t, grad in zip(targets, saved):
+            t.grad = grad
+        return _attempt(step, False)
+
+
+def _attempt(step, helper: bool):
+    global _in_step
+    _in_step = helper
+    try:
+        with ad.FlopCounter() as flops:
+            value = step()
     finally:
         _in_step = False
         for half in list(_pending):
             half.close()
+    ad._count(flops.total)
+    return value
 
 
 # ---------------------------------------------------------------------------
 # what crosses the pipe
 # ---------------------------------------------------------------------------
+
+class _HelperLost(Exception):
+    """The helper that holds a graph was lost during its backward; the
+    place that finds it shuts the helper down first."""
+
 
 class _Serial(Exception):
     """A grad-mode call's inputs cannot cross, so the call runs serially:
@@ -314,7 +336,7 @@ def _both_with_grad(first: tuple, second: tuple) -> tuple:
     """``both`` with grad on and ``_lock`` held. The helper keeps
     ``second``'s graph when that returns a tensor with grad; the graph's
     ``_Half`` then joins ``_pending`` and keeps its hold on the lock."""
-    half = _Half(second)
+    half = _Half()
     try:
         try:
             request = _dumps(("call", second, ad._debug_checks, _cpu(),
@@ -364,21 +386,10 @@ def _read_due() -> None:
         _due = None
 
 
-def _reply_for(half) -> bytes:
-    """The next reply due to ``half``'s graph. Raises EOFError when the
-    helper that holds the graph is gone."""
-    if not half.inbox:
-        if _helper is not half.helper:
-            raise EOFError
-        _read_due()
-    return half.inbox.pop(0)
-
-
 class _Half:
-    """The caller's side of a graph the helper holds: the call (to rebuild
-    the graph here if the helper dies), the gradient targets of the inputs
-    it was sent with grad, the stand-ins of its outputs and, per output,
-    the outputs above it.
+    """The caller's side of a graph the helper holds: the gradient targets
+    of the inputs it was sent with grad, the stand-ins of its outputs and,
+    per output, the outputs above it.
 
     In backward the graph splits into groups, one per head: the stand-ins
     first reached from a head are its group's members, and the helper runs
@@ -389,8 +400,7 @@ class _Half:
     before has been added in. A group waits for the reply still due to
     any graph's group before it goes (``_read_due``)."""
 
-    def __init__(self, call: tuple):
-        self.call = call
+    def __init__(self):
         self.key = next(_keys)
         self.leaves: list = []
         self.stand_ins: list = []
@@ -401,7 +411,6 @@ class _Half:
         self.sent = self.applied = 0
         self.inbox: list = []       # replies read, not yet added in
         self.helper = None          # the helper that holds the graph
-        self.local = None           # (outputs, parts) once rebuilt here
         self.done = False
 
     def hold(self, reads: list) -> None:
@@ -439,7 +448,7 @@ class _Half:
     def _flush(self) -> None:
         """Send every group that may go now, in run order."""
         global _due
-        while self.local is None and self.sent < len(self.groups) \
+        while self.sent < len(self.groups) \
                 and (not self.chained or self.sent == self.applied):
             members = self.groups[self.sent][1]
             if not self.waiting.isdisjoint(members):
@@ -449,15 +458,14 @@ class _Half:
             grads = {j: self.stand_ins[j].grad for j in members}
             self.sent += 1
             if _helper is not self.helper:
-                self._rebuild()     # the helper that held the graph is gone
-                return
+                raise _HelperLost   # already shut down
             try:
                 _read_due()
                 _helper[1].send_bytes(_dumps(("grads", self.key, heads,
                                               grads)))
             except (EOFError, OSError):
-                self._rebuild()
-                return
+                _shutdown()
+                raise _HelperLost from None
             _due = self
 
     def reached(self, stand_in) -> None:
@@ -465,76 +473,40 @@ class _Half:
                 or stand_in is not self.groups[self.applied][0]:
             return      # a member: its head comes later
         self._flush()
-        log = None if self.local is not None else self._receive()
-        if log is None:
-            self._run_here(self.applied, discard=False)
-        else:
-            targets = self.leaves + self.stand_ins
-            for index, g in log:
-                targets[index]._accumulate(g)
+        targets = self.leaves + self.stand_ins
+        for index, g in self._receive():
+            targets[index]._accumulate(g)
         self.applied += 1
         if self.applied == len(self.groups):
             self._finish()      # the helper dropped the graph after it
         else:
             self._flush()
 
-    def _receive(self):
-        """The next group's contribution log, or None when the helper died
-        (the graph is then rebuilt here)."""
+    def _receive(self) -> list:
+        """The next group's contribution log. Raises ``_HelperLost`` when
+        the helper that holds the graph is gone."""
+        if not self.inbox:
+            if _helper is not self.helper:
+                raise _HelperLost       # already shut down
+            try:
+                _read_due()
+            except (EOFError, OSError):     # _read_due shut the helper down
+                raise _HelperLost from None
+            except BaseException:
+                self._finish()
+                raise
         try:
-            reply = _reply_for(self)
-        except (EOFError, OSError):
-            self._rebuild()
-            return None
-        except BaseException:
-            _shutdown()
-            self._finish()
-            raise
-        try:
-            return _result(reply)
+            return _result(self.inbox.pop(0))
         except BaseException:
             self.applied += 1
             self.close()        # reads the replies still due
             raise
 
-    def _rebuild(self) -> None:
-        """Run the call here with grad, numbered as the helper numbered it,
-        and rerun the groups already added in, dropping their
-        contributions, so the nodes they share with later groups hold what
-        the serial backward would. The rebuilt graph reads this process's
-        op results themselves: its parts stop at ``leaves``."""
-        if _helper is self.helper:
-            _shutdown()
-        with ad.FlopCounter():      # counted from the helper's reply
-            value = self.call[0](*self.call[1:])
-        outputs: list = []
-        _dumps(value, outputs=outputs)
-        heads = [outputs[head.index]._node for head, _ in reversed(self.groups)]
-        self.local = (outputs, ad._segments(heads, self.leaves))
-        for k in range(self.applied):
-            self._run_here(k, discard=True)
-
-    def _run_here(self, k: int, discard: bool) -> None:
-        outputs, parts = self.local
-        members = self.groups[k][1]
-        for j in members:
-            g = self.stand_ins[j].grad
-            outputs[j]._node.grad = None if g is None else g.copy()
-        redirect = {}
-        for j, out in enumerate(outputs):
-            if j not in members:
-                redirect[id(out._node)] = _Sink(j, out.shape, []) if discard \
-                    else self.stand_ins[j]
-        if discard:
-            redirect.update((id(t), _Sink(0, t.shape, [])) for t in self.leaves)
-        ad._run(parts[k], redirect)
-
     def close(self) -> None:
         """Stop using the helper for this graph: read the replies still due
         and have it drop the graph."""
         try:
-            if self.local is None and not self.done \
-                    and self.helper is _helper:
+            if not self.done and self.helper is _helper:
                 if _due is self:
                     _read_due()
                 _drop(self.key)

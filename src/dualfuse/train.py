@@ -60,6 +60,7 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
     tree = (stage1_parameter_tree if stage == "I"
             else stage2_parameter_tree)(model)
     named = [pair for section in tree for pair in named_parameters(section)]
+    targets = [t for _, t in named]
     adam = AdamState()
     steps = 0
     for epoch in range(epochs):
@@ -75,9 +76,8 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
                 pair = crop_sampler(dataset[idx], cfg.crop, rng)
                 img_a = image_to_tensor(pair.a)
                 img_b = image_to_tensor(pair.b)
-                # modality b's restore or encode, forward and backward, runs
-                # on the helper when there is one (see parallel)
-                with parallel.training_step():
+
+                def sample():
                     if stage == "I":
                         pred_a, pred_b = parallel.both(
                             (restore, img_a, model), (restore, img_b, model))
@@ -86,6 +86,11 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
                         fused = fuse_pair(img_a, img_b, model, cfg)
                         breakdown = stage2_loss(fused, img_a, img_b)
                     (breakdown.total * Tensor(scale)).backward()
+                    return breakdown
+                # modality b's restore or encode, forward and backward, runs
+                # on the helper when there is one; a sample whose helper is
+                # lost in backward reruns serially (see parallel)
+                breakdown = parallel.training_step(sample, targets)
                 intensity += breakdown.intensity.item() * scale
                 structural += breakdown.ssim_or_grad.item() * scale
                 total += breakdown.total.item() * scale

@@ -103,7 +103,8 @@ def test_traced_training_records_every_training_span_in_the_caller(
     finish = parallel._Half._finish
 
     def recording_finish(half):
-        finished.append(half.local is None and not half.done)
+        finished.append(half.applied == len(half.groups) > 0
+                        and not half.done)
         finish(half)
     monkeypatch.setattr(parallel._Half, "_finish", recording_finish)
     parallel._shutdown()        # a helper forked earlier is not this one

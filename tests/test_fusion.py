@@ -221,7 +221,7 @@ def encodings(rng, c):
 
 def test_fuse_features_shapes(rng):
     p = make_fusion_params()
-    fused_t, fused_m = fusion.fuse_features(*encodings(rng, 2), p, True)
+    fused_t, fused_m = fusion.fuse_features(*encodings(rng, 2), p)
     assert fused_t.shape == (2, 4, 4)
     assert fused_m.shape == (2, 4, 4)
 
@@ -229,7 +229,7 @@ def test_fuse_features_shapes(rng):
 def test_gradient_reaches_weighting_head(rng):
     c = 2
     p = make_fusion_params(channels=c, seed=4)
-    fused_t, fused_m = fusion.fuse_features(*encodings(rng, c), p, True)
+    fused_t, fused_m = fusion.fuse_features(*encodings(rng, c), p)
     (fused_t.sum() + fused_m.sum()).backward()
     fc_grad = p.cross.weights.fc_w.grad
     assert fc_grad is not None and np.abs(fc_grad).max() > 0

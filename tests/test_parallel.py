@@ -211,15 +211,24 @@ print("multiprocessing" in sys.modules)
 def remote_backwards(monkeypatch):
     """Per finished graph the helper held, in the order they finished: the
     name of the function that built it, and True when all of its backward
-    ran on the helper, False when it was rebuilt here."""
+    ran on the helper, False when it was dropped first (the step failed or
+    its helper was lost)."""
     done = []
-    finish = parallel._Half._finish
+    both_with_grad, finish = parallel._both_with_grad, parallel._Half._finish
+
+    def naming_both_with_grad(first, second):
+        held = list(parallel._pending)
+        value = both_with_grad(first, second)
+        for half in parallel._pending:
+            if half not in held:
+                half.name = second[0].__name__
+        return value
 
     def recording_finish(self):
         if not self.done:
-            done.append((self.call[0].__name__, self.local is None
-                         and self.applied == len(self.groups) > 0))
+            done.append((self.name, self.applied == len(self.groups) > 0))
         finish(self)
+    monkeypatch.setattr(parallel, "_both_with_grad", naming_both_with_grad)
     monkeypatch.setattr(parallel._Half, "_finish", recording_finish)
     return done
 
@@ -299,27 +308,33 @@ def helper_state(helper) -> bool:
     return held
 
 
-def step_gradients(m, cfg, pair, stage="I", second=restore, between=None):
-    """One training step's parameter gradients as bytes: stage I through
-    ``parallel.both`` with ``second`` restoring b, stage II through
-    ``fuse_pair``. ``between`` runs after the forward pass."""
+def step_gradients(m, cfg, *pairs, stage="I", second=restore, between=None):
+    """The parameter gradients, as bytes, of one training step with one
+    sample per pair: stage I through ``parallel.both`` with ``second``
+    restoring b, stage II through ``fuse_pair``. ``between`` runs after each
+    forward pass, a rerun's too."""
     tree = stage1_parameter_tree(m) if stage == "I" \
         else stage2_parameter_tree(m)
-    named = [p for section in tree for p in params.named_parameters(section)]
-    a, b = image_to_tensor(pair.a), image_to_tensor(pair.b)
+    targets = [t for section in tree
+               for _, t in params.named_parameters(section)]
     try:
-        with parallel.training_step():
-            if stage == "I":
-                pred_a, pred_b = parallel.both((restore, a, m), (second, b, m))
-                loss = stage1_loss(a, pred_a, b, pred_b).total
-            else:
-                loss = stage2_loss(fuse_pair(a, b, m, cfg), a, b).total
-            if between is not None:
-                between()
-            loss.backward()
-        return b"".join(t.grad.tobytes() for _, t in named)
+        for pair in pairs:
+            a, b = image_to_tensor(pair.a), image_to_tensor(pair.b)
+
+            def sample():
+                if stage == "I":
+                    pred_a, pred_b = parallel.both((restore, a, m),
+                                                   (second, b, m))
+                    loss = stage1_loss(a, pred_a, b, pred_b).total
+                else:
+                    loss = stage2_loss(fuse_pair(a, b, m, cfg), a, b).total
+                if between is not None:
+                    between()
+                loss.backward()
+            parallel.training_step(sample, targets)
+        return b"".join(t.grad.tobytes() for t in targets)
     finally:
-        for _, t in named:
+        for t in targets:
             t.grad = None
 
 
@@ -377,49 +392,6 @@ def test_helper_backward_error_reaches_the_caller_and_leaves_no_stale_reply(
     assert not helper_state(helper)
 
 
-def test_a_helper_killed_between_a_steps_requests_is_replaced(
-        helper, remote_backwards):
-    cfg = RunConfig(channels=4, seed=2)
-    m = build_model(cfg)
-    pair = make_toy_pairs(1, 20, seed=3)[0]
-    helper(False)
-    serial = step_gradients(m, cfg, pair)
-    helper(True)
-    step_gradients(m, cfg, pair)
-    dead = parallel._helper[0]
-    after_death = step_gradients(m, cfg, pair,
-                                 between=lambda: kill(parallel._helper[0]))
-    replaced = step_gradients(m, cfg, pair)     # forks a new helper
-    assert parallel._helper[0].pid != dead.pid
-    assert after_death == replaced == serial
-    assert remote_backwards == [RESTORE, ("restore", False), RESTORE]
-
-
-def test_a_helper_killed_between_two_groups_is_replaced(helper, monkeypatch,
-                                                        remote_backwards):
-    # without the interaction, b's attention part runs before a's in the
-    # serial backward, so the helper's graph runs as two groups; a helper
-    # lost after the first has its graph rebuilt here and the first group
-    # rerun without adding its contributions again
-    cfg = RunConfig(channels=4, seed=2, interaction=False)
-    m = build_model(cfg)
-    pair = make_toy_pairs(1, 20, seed=3)[0]
-    helper(False)
-    serial = step_gradients(m, cfg, pair, stage="II")
-    reached = parallel._Half.reached
-
-    def kill_after_the_first_group(self, stand_in):
-        reached(self, stand_in)
-        if self.call[0].__name__ == "encode" and self.applied == 1 \
-                and self.local is None:
-            kill(parallel._helper[0])
-    monkeypatch.setattr(parallel._Half, "reached", kill_after_the_first_group)
-    helper(True)
-    two_core = step_gradients(m, cfg, pair, stage="II")
-    assert two_core == serial
-    assert remote_backwards == [("_scan_side", True), ("encode", False)]
-
-
 def test_a_gradient_larger_than_the_pipe_buffer_does_not_stall(
         helper, remote_backwards):
     # without the interaction, encode(b)'s attention part is ready while the
@@ -427,7 +399,7 @@ def test_a_gradient_larger_than_the_pipe_buffer_does_not_stall(
     # doubles) and the scan side's reply are each larger than the pipe's
     # buffer: sent while that reply is due, it would leave neither side
     # reading. A helper still busy a minute after the forward is killed, so
-    # a stall fails the test (its graphs are rebuilt here) instead of
+    # a stall fails the test (the sample then reruns serially) instead of
     # hanging it
     one, other = socket.socketpair()    # what multiprocessing's Pipe makes
     try:
@@ -445,9 +417,10 @@ def test_a_gradient_larger_than_the_pipe_buffer_does_not_stall(
     watchdog = []
 
     def start_watchdog():
-        watchdog.append(threading.Timer(60, os.kill, (parallel._helper[0].pid,
-                                                      signal.SIGKILL)))
-        watchdog[0].start()
+        if not watchdog:    # not again for the serial rerun
+            watchdog.append(threading.Timer(
+                60, os.kill, (parallel._helper[0].pid, signal.SIGKILL)))
+            watchdog[0].start()
     helper(True)
     try:
         two_core = step_gradients(m, cfg, pair, stage="II",
@@ -459,42 +432,78 @@ def test_a_gradient_larger_than_the_pipe_buffer_does_not_stall(
     assert remote_backwards == [SCAN, ENCODE]
 
 
-@pytest.mark.parametrize("when", ["after_forward", "after_the_scan_side"])
-def test_a_helper_killed_while_it_holds_two_graphs_is_replaced(
-        when, helper, monkeypatch, remote_backwards):
-    # a stage-II step holds encode(b) and the scan-side block in the helper;
-    # every graph lost with it is rebuilt here, each at its own place
-    cfg = RunConfig(channels=4, seed=2)
-    m = build_model(cfg)
-    pair = make_toy_pairs(1, 20, seed=3)[0]
-    helper(False)
-    serial = step_gradients(m, cfg, pair, stage="II")
-    between = None
-    if when == "after_forward":
-        def between():
-            assert [h.call[0].__name__ for h in parallel._pending] == \
-                ["encode", "_scan_side"]
-            kill(parallel._helper[0])
-        expected = [("_scan_side", False), ("encode", False)]
-    else:
-        reached = parallel._Half.reached
-        killed = []
+# Where the kill tests below lose the helper: the stage, the build, the
+# samples in the step, the point in the last sample's first attempt, and
+# the graphs the helper held as ``remote_backwards`` lists them.
+KILL_POINTS = {
+    "stage1_after_forward": ("I", {}, 1, "forward", [("restore", False)]),
+    "stage2_after_forward": ("II", {}, 1, "forward",
+                             [("encode", False), ("_scan_side", False)]),
+    "stage2_after_the_scan_side": ("II", {}, 1, ("_scan_side", 1),
+                                   [SCAN, ("encode", False)]),
+    # without the interaction, b's attention part runs before a's in the
+    # serial backward, so encode(b)'s graph runs as two groups
+    "no_interaction_after_the_first_group": (
+        "II", dict(interaction=False), 1, ("encode", 1),
+        [SCAN, ("encode", False)]),
+    # the first sample's gradients are in place when the second's helper
+    # is lost with the scan side's contributions added in
+    "batch_2_second_sample": ("II", {}, 2, ("_scan_side", 1),
+                              [SCAN, ENCODE, SCAN, ("encode", False)]),
+}
 
-        def kill_after_the_scan_side(self, stand_in):
+
+@pytest.mark.parametrize("point", sorted(KILL_POINTS))
+def test_a_helper_lost_in_backward_reruns_the_sample_serially(
+        point, helper, monkeypatch, remote_backwards):
+    # the sample whose helper is lost reruns on the serial path from the
+    # gradients it started with, and counts the serial flops once; the
+    # next step forks a new helper
+    stage, config, samples, where, expected = KILL_POINTS[point]
+    cfg = RunConfig(channels=4, seed=2, **config)
+    m = build_model(cfg)
+    pairs = make_toy_pairs(samples, 20, seed=3)
+    armed, forwards, killed = [], [], []
+
+    def kill_once():
+        if armed and len(forwards) == samples:
+            armed.clear()
+            killed.append(parallel._helper[0])
+            kill(killed[0])
+
+    def between():      # records the graphs the helper holds per forward
+        forwards.append(len(parallel._pending))
+        if where == "forward":
+            kill_once()
+    if where != "forward":
+        name, applied = where
+        reached = parallel._Half.reached
+
+        def kill_after(self, stand_in):
             reached(self, stand_in)
-            if self.call[0].__name__ == "_scan_side" and self.done \
-                    and not killed:
-                killed.append(parallel._helper[0])
-                kill(killed[0])
-        monkeypatch.setattr(parallel._Half, "reached",
-                            kill_after_the_scan_side)
-        expected = [("_scan_side", True), ("encode", False)]
-    helper(True)
-    two_core = step_gradients(m, cfg, pair, stage="II", between=between)
-    assert two_core == serial
-    assert remote_backwards == expected
-    assert step_gradients(m, cfg, pair, stage="II") == serial   # a new helper
-    assert remote_backwards[2:] == [("_scan_side", True), ("encode", True)]
+            if self.name == name and self.applied == applied:
+                kill_once()
+        monkeypatch.setattr(parallel._Half, "reached", kill_after)
+    runs = []
+    for on, lose in ((False, False), (True, True), (True, False)):
+        helper(on)
+        armed[:] = [True] if lose else []
+        forwards.clear()
+        with ad.FlopCounter() as flops:
+            grads = step_gradients(m, cfg, *pairs, stage=stage,
+                                   between=between)
+        runs.append((grads, flops.total, list(forwards)))
+    (serial, serial_flops, _), (retried, retried_flops, lost), \
+        (replaced, replaced_flops, _) = runs
+    assert retried == replaced == serial
+    assert retried_flops == replaced_flops == serial_flops > 0
+    # the last sample ran twice: first with graphs on the helper, then
+    # serially with none
+    assert len(killed) == 1 and lost[samples - 1] > 0 and lost[-1] == 0
+    assert len(lost) == samples + 1
+    assert parallel._helper[0].pid != killed[0].pid
+    again = [RESTORE] if stage == "I" else [SCAN, ENCODE]
+    assert remote_backwards == expected + again * samples
     assert not helper_state(helper)
 
 
@@ -559,7 +568,8 @@ def test_op_result_inputs_keep_the_bytes(third, helper, remote_backwards):
         rng = np.random.default_rng(0)
         w1, w2 = (ad.parameter(rng.uniform(-1, 1, 8)) for _ in range(2))
         x, c = (ad.Tensor(rng.uniform(-1, 1, 8)) for _ in range(2))
-        with parallel.training_step():
+
+        def step():
             ta, ua = parallel.both((scaled, x, w1), (scaled, x[::-1], w1))
             g = ta + ua
             t, u = parallel.both((shared_reader, g, w2),
@@ -574,6 +584,7 @@ def test_op_result_inputs_keep_the_bytes(third, helper, remote_backwards):
             if third is not None:
                 out = out + v[0] * v[1]
             (out * c).sum().backward()
+        parallel.training_step(step, [w1, w2])
         grads.append(w1.grad.tobytes() + w2.grad.tobytes())
     assert grads[0] == grads[1]
     assert remote_backwards == [("shared_reader", True), ("scaled", True)]
@@ -602,9 +613,11 @@ def test_outputs_that_feed_each_other_keep_the_bytes(helper, monkeypatch):
         helper(on)
         w = ad.parameter(np.array([0.7, -1.3, 2.1]))
         x = ad.Tensor(np.array([1.5, 0.25, -0.5]))
-        with parallel.training_step():
+
+        def step():
             _, (t, u) = parallel.both((pow, 2, 3), (feeding_pair, x, w))
             ((u * t) * ad.Tensor([0.3, 0.9, -0.4])).sum().backward()
+        parallel.training_step(step, [w])
         grads.append(w.grad.tobytes())
     assert grads[0] == grads[1]
     assert chained == [True]
@@ -617,14 +630,16 @@ def test_a_failed_step_leaves_the_helper_no_graph(where, helper):
     pair = make_toy_pairs(1, 20, seed=3)[0]
     a, b = image_to_tensor(pair.a), image_to_tensor(pair.b)
     helper(True)
+
+    def step():
+        if where == "forward":
+            parallel.both((divmod, 1, 0), (restore, b, m))
+        outs = parallel.both((restore, a, m), (restore, b, m))
+        assert parallel._pending
+        assert isinstance(outs[1], ad.StandIn)
+        divmod(1, 0)
     with pytest.raises(ZeroDivisionError):
-        with parallel.training_step():
-            if where == "forward":
-                parallel.both((divmod, 1, 0), (restore, b, m))
-            outs = parallel.both((restore, a, m), (restore, b, m))
-            assert parallel._pending
-            assert isinstance(outs[1], ad.StandIn)
-            divmod(1, 0)
+        parallel.training_step(step, [])
     assert not parallel._pending
     assert not helper_state(helper)
 
