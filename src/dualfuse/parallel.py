@@ -15,14 +15,19 @@ never computes with stale weights. It runs with the caller's debug-check
 setting and counts its flops under its own ``FlopCounter``; the caller adds
 that total to its own counter.
 
-A grad-mode call keeps ``g``'s graph in the helper and returns ``g``'s
-outputs as ``autodiff.StandIn`` leaves. The helper holds one such graph
-per call, several in one step: a stage-II step holds encode(b) and the
-scan-side fusion block (see ``fusion.fuse_features``). ``g``'s tensors
-with grad cross as fresh leaves: parameters, and at most one op result of
-the caller's graph (the scan side reads ``pre_mamba``, computed from
-encode(b)'s stand-in). A stand-in keeps that op result's Node as a parent,
-so the caller's graph above it runs after the stand-in's place.
+Every call sends one kind of request and reads one kind of reply: the
+grad modes differ only in whether the request carries a graph key, and
+the helper runs ``g`` with grad on when it does. With grad off, tensors
+cross both ways as plain arrays, so the call gets no stand-ins and the
+helper holds nothing. A grad-mode call keeps ``g``'s graph in the helper
+and returns ``g``'s outputs with grad as ``autodiff.StandIn`` leaves. The
+helper holds one such graph per call, several in one step: a stage-II
+step holds encode(b) and the scan-side fusion block (see
+``fusion.fuse_features``). ``g``'s tensors with grad cross as fresh
+leaves: parameters, and at most one op result of the caller's graph (the
+scan side reads ``pre_mamba``, computed from encode(b)'s stand-in). A
+stand-in keeps that op result's Node as a parent, so the caller's graph
+above it runs after the stand-in's place.
 
 In backward the caller sends each stand-in's gradient as soon as the last
 op reading it has run, back-propagates its own graph while the helper
@@ -42,13 +47,14 @@ request waits for the reply still due, which is kept for its graph.
 An exception from either half is raised in the caller only after the
 helper's reply has been read, so no reply is left in the pipe for the next
 call, and a graph the helper holds for a failed or abandoned step is
-dropped. A call that finds the helper dead runs ``g`` itself, and the next
-call forks a new one. A helper lost during a held graph's backward is shut
-down, and ``training_step`` reruns the whole step serially: the serial path
-is the byte oracle, so the rerun gives the same bytes. Only one thread uses
-the helper at a time; a call from another thread runs serially. A function
-crosses the pipe by module and name, so a wrapper that copies its wrapped
-function's name (``functools.wraps``) sends the wrapped function.
+dropped. A call that finds the helper dead, or loses it before the reply,
+runs ``g`` itself, and the next call forks a new one. A helper lost during
+a held graph's backward is shut down, and ``training_step`` reruns the
+whole step serially: the serial path is the byte oracle, so the rerun
+gives the same bytes. Only one thread uses the helper at a time; a call
+from another thread runs serially. A function crosses the pipe by module
+and name, so a wrapper that copies its wrapped function's name
+(``functools.wraps``) sends the wrapped function.
 
 The helper is daemonic, closes its copy of the caller's pipe end (so it exits
 on end-of-file when the caller exits or dies) and is joined at interpreter
@@ -181,13 +187,13 @@ _DISPATCH[ad.Tensor] = _DISPATCH[ad.StandIn] = lambda t: (ad.Tensor, (t.data,))
 
 
 class _GradPickler(pickle.Pickler):
-    """Pickles a grad-mode call and its reply. ``leaves`` (a list, in the
-    caller) numbers the gradient targets of the call's tensors with grad:
-    parameters and other leaves, and the Node of at most one op result.
-    Each arrives as a fresh leaf with grad. ``outputs`` (in the helper)
-    numbers the tensors with grad it returns, which arrive as stand-ins. A
-    function whose module and name lead to another object crosses as that
-    name."""
+    """Pickles a call and its outputs. In grad mode ``leaves`` (a list, in
+    the caller) numbers the gradient targets of the call's tensors with
+    grad: parameters and other leaves, and the Node of at most one op
+    result. Each arrives as a fresh leaf with grad. ``outputs`` (in the
+    helper) numbers the tensors with grad it returns, which arrive as
+    stand-ins. With grad off every tensor crosses as its array. A function
+    whose module and name lead to another object crosses as that name."""
 
     dispatch_table = _DISPATCH
 
@@ -198,7 +204,8 @@ class _GradPickler(pickle.Pickler):
         self.op_result = False
 
     def persistent_id(self, obj):
-        if not isinstance(obj, ad.Tensor) or not obj.requires_grad:
+        if not ad._grad_enabled or not isinstance(obj, ad.Tensor) \
+                or not obj.requires_grad:
             return None
         if self.outputs is not None:
             return ("out", self._number(obj, self.outputs), obj.data)
@@ -289,65 +296,43 @@ class _Sink:
 def both(first: tuple, second: tuple) -> tuple:
     """``(first[0](*first[1:]), second[0](*second[1:]))``, the second on the
     helper process when ``_helper_usable()`` and no other thread is using
-    it."""
+    it. In grad mode the request carries a graph key, and the helper keeps
+    ``second``'s graph when that returns a tensor with grad; the graph's
+    ``_Half`` then joins ``_pending`` and keeps its hold on ``_lock``. A
+    call that cannot reach the helper, or loses it before the reply, runs
+    ``second`` here. An exception from ``first`` is raised once the reply
+    has been read."""
     if not _helper_usable() or not _lock.acquire(blocking=False):
         return first[0](*first[1:]), second[0](*second[1:])
-    if ad._grad_enabled:
-        return _both_with_grad(first, second)
-    try:
-        request = _dumps(("call", second, ad._debug_checks, _cpu(), None))
-        result, reply = _exchange(request, first)
-        if reply is None:
-            return result, second[0](*second[1:])
-        return result, _result(reply)
-    finally:
-        _lock.release()
-
-
-def _exchange(request: bytes, first: tuple) -> tuple:
-    """Send ``request``, run ``first`` here and read the reply: (first's
-    result, the reply, or None when the helper could not be reached or
-    died). An exception from ``first`` is raised after the reply is read."""
-    try:
-        conn = _connection()
-        conn.send_bytes(request)
-    except OSError:         # no fork, or the helper died since the last call
-        _shutdown()
-        return first[0](*first[1:]), None
-    failure = None
-    try:
-        result = first[0](*first[1:])
-    except BaseException as exc:    # raised once the reply has been read
-        failure = exc
-    try:
-        reply = conn.recv_bytes()
-    except (EOFError, OSError):     # the helper died: its half runs here
-        _shutdown()
-        reply = None
-    except BaseException:           # the pipe's state is unknown
-        _shutdown()
-        raise
-    if failure is not None:
-        raise failure
-    return result, reply
-
-
-def _both_with_grad(first: tuple, second: tuple) -> tuple:
-    """``both`` with grad on and ``_lock`` held. The helper keeps
-    ``second``'s graph when that returns a tensor with grad; the graph's
-    ``_Half`` then joins ``_pending`` and keeps its hold on the lock."""
     half = _Half()
     try:
         try:
             request = _dumps(("call", second, ad._debug_checks, _cpu(),
-                              half.key), leaves=half.leaves)
+                              half.key if ad._grad_enabled else None),
+                             leaves=half.leaves)
+            conn = _connection()
+            conn.send_bytes(request)
         except _Serial:
             return first[0](*first[1:]), second[0](*second[1:])
+        except OSError:     # no fork, or the helper died since the last call
+            _shutdown()
+            return first[0](*first[1:]), second[0](*second[1:])
+        failure = None
         try:
-            result, reply = _exchange(request, first)
-        except BaseException:
-            _drop(half.key)
+            result = first[0](*first[1:])
+        except BaseException as exc:    # raised once the reply has been read
+            failure = exc
+        try:
+            reply = conn.recv_bytes()
+        except (EOFError, OSError):     # the helper died: its half runs here
+            _shutdown()
+            reply = None
+        except BaseException:           # the pipe's state is unknown
+            _shutdown()
             raise
+        if failure is not None:
+            _drop(half.key)
+            raise failure
         if reply is None:
             return result, second[0](*second[1:])
         payload, half.reach, reads = _result(reply)
@@ -574,7 +559,6 @@ def _serve(conn, caller_conn) -> None:
     _in_helper = True
     caller_conn.close()     # else the caller's death would not end recv
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller handles ^C
-    ad._grad_enabled = True     # the fork may have come from inside no_grad
     allowed = os.sched_getaffinity(0)
     while True:
         try:
@@ -602,31 +586,26 @@ def _serve(conn, caller_conn) -> None:
 
 
 def _call(call: tuple, key, leaves: list) -> tuple:
-    """Run a call; with a ``key`` (grad on), keep its graph in ``_held``
-    and reply with the outputs, the outputs above each output, and the
-    leaves each output was computed from."""
-    grad = key is not None
+    """Run a call, with grad on when it carries a graph ``key``; reply with
+    its outputs, the outputs above each output and the leaves each output
+    was computed from, and keep its graph in ``_held`` under ``key`` when it
+    returns tensors with grad."""
+    ad._grad_enabled = key is not None
     try:
         with ad.FlopCounter() as flops:
-            if grad:
-                value = call[0](*call[1:])
-            else:
-                with ad.no_grad():
-                    value = call[0](*call[1:])
-        if grad:
-            outputs: list = []
-            payload = _dumps(value, outputs=outputs)
-            nodes = [t._node for t in outputs]
-            above = [{id(n) for n in ad._postorder(node, set())}
-                     for node in nodes]
-            reach = [[i for i, n in enumerate(nodes) if i != j and id(n) in ids]
-                     for j, ids in enumerate(above)]
-            reads = [{i for i, t in enumerate(leaves) if id(t) in ids}
-                     for ids in above]
-            value = (payload, reach, reads)
-            if nodes:
-                _held[key] = (leaves, nodes, None)
-        return True, value, flops.total, _peak()
+            value = call[0](*call[1:])
+        outputs: list = []
+        payload = _dumps(value, outputs=outputs)
+        nodes = [t._node for t in outputs]
+        above = [{id(n) for n in ad._postorder(node, set())}
+                 for node in nodes]
+        reach = [[i for i, n in enumerate(nodes) if i != j and id(n) in ids]
+                 for j, ids in enumerate(above)]
+        reads = [{i for i, t in enumerate(leaves) if id(t) in ids}
+                 for ids in above]
+        if nodes:
+            _held[key] = (leaves, nodes, None)
+        return True, (payload, reach, reads), flops.total, _peak()
     except Exception as exc:
         return False, exc, 0, _peak()
 

@@ -36,8 +36,8 @@ def draw_remote(rng: random.Random, pool: list, params: list, half) -> list:
     """The graph of one grad-mode ``both``'s second call, as the helper
     holds it: nodes over fresh leaves for some of ``params`` and at most
     one op result from ``pool``, with one to three outputs, which may read
-    each other. Fills in ``half`` as ``_both_with_grad`` would and returns
-    the stand-ins."""
+    each other. Fills in ``half`` as a grad-mode ``parallel.both`` would
+    and returns the stand-ins."""
     targets = rng.sample(params, rng.randint(1, len(params)))
     op_results = [t for t in pool if isinstance(t, ad.Node)]
     if op_results and rng.random() < 0.6:

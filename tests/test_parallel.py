@@ -2,6 +2,7 @@
 serial path, and a helper process that never outlives its caller."""
 
 import json
+import operator
 import os
 import signal
 import socket
@@ -214,11 +215,11 @@ def remote_backwards(monkeypatch):
     ran on the helper, False when it was dropped first (the step failed or
     its helper was lost)."""
     done = []
-    both_with_grad, finish = parallel._both_with_grad, parallel._Half._finish
+    both, finish = parallel.both, parallel._Half._finish
 
-    def naming_both_with_grad(first, second):
+    def naming_both(first, second):
         held = list(parallel._pending)
-        value = both_with_grad(first, second)
+        value = both(first, second)
         for half in parallel._pending:
             if half not in held:
                 half.name = second[0].__name__
@@ -228,7 +229,7 @@ def remote_backwards(monkeypatch):
         if not self.done:
             done.append((self.name, self.applied == len(self.groups) > 0))
         finish(self)
-    monkeypatch.setattr(parallel, "_both_with_grad", naming_both_with_grad)
+    monkeypatch.setattr(parallel, "both", naming_both)
     monkeypatch.setattr(parallel._Half, "_finish", recording_finish)
     return done
 
@@ -642,6 +643,82 @@ def test_a_failed_step_leaves_the_helper_no_graph(where, helper):
         parallel.training_step(step, [])
     assert not parallel._pending
     assert not helper_state(helper)
+
+
+def lock_is_free() -> bool:
+    """Whether another thread could take ``parallel._lock`` now."""
+    free = []
+
+    def probe():
+        if parallel._lock.acquire(blocking=False):
+            parallel._lock.release()
+            free.append(True)
+    other = threading.Thread(target=probe)
+    other.start()
+    other.join(30)
+    return free == [True]
+
+
+def test_a_no_grad_call_never_holds_a_graph(helper):
+    # the second call returns the parameter it was given: under no_grad the
+    # helper sends it back as a plain tensor and holds no graph for it
+    p = ad.parameter(np.array([0.5, -1.25, 3.0]))
+    values = []
+    for on in (False, True):
+        helper(on)
+        with ad.no_grad():
+            values.append(parallel.both((operator.pos, 1),
+                                        (operator.getitem, (p,), 0)))
+    (serial_first, serial), (first, value) = values
+    assert serial_first == first == 1
+    assert value.data.tobytes() == serial.data.tobytes()
+    assert not parallel._pending
+    assert lock_is_free()
+    assert not helper_state(helper)
+
+
+def dies_in_the_helper(x, w):
+    """``scaled``, but a helper process that runs it exits at once."""
+    if parallel._in_helper:
+        os._exit(1)
+    return scaled(x, w)
+
+
+@pytest.mark.parametrize("grad", [False, True],
+                         ids=["no_grad_pair", "training_step"])
+def test_a_helper_that_dies_mid_call_is_replaced(grad, helper):
+    # the helper reads the request and dies: the caller reads end-of-file,
+    # runs the second call itself with the serial bytes and flops, and the
+    # next call forks a new helper
+    rng = np.random.default_rng(0)
+    w = ad.parameter(rng.uniform(-1, 1, 8))
+    x = ad.Tensor(rng.uniform(-1, 1, 8))
+    runs = []
+    for on in (False, True):
+        helper(on)
+        if on:
+            assert not helper_state(helper)     # a live helper to lose
+            dead = parallel._helper[0]
+        with ad.FlopCounter() as flops:
+            if grad:
+                def step():
+                    t, u = parallel.both((scaled, x, w),
+                                         (dies_in_the_helper, x[::-1], w))
+                    (t * u).sum().backward()
+                parallel.training_step(step, [w])
+                out = w.grad.tobytes()
+                w.grad = None
+            else:
+                with ad.no_grad():
+                    t, u = parallel.both((scaled, x, w),
+                                         (dies_in_the_helper, x[::-1], w))
+                out = t.data.tobytes() + u.data.tobytes()
+        runs.append((out, flops.total))
+    assert runs[0] == runs[1] and runs[0][1] > 0
+    assert parallel._helper is None and not dead.is_alive()
+    assert not parallel._pending and lock_is_free()
+    assert not helper_state(helper)
+    assert parallel._helper[0].pid != dead.pid
 
 
 HELPER_SCRIPT = """
