@@ -262,7 +262,7 @@ class Tensor(_GradTarget):
 
         A graph may read ``StandIn`` leaves, the outputs of a graph that
         another process holds; ``_schedule`` then orders the pass and
-        backward tells each stand-in's ``half`` when the stand-in's
+        ``_run`` tells each stand-in's ``half`` when the stand-in's
         gradient is final and when its place in the order comes. A
         stand-in's ``parents`` are the op results here that its remote
         graph read, so each of them runs after that place.
@@ -287,17 +287,7 @@ class Tensor(_GradTarget):
         order[-1]._accumulate(np.ones_like(self.data))
         for stand_in in ready.pop(None, ()):
             stand_in.half.ready(stand_in)
-        while order:
-            node = order.pop()
-            if isinstance(node, Node):
-                node.backward_fn(node.grad, *node.parents)
-                node.grad = node.backward_fn = None
-                node.parents = ()
-                for stand_in in ready.pop(id(node), ()):
-                    stand_in.half.ready(stand_in)
-            elif type(node) is StandIn:
-                node.half.reached(node)
-                node.parents = ()
+        _run(order, ready)
 
     # -- operator sugar -----------------------------------------------------
 
@@ -466,15 +456,24 @@ def _segments(heads: list) -> list:
     return [_postorder(head, seen)[::-1] for head in heads][::-1]
 
 
-def _run(nodes: list, redirect: dict) -> None:
-    """Run the gradient functions of the Nodes among ``nodes``, in order, as
-    backward does; a contribution to a target whose id ``redirect`` holds
-    goes to what it maps to instead."""
-    for node in nodes:
+def _run(nodes: list, ready: dict) -> None:
+    """The one backward loop, in both processes: pop the gradient targets
+    off the end of ``nodes`` and run each Node's gradient function,
+    releasing the Node's grad, closure and parent links (and, with the
+    list's reference gone, the Node itself) once it has run. After an op
+    whose id ``ready`` holds, each stand-in listed there is final
+    (``half.ready``); at a stand-in's own place its remote graph's
+    contributions are added in (``half.reached``)."""
+    while nodes:
+        node = nodes.pop()
         if isinstance(node, Node):
-            node.backward_fn(node.grad,
-                             *[redirect.get(id(p), p) for p in node.parents])
+            node.backward_fn(node.grad, *node.parents)
             node.grad = node.backward_fn = None
+            node.parents = ()
+            for stand_in in ready.pop(id(node), ()):
+                stand_in.half.ready(stand_in)
+        elif type(node) is StandIn:
+            node.half.reached(node)
             node.parents = ()
 
 

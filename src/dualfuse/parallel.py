@@ -46,15 +46,17 @@ request waits for the reply still due, which is kept for its graph.
 
 An exception from either half is raised in the caller only after the
 helper's reply has been read, so no reply is left in the pipe for the next
-call, and a graph the helper holds for a failed or abandoned step is
-dropped. A call that finds the helper dead, or loses it before the reply,
-runs ``g`` itself, and the next call forks a new one. A helper lost during
-a held graph's backward is shut down, and ``training_step`` reruns the
-whole step serially: the serial path is the byte oracle, so the rerun
-gives the same bytes. Only one thread uses the helper at a time; a call
-from another thread runs serially. A function crosses the pipe by module
-and name, so a wrapper that copies its wrapped function's name
-(``functools.wraps``) sends the wrapped function.
+call. The end of ``training_step`` is the one place that ends a held graph
+whose backward did not finish: it reads the reply still due and has the
+helper drop every graph it holds, as all are the step's. A call that finds
+the helper dead, or loses it before the reply, runs ``g`` itself, and the
+next call forks a new one. A helper lost during a held graph's backward is
+shut down, and ``training_step`` reruns the whole step serially: the
+serial path is the byte oracle, so the rerun gives the same bytes. Only
+one thread uses the helper at a time; a call from another thread runs
+serially. A function crosses the pipe by module and name, so a wrapper
+that copies its wrapped function's name (``functools.wraps``) sends the
+wrapped function.
 
 The helper is daemonic, closes its copy of the caller's pipe end (so it exits
 on end-of-file when the caller exits or dies) and is joined at interpreter
@@ -128,12 +130,13 @@ def training_step(step, targets: list):
     """``step()``, one training step that builds its graph and runs its
     backward, with each grad-mode ``both`` inside allowed to run its second
     call on the helper. A graph the helper still holds at the end, because
-    the step failed or its backward never reached the stand-ins, is
-    dropped. When the helper is lost during the backward, each of
-    ``targets`` (the tensors the step adds gradients into) gets back the
-    ``grad`` it had before, and ``step()`` runs again serially. Each attempt
-    counts its flops into the installed ``FlopCounter`` only when it
-    succeeds, so a rerun step counts the serial flops once."""
+    the step failed or its backward never reached the stand-ins, is dropped
+    there and only there (see ``_attempt``). When the helper is lost during
+    the backward, each of ``targets`` (the tensors the step adds gradients
+    into) gets back the ``grad`` it had before, and ``step()`` runs again
+    serially. Each attempt counts its flops into the installed
+    ``FlopCounter`` only when it succeeds, so a rerun step counts the
+    serial flops once."""
     saved = [None if t.grad is None else t.grad.copy() for t in targets]
     try:
         return _attempt(step, True)
@@ -144,6 +147,11 @@ def training_step(step, targets: list):
 
 
 def _attempt(step, helper: bool):
+    """One run of ``step()``. Its end reads the reply still due, has the
+    helper drop its graphs and finishes each pending ``_Half``. The drop
+    goes only while a graph is pending: this thread then still holds
+    ``_lock`` through it, and once the last has finished another thread
+    may be using the pipe."""
     global _in_step
     _in_step = helper
     try:
@@ -151,8 +159,15 @@ def _attempt(step, helper: bool):
             value = step()
     finally:
         _in_step = False
-        for half in list(_pending):
-            half.close()
+        try:
+            if _pending and _helper is not None:
+                _read_due()
+                _helper[1].send_bytes(_dumps(("drop",)))
+        except (EOFError, OSError):     # the helper died: it holds nothing
+            _shutdown()
+        finally:
+            for half in list(_pending):
+                half._finish()
     ad._count(flops.total)
     return value
 
@@ -167,11 +182,13 @@ class _HelperLost(Exception):
 
 
 class _Serial(Exception):
-    """A grad-mode call's inputs cannot cross, so the call runs serially:
-    it was given a stand-in, whose gradient would then be final only at a
-    place in another graph's backward, or a second op result with grad,
-    which the serial backward could reach between the remote graph's
-    contributions into the first."""
+    """A grad-mode call runs serially: it was given a stand-in, whose
+    gradient would then be final only at a place in another graph's
+    backward, or a second op result with grad, which the serial backward
+    could reach between the remote graph's contributions into the first;
+    or (raised by the helper) it returned a tensor with grad that no op
+    made, such as a parameter it was given, into which the serial backward
+    adds each reader's contribution, as no stand-in can."""
 
 
 def _by_name(module: str, qualname: str):
@@ -299,9 +316,11 @@ def both(first: tuple, second: tuple) -> tuple:
     it. In grad mode the request carries a graph key, and the helper keeps
     ``second``'s graph when that returns a tensor with grad; the graph's
     ``_Half`` then joins ``_pending`` and keeps its hold on ``_lock``. A
-    call that cannot reach the helper, or loses it before the reply, runs
-    ``second`` here. An exception from ``first`` is raised once the reply
-    has been read."""
+    call that cannot reach the helper, loses it before the reply, or is
+    refused with ``_Serial``, runs ``second`` here. An exception from
+    ``first`` is raised once the reply has been read; in grad mode the
+    half is held first, with no stand-ins, so the end of the step drops
+    whatever graph ``second`` left in the helper."""
     if not _helper_usable() or not _lock.acquire(blocking=False):
         return first[0](*first[1:]), second[0](*second[1:])
     half = _Half()
@@ -331,11 +350,15 @@ def both(first: tuple, second: tuple) -> tuple:
             _shutdown()
             raise
         if failure is not None:
-            _drop(half.key)
+            if reply is not None and ad._grad_enabled:
+                half.hold([])
             raise failure
         if reply is None:
             return result, second[0](*second[1:])
-        payload, half.reach, reads = _result(reply)
+        try:
+            payload, half.reach, reads = _result(reply)
+        except _Serial:
+            return result, second[0](*second[1:])
         value = _Unpickler(payload, half).load()
         if half.stand_ins:
             half.hold(reads)
@@ -343,15 +366,6 @@ def both(first: tuple, second: tuple) -> tuple:
     finally:
         if half.helper is None:
             _lock.release()
-
-
-def _drop(key: int) -> None:
-    """Have the helper drop the graph it holds under ``key``, if any."""
-    if _helper is not None:
-        try:
-            _helper[1].send_bytes(_dumps(("drop", key)))
-        except OSError:
-            _shutdown()
 
 
 def _read_due() -> None:
@@ -454,22 +468,13 @@ class _Half:
             _due = self
 
     def reached(self, stand_in) -> None:
+        """At a head's place: add in its group's contribution log. Raises
+        ``_HelperLost`` when the helper that holds the graph is gone; any
+        other failure propagates, and the end of the step ends the graph."""
         if self.applied == len(self.groups) \
                 or stand_in is not self.groups[self.applied][0]:
             return      # a member: its head comes later
         self._flush()
-        targets = self.leaves + self.stand_ins
-        for index, g in self._receive():
-            targets[index]._accumulate(g)
-        self.applied += 1
-        if self.applied == len(self.groups):
-            self._finish()      # the helper dropped the graph after it
-        else:
-            self._flush()
-
-    def _receive(self) -> list:
-        """The next group's contribution log. Raises ``_HelperLost`` when
-        the helper that holds the graph is gone."""
         if not self.inbox:
             if _helper is not self.helper:
                 raise _HelperLost       # already shut down
@@ -477,39 +482,22 @@ class _Half:
                 _read_due()
             except (EOFError, OSError):     # _read_due shut the helper down
                 raise _HelperLost from None
-            except BaseException:
-                self._finish()
-                raise
-        try:
-            return _result(self.inbox.pop(0))
-        except BaseException:
-            self.applied += 1
-            self.close()        # reads the replies still due
-            raise
-
-    def close(self) -> None:
-        """Stop using the helper for this graph: read the replies still due
-        and have it drop the graph."""
-        try:
-            if not self.done and self.helper is _helper:
-                if _due is self:
-                    _read_due()
-                _drop(self.key)
-        except (EOFError, OSError):
-            _shutdown()
-        except BaseException:
-            _shutdown()
-            raise
-        finally:
-            self._finish()
+        self.applied += 1
+        targets = self.leaves + self.stand_ins
+        for index, g in _result(self.inbox.pop(0)):
+            targets[index]._accumulate(g)
+        if self.applied == len(self.groups):
+            self._finish()      # the helper dropped the graph after it
+        else:
+            self._flush()
 
     def _finish(self) -> None:
+        """Stop holding the graph: only a held half (in ``_pending``) ends."""
         if not self.done:
             self.done = True
             self.inbox.clear()
-            if self.helper is not None:
-                _pending.remove(self)
-                _lock.release()
+            _pending.remove(self)
+            _lock.release()
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +560,8 @@ def _serve(conn, caller_conn) -> None:
             _leave_cpu(caller_cpu, allowed)
             ad.set_debug_checks(debug)
             reply = _call(call, key, unpickler.leaves)
-        elif message[0] == "drop":
-            _held.pop(message[1], None)
+        elif message[0] == "drop":     # the step has ended
+            _held.clear()
             continue
         else:
             reply = _backward_group(*message[1:])
@@ -589,7 +577,8 @@ def _call(call: tuple, key, leaves: list) -> tuple:
     """Run a call, with grad on when it carries a graph ``key``; reply with
     its outputs, the outputs above each output and the leaves each output
     was computed from, and keep its graph in ``_held`` under ``key`` when it
-    returns tensors with grad."""
+    returns tensors with grad. Refuse with ``_Serial`` an output with grad
+    that no op made."""
     ad._grad_enabled = key is not None
     try:
         with ad.FlopCounter() as flops:
@@ -597,6 +586,8 @@ def _call(call: tuple, key, leaves: list) -> tuple:
         outputs: list = []
         payload = _dumps(value, outputs=outputs)
         nodes = [t._node for t in outputs]
+        if any(node is None for node in nodes):
+            raise _Serial
         above = [{id(n) for n in ad._postorder(node, set())}
                  for node in nodes]
         reach = [[i for i, n in enumerate(nodes) if i != j and id(n) in ids]
@@ -613,8 +604,9 @@ def _call(call: tuple, key, leaves: list) -> tuple:
 def _backward_group(key: int, heads, grads: dict) -> tuple:
     """Run the next group of held graph ``key``'s backward from its
     members' gradients; reply with the log of contributions to the caller's
-    targets (leaves by number, then outputs). The graph stays in ``_held``
-    until its last group has run or one has failed."""
+    targets (leaves by number, then outputs), which the group's part of the
+    graph adds into ``_Sink``s in place of its parents. The graph stays in
+    ``_held`` until its last group has run or one has failed."""
     held = _held.pop(key, None)
     if held is None:
         return False, ad.GraphStateError("the helper holds no such graph"), \
@@ -630,7 +622,12 @@ def _backward_group(key: int, heads, grads: dict) -> tuple:
                 node.grad = grads[j]
             else:
                 redirect[id(node)] = _Sink(len(leaves) + j, node.shape, log)
-        ad._run(parts.pop(0), redirect)
+        part = parts.pop(0)
+        for node in part:
+            if isinstance(node, ad.Node):
+                node.parents = tuple([redirect.get(id(p), p)
+                                      for p in node.parents])
+        ad._run(part[::-1], {})
         if parts:
             _held[key] = (leaves, nodes, parts)
         return True, log, 0, _peak()

@@ -1,0 +1,83 @@
+"""No dead helpers in the package: every import is used, and every
+module-level function and class is named outside its own definition."""
+
+import ast
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "dualfuse")
+# where a package name may be used: the package, its scripts and the
+# benchmark (tests do not count, so a helper only a test calls is dead)
+USERS = [os.path.join(ROOT, d) for d in ("src", "scripts", "perfbench")]
+
+
+def parse_tree(top: str) -> dict:
+    trees = {}
+    for folder, _, files in os.walk(top):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as fh:
+                    trees[path] = ast.parse(fh.read(), path)
+    return trees
+
+
+def names_in(node) -> set:
+    """Every name ``node`` reads, as a variable, an attribute or an
+    imported name."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name.rpartition(".")[2])
+    return found
+
+
+@pytest.fixture(scope="module")
+def trees() -> dict:
+    found = {}
+    for top in USERS:
+        found.update(parse_tree(top))
+    return found
+
+
+def package_modules(trees: dict) -> list:
+    return sorted(p for p in trees if p.startswith(PACKAGE + os.sep))
+
+
+def test_no_module_imports_a_name_it_never_uses(trees):
+    unused = []
+    for path in package_modules(trees):
+        tree = trees[path]
+        read = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        unused.append("%s: %s" % (os.path.relpath(path, ROOT),
+                                                  bound))
+    assert unused == []
+
+
+def test_every_module_level_function_and_class_is_named_elsewhere(trees):
+    # per file and top-level statement, the names it reads: a definition
+    # counts as used when any statement but its own names it
+    reads = {(path, i): names_in(stmt) for path, tree in trees.items()
+             for i, stmt in enumerate(tree.body)}
+    dead = []
+    for path in package_modules(trees):
+        for i, stmt in enumerate(trees[path].body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not any(
+                    stmt.name in names for where, names in reads.items()
+                    if where != (path, i)):
+                dead.append("%s: %s" % (os.path.relpath(path, ROOT),
+                                        stmt.name))
+    assert dead == []

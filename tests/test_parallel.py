@@ -309,11 +309,12 @@ def helper_state(helper) -> bool:
     return held
 
 
-def step_gradients(m, cfg, *pairs, stage="I", second=restore, between=None):
+def step_gradients(m, cfg, *pairs, stage="I", first=restore, second=restore,
+                   between=None):
     """The parameter gradients, as bytes, of one training step with one
-    sample per pair: stage I through ``parallel.both`` with ``second``
-    restoring b, stage II through ``fuse_pair``. ``between`` runs after each
-    forward pass, a rerun's too."""
+    sample per pair: stage I through ``parallel.both`` with ``first``
+    restoring a and ``second`` restoring b, stage II through ``fuse_pair``.
+    ``between`` runs after each forward pass, a rerun's too."""
     tree = stage1_parameter_tree(m) if stage == "I" \
         else stage2_parameter_tree(m)
     targets = [t for section in tree
@@ -324,7 +325,7 @@ def step_gradients(m, cfg, *pairs, stage="I", second=restore, between=None):
 
             def sample():
                 if stage == "I":
-                    pred_a, pred_b = parallel.both((restore, a, m),
+                    pred_a, pred_b = parallel.both((first, a, m),
                                                    (second, b, m))
                     loss = stage1_loss(a, pred_a, b, pred_b).total
                 else:
@@ -390,6 +391,35 @@ def test_helper_backward_error_reaches_the_caller_and_leaves_no_stale_reply(
     assert after == step_gradients(m, cfg, pairs[1])
     # the failed step's, the next
     assert remote_backwards == [("poisoned_restore", True), RESTORE]
+    assert not helper_state(helper)
+
+
+def test_a_step_that_fails_while_a_reply_is_due_reads_it(helper,
+                                                          remote_backwards):
+    # the caller sends restore(b)'s gradient, then a gradient function of
+    # its own half raises before restore(b)'s place: the step's end reads
+    # the reply still due, so the next step's graph runs on the helper
+    cfg = RunConfig(channels=4, seed=2)
+    m = build_model(cfg)
+    pairs = make_toy_pairs(2, 20, seed=3)
+    due = []
+
+    def poisoned_while_due(img, m):
+        out = restore(img, m)
+
+        def fail(g):
+            due.append(parallel._due is not None)
+            raise ad.NonFiniteError("op 'poison' raised")
+        return ad._grads(out.data, "poison", 0, out, fail)
+    helper(True)
+    with pytest.raises(ad.NonFiniteError):
+        step_gradients(m, cfg, pairs[0], first=poisoned_while_due)
+    assert due == [True]
+    assert parallel._due is None and not parallel._pending
+    after = step_gradients(m, cfg, pairs[1])
+    helper(False)
+    assert after == step_gradients(m, cfg, pairs[1])
+    assert remote_backwards == [("restore", False), RESTORE]
     assert not helper_state(helper)
 
 
@@ -641,7 +671,28 @@ def test_a_failed_step_leaves_the_helper_no_graph(where, helper):
         divmod(1, 0)
     with pytest.raises(ZeroDivisionError):
         parallel.training_step(step, [])
-    assert not parallel._pending
+    assert not parallel._pending and lock_is_free()
+    assert not helper_state(helper)
+
+
+def test_a_second_backward_through_a_used_stand_in_is_refused(helper):
+    # serially u's graph is consumed; on two cores the helper has dropped
+    # u's graph, and u's half refuses to begin again
+    for on in (False, True):
+        helper(on)
+        rng = np.random.default_rng(0)
+        w = ad.parameter(rng.uniform(-1, 1, 8))
+        x, c = (ad.Tensor(rng.uniform(-1, 1, 8)) for _ in range(2))
+
+        def step():
+            t, u = parallel.both((scaled, x, w), (scaled, x[::-1], w))
+            assert isinstance(u, ad.StandIn) == on
+            (t * u).sum().backward()
+            (u * c).sum().backward()
+        with pytest.raises(ad.GraphStateError,
+                           match="rebuild the forward pass"):
+            parallel.training_step(step, [w])
+        assert not parallel._pending and lock_is_free()
     assert not helper_state(helper)
 
 
@@ -674,6 +725,28 @@ def test_a_no_grad_call_never_holds_a_graph(helper):
     assert value.data.tobytes() == serial.data.tobytes()
     assert not parallel._pending
     assert lock_is_free()
+    assert not helper_state(helper)
+
+
+def test_a_grad_leaf_returned_by_the_second_call_runs_serially(helper):
+    # the second call returns the parameter it was given: the serial
+    # backward adds each reader's contribution straight into it, which no
+    # stand-in reproduces, so the call runs here and the helper holds nothing
+    runs = []
+    for on in (False, True):
+        helper(on)
+        p = ad.parameter(np.array([0.5, -1.25, 3.0]))
+
+        def step():
+            _, q = parallel.both((operator.pos, 1),
+                                 (operator.getitem, (p,), 0))
+            (q * q * ad.Tensor([0.3, 0.9, -0.4])).sum().backward()
+        with ad.FlopCounter() as flops:
+            parallel.training_step(step, [p])
+        runs.append((p.grad.tobytes(), flops.total))
+        assert not parallel._pending and lock_is_free()
+    assert runs[0] == runs[1] and runs[0][1] > 0
+    assert parallel._helper is not None
     assert not helper_state(helper)
 
 
