@@ -16,8 +16,9 @@ Engine-wide conventions:
   * float64 everywhere; convolution is cross-correlation (no kernel flip)
   * gradients accumulate additively; callers zero them between steps
   * tensors are treated as immutable once they enter a graph
-  * with debug checks enabled, any op producing NaN/Inf aborts immediately,
-    naming the op that produced it
+  * an op that records a graph Node raises on a NaN/Inf result, naming
+    the op, so a graph never holds a non-finite value; under ``no_grad``,
+    or with no input needing a gradient, nothing is checked
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class GraphStateError(EngineError):
 
 
 class NonFiniteError(EngineError):
-    """An op produced NaN or Inf while debug checks were active, or a NaN or
-    Inf gradient reached the optimizer."""
+    """An op that records a graph Node produced NaN or Inf, or a NaN or Inf
+    gradient reached the optimizer."""
 
 
 # glibc serves a block above M_MMAP_THRESHOLD with a fresh mmap whose pages
@@ -94,15 +95,8 @@ def _pin_blas_threads() -> None:
 
 _pin_blas_threads()
 
-_debug_checks = False
 _grad_enabled = True
 _flop_counter: "FlopCounter | None" = None
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle post-op NaN/Inf detection (off by default; training turns it on)."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
 
 
 class no_grad:
@@ -480,16 +474,17 @@ def _run(nodes: list, ready: dict) -> None:
 def _make(out_data: np.ndarray, parents: tuple, op: str, backward_fn,
           flops: int = 0) -> Tensor:
     """Wrap an op result; every op returns through here. Count the op's
-    ``flops`` into the installed FlopCounter, raise NonFiniteError on a
-    non-finite result when debug checks are on, and record a graph Node
-    unless grads are disabled or no input needs a gradient."""
+    ``flops`` into the installed FlopCounter and record a graph Node unless
+    grads are disabled or no input needs a gradient. A result that gets a
+    Node must be finite, or NonFiniteError names the op."""
     _count(flops)
-    if _debug_checks and not np.isfinite(out_data).all():
-        raise NonFiniteError("op '%s' produced a non-finite value" % op)
     out = Tensor(out_data)
     if _grad_enabled:
         targets = tuple(map(_target, parents))
         if any(t is not None for t in targets):
+            if not np.isfinite(out_data).all():
+                raise NonFiniteError("op '%s' produced a non-finite value"
+                                     % op)
             out.requires_grad = True
             out._node = Node(out.shape, targets, backward_fn, op)
     return out

@@ -7,7 +7,8 @@ ndim/dims header; the config snapshot stores its exact text. Loading rebuilds
 the model from the embedded config and overwrites every parameter, so a
 round trip reproduces forward outputs bit-for-bit. Adam moments load only
 as ``adam_m/`` and ``adam_v/`` pairs of one shape, and no array record may
-hold NaN or Inf.
+hold NaN or Inf. A key that appears twice, is of no known kind, or names a
+parameter the config's model lacks is refused.
 """
 
 from __future__ import annotations
@@ -139,6 +140,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         if len(payload) != plen:
             raise CheckpointError("truncated payload for %r" % key)
         pos += plen
+        if key in records:
+            raise CheckpointError("record %r appears twice" % key)
         records[key] = payload
 
     if "config" not in records or "counters" not in records:
@@ -149,30 +152,31 @@ def load_checkpoint(path: str) -> Checkpoint:
             struct.unpack("<QQQ", records["counters"])
     except (UnicodeDecodeError, ConfigError, struct.error) as exc:
         raise CheckpointError("malformed config/counters record: %s" % exc) from exc
-    arrays = {}
+    params: dict[str, np.ndarray] = {}
+    adam = AdamState(step_count=adam_steps)
+    kinds = {"param": params, "adam_m": adam.m, "adam_v": adam.v}
     for key, payload in records.items():
-        if key.startswith(("param/", "adam_m/", "adam_v/")):
-            arrays[key] = _decode_array(payload)
-            if not np.isfinite(arrays[key]).all():    # a NaN weight fuses all-NaN
+        kind, slash, name = key.partition("/")
+        if slash and kind in kinds:
+            arr = kinds[kind][name] = _decode_array(payload)
+            if not np.isfinite(arr).all():    # a NaN weight fuses all-NaN
                 raise CheckpointError("record %r holds a non-finite value" % key)
+        elif key not in ("config", "counters"):
+            raise CheckpointError("record %r is of no known kind" % key)
 
     model = build_model(cfg)
     for name, tensor in named_parameters(model):
-        key = "param/" + name
-        if key not in arrays:
+        if name not in params:
             raise CheckpointError("checkpoint missing parameter %r" % name)
-        arr = arrays[key]
+        arr = params.pop(name)
         if arr.shape != tensor.data.shape:
             raise CheckpointError("shape mismatch for %r: %r vs %r"
                                   % (name, arr.shape, tensor.data.shape))
         tensor.data = arr
+    if params:
+        raise CheckpointError("record %r names no parameter of the config's "
+                              "model" % ("param/" + next(iter(params))))
 
-    adam = AdamState(step_count=adam_steps)
-    for key, arr in arrays.items():
-        if key.startswith("adam_m/"):
-            adam.m[key[len("adam_m/"):]] = arr
-        elif key.startswith("adam_v/"):
-            adam.v[key[len("adam_v/"):]] = arr
     for name in sorted(adam.m.keys() | adam.v.keys()):
         m_key, v_key = "adam_m/" + name, "adam_v/" + name
         if name not in adam.m or name not in adam.v:

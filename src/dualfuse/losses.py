@@ -28,7 +28,6 @@ SOBEL_Y = SOBEL_X.T.copy()
 @dataclass
 class LossBreakdown:
     """One evaluated loss with its two components still attached to the graph."""
-    stage: str               # "I" or "II"
     intensity: Tensor
     ssim_or_grad: Tensor
     total: Tensor
@@ -104,7 +103,7 @@ def stage1_loss(truth_a: Tensor, pred_a: Tensor,
     intensity = _mse(truth_a, pred_a) + _mse(truth_b, pred_b)
     structural = (Tensor(1.0) - ssim(truth_a, pred_a)) + \
                  (Tensor(1.0) - ssim(truth_b, pred_b))
-    return LossBreakdown("I", intensity, structural, intensity + structural)
+    return LossBreakdown(intensity, structural, intensity + structural)
 
 
 def stage2_loss(fused: Tensor, src_a: Tensor, src_b: Tensor) -> LossBreakdown:
@@ -115,4 +114,4 @@ def stage2_loss(fused: Tensor, src_a: Tensor, src_b: Tensor) -> LossBreakdown:
     intensity = ad.absolute(fused - target).mean()
     grad_target = ad.maximum(sobel_grad(src_a), sobel_grad(src_b))
     grad_term = ad.absolute(sobel_grad(fused) - grad_target).mean()
-    return LossBreakdown("II", intensity, grad_term, intensity + grad_term)
+    return LossBreakdown(intensity, grad_term, intensity + grad_term)

@@ -76,7 +76,7 @@ def restore(img: Tensor, m: ModelParams) -> Tensor:
     return decode(trans, mamba, m.decoder)
 
 
-def fuse_pair(img_a: Tensor, img_b: Tensor, m: ModelParams, cfg: RunConfig,
+def fuse_pair(img_a: Tensor, img_b: Tensor, m: ModelParams,
               fusion_trained: bool = True) -> Tensor:
     """Full fusion forward pass.
 
@@ -121,8 +121,10 @@ def image_to_tensor(img: np.ndarray) -> Tensor:
 
 def fuse_pair_arrays(pair: ImagePair, m: ModelParams, cfg: RunConfig,
                      fusion_trained: bool = True) -> np.ndarray:
-    """Fuse one pair and return the [0, 1] float image (H, W)."""
+    """Fuse one pair and return the [0, 1] float image (H, W). ``cfg`` is
+    unread: ``m`` carries every setting the forward needs. It stays because
+    callers, the benchmark's workloads among them, pass it positionally."""
     with no_grad():
         out = fuse_pair(image_to_tensor(pair.a), image_to_tensor(pair.b),
-                        m, cfg, fusion_trained=fusion_trained)
+                        m, fusion_trained=fusion_trained)
     return out.data[0]

@@ -11,9 +11,8 @@ and so does any call while a held graph's backward waits on a reply.
 The helper computes what the caller would. It is a fork of the caller, runs
 the same functions on the same arrays (OpenBLAS is pinned to one thread in
 both), and gets every argument, parameters included, with each call, so it
-never computes with stale weights. It runs with the caller's debug-check
-setting and counts its flops under its own ``FlopCounter``; the caller adds
-that total to its own counter.
+never computes with stale weights. It counts its flops under its own
+``FlopCounter``; the caller adds that total to its own counter.
 
 Every call sends one kind of request and reads one kind of reply: the
 grad modes differ only in whether the request carries a graph key, and
@@ -326,7 +325,7 @@ def both(first: tuple, second: tuple) -> tuple:
     half = _Half()
     try:
         try:
-            request = _dumps(("call", second, ad._debug_checks, _cpu(),
+            request = _dumps(("call", second, _cpu(),
                               half.key if ad._grad_enabled else None),
                              leaves=half.leaves)
             conn = _connection()
@@ -556,9 +555,8 @@ def _serve(conn, caller_conn) -> None:
         unpickler = _Unpickler(data)
         message = unpickler.load()
         if message[0] == "call":
-            _, call, debug, caller_cpu, key = message
+            _, call, caller_cpu, key = message
             _leave_cpu(caller_cpu, allowed)
-            ad.set_debug_checks(debug)
             reply = _call(call, key, unpickler.leaves)
         elif message[0] == "drop":     # the step has ended
             _held.clear()

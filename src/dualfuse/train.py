@@ -4,8 +4,8 @@ Stage one pretrains encoder and decoder as a restorer of both modalities;
 stage two switches the objective to fusion, adding the cross-modal
 interaction and the fusion blocks to the optimized set. Parameters carry
 over between stages, optimizer moments restart. Every step appends one
-RFC-4180 CSV row to the loss log; NaN/Inf anywhere in a forward pass aborts
-with the offending op named.
+RFC-4180 CSV row to the loss log; an op whose result joins the graph and
+holds NaN/Inf aborts the run with the offending op named (``autodiff._make``).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
                             (restore, img_a, model), (restore, img_b, model))
                         breakdown = stage1_loss(img_a, pred_a, img_b, pred_b)
                     else:
-                        fused = fuse_pair(img_a, img_b, model, cfg)
+                        fused = fuse_pair(img_a, img_b, model)
                         breakdown = stage2_loss(fused, img_a, img_b)
                     (breakdown.total * Tensor(scale)).backward()
                     return breakdown
@@ -125,18 +125,13 @@ def train(cfg: RunConfig, dataset: list[ImagePair],
     log_rows: list = []
     ckpt_path = os.path.join(out_dir, "checkpoint.tmam")
 
-    ad.set_debug_checks(True)      # abort on the first non-finite op
-    try:
-        s1, adam1 = _run_stage("I", model, cfg, dataset, rng, cfg.epochs_stage1,
-                               epoch_offset=0, step_offset=0, log_rows=log_rows)
-        save_checkpoint(os.path.join(out_dir, "checkpoint_stage1.tmam"),
-                        cfg, model, adam1, s1, 0)
-        s2, adam2 = _run_stage("II", model, cfg, dataset, rng, cfg.epochs_stage2,
-                               epoch_offset=cfg.epochs_stage1, step_offset=s1,
-                               log_rows=log_rows)
-    finally:
-        ad.set_debug_checks(False)
-
+    s1, adam1 = _run_stage("I", model, cfg, dataset, rng, cfg.epochs_stage1,
+                           epoch_offset=0, step_offset=0, log_rows=log_rows)
+    save_checkpoint(os.path.join(out_dir, "checkpoint_stage1.tmam"),
+                    cfg, model, adam1, s1, 0)
+    s2, adam2 = _run_stage("II", model, cfg, dataset, rng, cfg.epochs_stage2,
+                           epoch_offset=cfg.epochs_stage1, step_offset=s1,
+                           log_rows=log_rows)
     save_checkpoint(ckpt_path, cfg, model, adam2, s1, s2)
     write_loss_log(os.path.join(out_dir, "loss_log.csv"), log_rows)
     return TrainResult(model, cfg, log_rows, ckpt_path, s1, s2)

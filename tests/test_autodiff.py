@@ -623,7 +623,7 @@ def test_graph_holds_no_op_result_tensor(ablation):
     model = build_model(cfg)
     pair = make_toy_pairs(1, 32, seed=0)[0]
     img_a, img_b = image_to_tensor(pair.a), image_to_tensor(pair.b)
-    loss = stage2_loss(fuse_pair(img_a, img_b, model, cfg), img_a, img_b).total
+    loss = stage2_loss(fuse_pair(img_a, img_b, model), img_a, img_b).total
     nodes = [n for n in ad.toposort(loss) if isinstance(n, ad.Node)]
     assert len(nodes) > 500
     for node in nodes:
@@ -643,7 +643,7 @@ def desk_stage2_memory_of(**ablation):
     tracemalloc.start()
     try:
         img_a, img_b = image_to_tensor(pair.a), image_to_tensor(pair.b)
-        loss = stage2_loss(fuse_pair(img_a, img_b, model, cfg),
+        loss = stage2_loss(fuse_pair(img_a, img_b, model),
                            img_a, img_b).total
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -722,17 +722,19 @@ def test_toposort_parents_precede_children(rng):
 
 
 # ---------------------------------------------------------------------------
-# debug / determinism / flops
+# non-finite checks / determinism / flops
 # ---------------------------------------------------------------------------
 
-def test_debug_mode_catches_nonfinite():
-    ad.set_debug_checks(True)
-    try:
-        with np.errstate(divide="ignore"):
-            with pytest.raises(NonFiniteError, match="div"):
-                ad.div(Tensor([1.0]), Tensor([0.0]))
-    finally:
-        ad.set_debug_checks(False)
+def test_an_op_that_records_a_node_checks_its_result():
+    # a graph never holds NaN/Inf; an op that records no node, on plain
+    # tensors or under no_grad, checks nothing
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NonFiniteError, match="'div'"):
+            ad.div(ad.parameter([1.0]), Tensor([0.0]))
+        assert ad.div(Tensor([1.0]), Tensor([0.0])).data[0] == np.inf
+        with ad.no_grad():
+            out = ad.div(ad.parameter([1.0]), Tensor([0.0]))
+        assert out.data[0] == np.inf and out._node is None
 
 
 def test_forward_determinism(rng):

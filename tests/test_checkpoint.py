@@ -201,6 +201,42 @@ def test_adam_moments_of_different_shapes_are_refused(tmp_path):
         load_checkpoint(path)
 
 
+def save_with_extra_record(path, key_for):
+    """Save a checkpoint with one record more: right after the first
+    ``param/`` record, a copy of its payload under ``key_for(name)``, where
+    ``name`` is that record's parameter; return the added key."""
+    cfg = small_config()
+    real_records = ckpt_mod._records
+    added = []
+
+    def edited_records(*args):
+        for key, payload in real_records(*args):
+            yield key, payload
+            if key.startswith("param/") and not added:
+                added.append(key_for(key[len("param/"):]))
+                yield added[0], payload
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ckpt_mod, "_records", edited_records)
+        save_checkpoint(path, cfg, build_model(cfg), AdamState(), 1, 1)
+    return added[0]
+
+
+@pytest.mark.parametrize("key_for,refusal", [
+    (lambda name: "param/" + name, "record %r appears twice"),
+    (lambda name: "param/" + name + "_stray",
+     "record %r names no parameter of the config's model"),
+    (lambda name: "weights/" + name, "record %r is of no known kind"),
+], ids=["duplicate_key", "param_without_parameter", "unknown_kind"])
+def test_a_record_the_model_cannot_place_is_refused(tmp_path, key_for,
+                                                     refusal):
+    # each loaded silently before: a duplicate key kept its last record,
+    # and the other two were ignored
+    path = str(tmp_path / "extra.tmam")
+    key = save_with_extra_record(path, key_for)
+    with pytest.raises(CheckpointError, match=re.escape(refusal % key)):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("prefix,value", [("param/", np.nan),
                                           ("adam_m/", np.inf),
                                           ("adam_v/", -np.inf)])

@@ -1,5 +1,6 @@
-"""No dead helpers in the package: every import is used, and every
-module-level function and class is named outside its own definition."""
+"""No dead helpers in the package: every import is used, every
+module-level function and class is named outside its own definition, and
+every function reads each of its parameters."""
 
 import ast
 import os
@@ -81,3 +82,36 @@ def test_every_module_level_function_and_class_is_named_elsewhere(trees):
                 dead.append("%s: %s" % (os.path.relpath(path, ROOT),
                                         stmt.name))
     assert dead == []
+
+
+# (module, function, parameter) that a caller fixes but the body need not
+# read, each with its reason
+UNREAD_ALLOWED = {
+    # argparse dispatch calls every subcommand handler with the namespace
+    ("cli.py", "_cmd_bench", "args"),
+    # the benchmark's workloads pass cfg positionally; dropping it changes
+    # them (ROADMAP item 12)
+    ("model.py", "fuse_pair_arrays", "cfg"),
+}
+
+
+def test_every_function_reads_each_of_its_parameters(trees):
+    # self and *varargs (an ``__exit__(*exc)``) are exempt
+    unread = []
+    for path in package_modules(trees):
+        for fn in ast.walk(trees[path]):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            names = [a.arg for a in args.posonlyargs + args.args
+                     + args.kwonlyargs] + ([args.kwarg.arg] if args.kwarg
+                                           else [])
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)}
+            where = (os.path.basename(path), getattr(fn, "name", "<lambda>"))
+            unread.extend("%s: %s(%s)" % (*where, name) for name in names
+                          if name != "self" and name not in read
+                          and (*where, name) not in UNREAD_ALLOWED)
+    assert unread == []

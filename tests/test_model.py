@@ -40,7 +40,7 @@ def test_ablation_configs_construct_and_run(name, rng):
     img_b = image_to_tensor(rng.uniform(0, 1, (16, 16)))
     with no_grad():
         recon = restore(img_a, model)
-        fused = fuse_pair(img_a, img_b, model, cfg)
+        fused = fuse_pair(img_a, img_b, model)
     assert recon.shape == (1, 16, 16)
     assert fused.shape == (1, 16, 16)
     assert np.all(fused.data >= 0) and np.all(fused.data <= 1)
@@ -54,7 +54,7 @@ def test_fuse_pair_rejects_modalities_of_different_shape(grad, rng):
     img_b = image_to_tensor(rng.uniform(0, 1, (16, 20)))
     with contextlib.nullcontext() if grad else no_grad():
         with pytest.raises(DimensionError, match="modalities differ"):
-            fuse_pair(img_a, img_b, model, cfg)
+            fuse_pair(img_a, img_b, model)
 
 
 def test_branch_toggles_shape_parameter_tree():
@@ -117,7 +117,7 @@ def test_stage1_mode_fuse_of_identical_pair_is_restoration(rng):
     img = image_to_tensor(x)
     with no_grad():
         restored = restore(img, model)
-        fused = fuse_pair(img, img, model, cfg, fusion_trained=False)
+        fused = fuse_pair(img, img, model, fusion_trained=False)
     assert restored.data.tobytes() == fused.data.tobytes()
 
 
@@ -196,7 +196,7 @@ def test_every_trained_tensor_gets_a_gradient_and_every_node_is_spent(
             loss = stage1_loss(img_a, restore(img_a, model),
                                img_b, restore(img_b, model)).total
         else:
-            loss = stage2_loss(fuse_pair(img_a, img_b, model, cfg),
+            loss = stage2_loss(fuse_pair(img_a, img_b, model),
                                img_a, img_b).total
         loss.backward()
         assert [n for n, t in named if t.grad is None] == [], stage
@@ -213,7 +213,7 @@ def _stage_objective(stage, model, cfg, img_a, img_b, weights):
     if stage == "I":
         return stage1_loss(img_a, restore(img_a, model),
                            img_b, restore(img_b, model)).total
-    fused = fuse_pair(img_a, img_b, model, cfg)
+    fused = fuse_pair(img_a, img_b, model)
     return (Tensor(weights) * fused * fused).sum()
 
 
