@@ -18,6 +18,7 @@ from . import autodiff as ad
 from .attention import TransformerBlockParams, make_transformer_block_params, \
     transformer_block
 from .autodiff import ContractError, DimensionError, Tensor
+from .config import RunConfig
 from .params import fan_in_normal
 from .ssm import SsmBlockParams, make_ssm_block_params, ssm_block
 
@@ -63,46 +64,43 @@ def make_interaction_params(rng: np.random.Generator,
     )
 
 
-def make_dual_branch_params(rng: np.random.Generator, channels: int,
-                            transformer_on: bool = True,
-                            mamba_on: bool = True,
-                            interaction_on: bool = True,
-                            mamba_as_conv: bool = False,
-                            transparent_init: bool = False
-                            ) -> DualBranchBlockParams:
-    """``transparent_init`` zeroes every residual output projection, making
-    the whole block an exact identity at initialization. Fusion-stage blocks
-    use it so a fresh stage-two model starts from the stage-one behavior
-    instead of scrambling the trained feature pathways."""
-    if not (transformer_on or mamba_on):
-        raise ContractError("at least one branch must stay enabled")
+def make_dual_branch_params(rng: np.random.Generator, cfg: RunConfig,
+                            keep: int | None = None) -> DualBranchBlockParams:
+    """The block ``cfg``'s branch, interaction and ``mamba_as_conv`` flags
+    ask for, its layers drawn in field order.
 
-    def mamba_params():
-        return make_ssm_block_params(rng, channels, as_conv=mamba_as_conv)
-
-    p = DualBranchBlockParams(
-        transformer1=make_transformer_block_params(rng, channels)
-        if transformer_on else None,
-        transformer2=make_transformer_block_params(rng, channels)
-        if transformer_on else None,
-        mamba1=mamba_params() if mamba_on else None,
-        mamba2=mamba_params() if mamba_on else None,
-        interaction=make_interaction_params(rng, channels)
-        if (interaction_on and transformer_on and mamba_on) else None,
-    )
-    if transparent_init:
-        for trans in filter(None, (p.transformer1, p.transformer2)):
-            trans.attn_out.data[:] = trans.ff_out.data[:] = 0.0
-        for mamba in filter(None, (p.mamba1, p.mamba2)):
-            mamba.out_proj.data[:] = 0.0
-        if p.interaction is not None:
+    A fusion block passes ``keep``, the output it keeps (0 the attention
+    branch's, 1 the scan branch's). It starts as an exact identity, every
+    residual output projection zero, so a fresh stage-two model starts
+    from the stage-one behavior instead of scrambling the trained feature
+    pathways, and it drops the layers that output does not read. Every
+    layer is drawn first, so a kept tensor's bytes do not depend on the
+    cut."""
+    c, t_on, m_on = cfg.channels, cfg.transformer_branch, cfg.mamba_branch
+    trans = [make_transformer_block_params(rng, c) if t_on else None
+             for _ in range(2)]
+    mamba = [make_ssm_block_params(rng, c, as_conv=cfg.mamba_as_conv)
+             if m_on else None for _ in range(2)]
+    ip = make_interaction_params(rng, c) \
+        if cfg.interaction and t_on and m_on else None
+    if keep is not None:
+        for layer in filter(None, trans):
+            layer.attn_out.data[:] = layer.ff_out.data[:] = 0.0
+        for layer in filter(None, mamba):
+            layer.out_proj.data[:] = 0.0
+        if ip is not None:
             # channel mix starts as "keep the scan-branch half unchanged"
-            eye = np.eye(channels)
-            p.interaction.mix1_w.data[:] = 0.0
-            p.interaction.mix1_w.data[:, :channels, 0, 0] = eye
-            p.interaction.mix3_w.data[:] = 0.0
-            p.interaction.mix3_w.data[:, :, 1, 1] = eye
-    return p
+            ip.mix1_w.data[:] = ip.mix3_w.data[:] = 0.0
+            eye = np.eye(c)
+            ip.mix1_w.data[:, :c, 0, 0] = ip.mix3_w.data[:, :, 1, 1] = eye
+        if keep == 0:
+            # no second scan layer, so no mix; and without the blend, no scan
+            mamba = [mamba[0] if ip is not None else None, None]
+            if ip is not None:
+                ip.mix1_w = ip.mix1_b = ip.mix3_w = ip.mix3_b = None
+        elif ip is None:    # no attention layer feeds the scan
+            trans = [None, None]
+    return DualBranchBlockParams(*trans, *mamba, ip)
 
 
 def make_shallow_params(rng: np.random.Generator, channels: int) -> ShallowParams:

@@ -86,8 +86,8 @@ def save_checkpoint(path: str, cfg: RunConfig, model: ModelParams,
                     stage2_steps: int) -> None:
     """Write atomically: ``path + ".tmp"`` is filled, fsynced and renamed
     over ``path``, so a failed or interrupted save leaves any previous
-    checkpoint at ``path`` untouched. The directory is not fsynced, so the
-    rename itself may not survive a power loss."""
+    checkpoint at ``path`` untouched. The directory is fsynced after the
+    rename, so a save that returned survives a power loss."""
     tmp = path + ".tmp"
     fh = open(tmp, "wb")
     try:
@@ -108,6 +108,11 @@ def save_checkpoint(path: str, cfg: RunConfig, model: ModelParams,
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -1,8 +1,8 @@
 """Run configuration: flat ``key = value`` text files with ``#`` comments.
 
-Unknown keys are hard errors; every field has a typed default. Checkpoints
-store the config text without the data and output directories, so a
-training run is fully described by (config, seed, data) wherever it ran.
+Unknown and repeated keys are hard errors; every field has a typed default.
+Checkpoints store the config text without the data and output directories,
+so a training run is fully described by (config, seed, data) anywhere.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ def _convert(key: str, raw: str):
 
 def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
+    set_on: dict[str, int] = {}     # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -108,6 +109,10 @@ def parse_config(text: str) -> RunConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
+        if key in set_on:
+            raise ConfigError("line %d: key %r already set on line %d"
+                              % (lineno, key, set_on[key]))
+        set_on[key] = lineno
         setattr(cfg, key, _convert(key, raw))
     return cfg.validate()
 

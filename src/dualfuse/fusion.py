@@ -53,7 +53,7 @@ class CrossModalParams:
 
 @dataclass
 class DecoderParams:
-    merge_w: Tensor          # (C, n_inputs*C, 1, 1)
+    merge_w: Tensor          # (C, branches*C, 1, 1)
     merge_b: Tensor
     block: TransformerBlockParams
     out_w: Tensor            # (1, C, 1, 1)
@@ -82,12 +82,13 @@ def make_aspp_weight_params(rng: np.random.Generator,
     )
 
 
-def make_cross_modal_params(rng: np.random.Generator, channels: int,
-                            with_weights: bool = True) -> CrossModalParams:
+def make_cross_modal_params(rng: np.random.Generator,
+                            cfg: RunConfig) -> CrossModalParams:
     """Q/K/V starts as three stacked identities (pointwise copy plus a
     center-tap depthwise kernel), so the initial pre-fusion feature is an
-    attention-mixed sum of the branch features the decoder already knows."""
-    c = channels
+    attention-mixed sum of the branch features the decoder already knows.
+    The weighting head is drawn only with ``cross_modal_attention``."""
+    c = cfg.channels
     eye = np.zeros((3 * c, c, 1, 1))
     for i in range(3 * c):
         eye[i, i % c, 0, 0] = 1.0
@@ -98,15 +99,17 @@ def make_cross_modal_params(rng: np.random.Generator, channels: int,
         qkv_depth=ad.parameter(depth),
         log_scale_vis=ad.parameter(np.zeros(())),
         log_scale_ir=ad.parameter(np.zeros(())),
-        weights=make_aspp_weight_params(rng, c) if with_weights else None,
+        weights=make_aspp_weight_params(rng, c)
+        if cfg.cross_modal_attention else None,
     )
 
 
-def make_decoder_params(rng: np.random.Generator, channels: int,
-                        n_inputs: int) -> DecoderParams:
-    c = channels
+def make_decoder_params(rng: np.random.Generator,
+                        cfg: RunConfig) -> DecoderParams:
+    c = cfg.channels
+    branches = int(cfg.transformer_branch) + int(cfg.mamba_branch)
     return DecoderParams(
-        merge_w=fan_in_normal(rng, c, n_inputs * c, 1, 1),
+        merge_w=fan_in_normal(rng, c, branches * c, 1, 1),
         merge_b=ad.parameter(np.zeros(c)),
         block=make_transformer_block_params(rng, c),
         out_w=fan_in_normal(rng, 1, c, 1, 1),
@@ -247,28 +250,14 @@ def _scan_side(pre_mamba: Tensor, p: DualBranchBlockParams) -> Tensor:
 
 def make_fusion_params(rng: np.random.Generator,
                        cfg: RunConfig) -> FusionParams:
-    """Cross-modal head and two fusion blocks, each drawn whole and then cut
-    to the layers its kept output reads: kept tensors keep bytes and paths."""
-    kw = dict(transformer_on=cfg.transformer_branch, mamba_on=cfg.mamba_branch,
-              interaction_on=cfg.interaction, mamba_as_conv=cfg.mamba_as_conv,
-              transparent_init=True)
-    p = FusionParams(None, None, None)
-    if cfg.transformer_branch:
-        p.cross = make_cross_modal_params(
-            rng, cfg.channels, with_weights=cfg.cross_modal_attention)
-        t = p.fuse_trans = make_dual_branch_params(rng, cfg.channels, **kw)
-        # no second scan layer, so no channel mix; without the blend, no scan
-        t.mamba2 = None
-        if t.interaction is None:
-            t.mamba1 = None
-        else:
-            ip = t.interaction
-            ip.mix1_w = ip.mix1_b = ip.mix3_w = ip.mix3_b = None
-    if cfg.mamba_branch:
-        m = p.fuse_mamba = make_dual_branch_params(rng, cfg.channels, **kw)
-        if m.interaction is None:   # no attention layer feeds the scan
-            m.transformer1 = m.transformer2 = None
-    return p
+    """Cross-modal head and two fusion blocks, each cut to the output its
+    side reads (``_attention_side``: 0, ``_scan_side``: 1)."""
+    t_on, m_on = cfg.transformer_branch, cfg.mamba_branch
+    return FusionParams(
+        cross=make_cross_modal_params(rng, cfg) if t_on else None,
+        fuse_trans=make_dual_branch_params(rng, cfg, keep=0) if t_on else None,
+        fuse_mamba=make_dual_branch_params(rng, cfg, keep=1) if m_on else None,
+    )
 
 
 def decode(feat_t: Tensor | None, feat_m: Tensor | None,

@@ -33,20 +33,13 @@ class ModelParams:
 def build_model(cfg: RunConfig) -> ModelParams:
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    c = cfg.channels
-    encoder = [make_dual_branch_params(rng, c,
-                                       transformer_on=cfg.transformer_branch,
-                                       mamba_on=cfg.mamba_branch,
-                                       interaction_on=cfg.interaction,
-                                       mamba_as_conv=cfg.mamba_as_conv)
-               for _ in range(cfg.depth)]
+    encoder = [make_dual_branch_params(rng, cfg) for _ in range(cfg.depth)]
     fusion = make_fusion_params(rng, cfg)
-    n_decoder_inputs = int(cfg.transformer_branch) + int(cfg.mamba_branch)
     return ModelParams(
-        shallow=make_shallow_params(rng, c),
+        shallow=make_shallow_params(rng, cfg.channels),
         encoder=encoder,
         fusion=fusion,
-        decoder=make_decoder_params(rng, c, n_decoder_inputs),
+        decoder=make_decoder_params(rng, cfg),
     )
 
 

@@ -187,7 +187,8 @@ def test_criterion_5_interaction_and_ablations(tmp_path):
     ip.mix_gate_raw.data[()] = 20.0
     assert np.max(np.abs(positional_blend(m, t, ip).data - m.data)) < 1e-8
     # weighting convexity and row-stochastic combination
-    cross = fusion.make_cross_modal_params(np.random.default_rng(1), 3)
+    cross = fusion.make_cross_modal_params(np.random.default_rng(1),
+                                           RunConfig(channels=3))
     for _ in range(50):
         vis = Tensor(rng.uniform(-2, 2, (3, 5, 5)))
         ir = Tensor(rng.uniform(-2, 2, (3, 5, 5)))

@@ -7,6 +7,7 @@ from dualfuse import attention as attn
 from dualfuse import autodiff as ad
 from dualfuse import blocks, gradcheck, params, ssm
 from dualfuse.autodiff import ContractError, DimensionError, Tensor
+from dualfuse.config import RunConfig
 
 from conftest import assert_close, conv2d_oracle
 
@@ -17,7 +18,7 @@ def fmap(data):
 
 def make_block(channels=2, seed=0, **kw):
     return blocks.make_dual_branch_params(np.random.default_rng(seed),
-                                          channels, **kw)
+                                          RunConfig(channels=channels, **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def test_block_output_shapes(rng):
 
 
 def test_block_without_interaction_equals_pure_stacks(rng):
-    p = make_block(channels=2, seed=4, interaction_on=False)
+    p = make_block(channels=2, seed=4, interaction=False)
     x = rng.uniform(-1, 1, (2, 4, 4))
     t_out, m_out = blocks.dual_branch_block(fmap(x), p)
     pure_t = attn.transformer_block(
@@ -156,7 +157,7 @@ def test_block_without_interaction_equals_pure_stacks(rng):
 
 
 def test_block_mamba_disabled_reduces_to_transformer_path(rng):
-    p = make_block(channels=2, seed=8, mamba_on=False)
+    p = make_block(channels=2, seed=8, mamba_branch=False)
     x = rng.uniform(-1, 1, (2, 4, 4))
     t_out, m_out = blocks.dual_branch_block(fmap(x), p)
     assert m_out is None

@@ -2,6 +2,7 @@
 
 import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -132,6 +133,28 @@ def test_failed_rename_raises_original_error(tmp_path, monkeypatch):
     with open(path, "rb") as fh:
         assert fh.read() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.tmam"]
+
+
+def test_save_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    # without it the rename may not survive a power loss
+    calls = []
+    real_replace, real_fsync = os.replace, os.fsync
+
+    def recording_replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    def recording_fsync(fd):
+        calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                     else "fsync file")
+        real_fsync(fd)
+
+    monkeypatch.setattr(ckpt_mod.os, "replace", recording_replace)
+    monkeypatch.setattr(ckpt_mod.os, "fsync", recording_fsync)
+    cfg = small_config()
+    save_checkpoint(str(tmp_path / "a.tmam"), cfg, build_model(cfg),
+                    AdamState(), 1, 0)
+    assert calls == ["fsync file", "replace", "fsync dir"]
 
 
 def test_unsupported_version(tmp_path):
@@ -276,6 +299,19 @@ def test_negative_seed_in_config_record_is_refused(tmp_path):
     with open(path, "wb") as fh:       # same length, so no header changes
         fh.write(blob.replace(b"seed = 3\n", b"seed =-3\n"))
     with pytest.raises(CheckpointError, match="seed must be >= 0"):
+        load_checkpoint(path)
+
+
+def test_repeated_key_in_config_record_is_refused(tmp_path):
+    cfg = small_config()
+    path = str(tmp_path / "twice.tmam")
+    save_checkpoint(path, cfg, build_model(cfg), AdamState(), 1, 1)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    assert blob.count(b"seed = 3\n") == 1
+    with open(path, "wb") as fh:       # same length, so no header changes
+        fh.write(blob.replace(b"seed = 3\n", b"crop =16\n"))
+    with pytest.raises(CheckpointError, match="key 'crop' already set"):
         load_checkpoint(path)
 
 

@@ -50,6 +50,13 @@ def test_unknown_key_is_error():
         parse_config("channles = 4\n")
 
 
+def test_repeated_key_is_error():
+    # the last line used to win silently
+    with pytest.raises(ConfigError,
+                       match="line 3: key 'lr' already set on line 1"):
+        parse_config("lr = 1e-3\n# a comment\nlr = 5e-4\n")
+
+
 def test_malformed_line_is_error():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config("just some words\n")

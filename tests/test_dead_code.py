@@ -95,9 +95,11 @@ UNREAD_ALLOWED = {
 }
 
 
-def test_every_function_reads_each_of_its_parameters(trees):
-    # self and *varargs (an ``__exit__(*exc)``) are exempt
-    unread = []
+def unread_parameters(trees: dict) -> set:
+    """(module, function, parameter) for every parameter a function of the
+    package never reads; self and *varargs (an ``__exit__(*exc)``) are
+    exempt."""
+    unread = set()
     for path in package_modules(trees):
         for fn in ast.walk(trees[path]):
             if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
@@ -111,7 +113,15 @@ def test_every_function_reads_each_of_its_parameters(trees):
                     if isinstance(sub, ast.Name)
                     and isinstance(sub.ctx, ast.Load)}
             where = (os.path.basename(path), getattr(fn, "name", "<lambda>"))
-            unread.extend("%s: %s(%s)" % (*where, name) for name in names
-                          if name != "self" and name not in read
-                          and (*where, name) not in UNREAD_ALLOWED)
-    assert unread == []
+            unread.update((*where, name) for name in names
+                          if name != "self" and name not in read)
+    return unread
+
+
+def test_every_function_reads_each_of_its_parameters(trees):
+    assert sorted(unread_parameters(trees) - UNREAD_ALLOWED) == []
+
+
+def test_every_allowed_parameter_exists_and_is_still_unread(trees):
+    # a stale entry fails here instead of lingering
+    assert sorted(UNREAD_ALLOWED - unread_parameters(trees)) == []

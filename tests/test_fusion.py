@@ -19,8 +19,9 @@ def fmap(data):
 
 
 def make_cross(channels=3, seed=0, with_weights=True):
-    return fusion.make_cross_modal_params(np.random.default_rng(seed),
-                                          channels, with_weights=with_weights)
+    return fusion.make_cross_modal_params(
+        np.random.default_rng(seed),
+        RunConfig(channels=channels, cross_modal_attention=with_weights))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,8 @@ def test_weight_override_selects_one_matrix(rng):
 @given(st.integers(0, 2 ** 31 - 1))
 def test_weighting_is_convex_and_row_stochastic(seed):
     r = np.random.default_rng(seed)
-    p = fusion.make_cross_modal_params(np.random.default_rng(7), 3)
+    p = fusion.make_cross_modal_params(np.random.default_rng(7),
+                                       RunConfig(channels=3))
     vis = fmap(r.uniform(-2, 2, (3, 4, 4)))
     ir = fmap(r.uniform(-2, 2, (3, 4, 4)))
     a_vis, a_ir, _, _ = fusion.modality_attentions(vis, ir, p)
@@ -236,7 +238,8 @@ def test_gradient_reaches_weighting_head(rng):
 
 
 def test_decode_range_shape_determinism(rng):
-    p = fusion.make_decoder_params(np.random.default_rng(3), 4, n_inputs=2)
+    p = fusion.make_decoder_params(np.random.default_rng(3),
+                                   RunConfig(channels=4))
     t = fmap(rng.uniform(-3, 3, (4, 6, 6)))
     m = fmap(rng.uniform(-3, 3, (4, 6, 6)))
     out1 = fusion.decode(t, m, p)
@@ -247,7 +250,8 @@ def test_decode_range_shape_determinism(rng):
 
 
 def test_decode_guards():
-    p = fusion.make_decoder_params(np.random.default_rng(3), 4, n_inputs=2)
+    p = fusion.make_decoder_params(np.random.default_rng(3),
+                                   RunConfig(channels=4))
     with pytest.raises(ContractError):
         fusion.decode(None, None, p)
     with pytest.raises(DimensionError):
