@@ -3,14 +3,17 @@
 Every numeric value in the network flows through this module. A Tensor wraps
 one contiguous float64 numpy array plus an optional gradient buffer; a
 forward op whose inputs need gradients gives its result a graph Node with
-parent links and a backward closure, and ``backward()`` replays the recorded
-graph in exact reverse topological order, accumulating gradients additively
-into every reachable leaf with ``requires_grad``. Gradient functions save
-only the arrays they read, so the graph holds no op result's Tensor, and
-backward frees the graph as it goes: after a backward pass only leaves
-(parameters, inputs) hold a ``grad``. No function saves a view of a larger
-array, and where an op's result equals what its backward would read, the
-function saves the result, which the next op often saves too.
+parent links and a backward closure, which every op but the scan builds
+with ``_grads`` from one gradient function per input, and ``backward()``
+replays the recorded graph in exact reverse topological order, accumulating
+gradients additively into every reachable leaf with ``requires_grad``.
+Every contribution enters its target through ``_GradTarget._accumulate``.
+Gradient functions save only the arrays they read, so the graph holds no op
+result's Tensor, and backward frees the graph as it goes: after a backward
+pass only leaves (parameters, inputs) hold a ``grad``. No function saves a
+view of a larger array, and where an op's result equals what its backward
+would read, the function saves the result, which the next op often saves
+too.
 
 Engine-wide conventions:
   * float64 everywhere; convolution is cross-correlation (no kernel flip)
@@ -177,10 +180,9 @@ class Node(_GradTarget):
     or the Tensor itself for a leaf) or None when it needs no gradient;
     ``backward_fn(g, *parents)`` adds the input gradients for cotangent g,
     and is None once backward has run it. ``_make`` records the node. Every
-    op but two builds ``backward_fn`` with ``_grads`` from one gradient
-    function per input; ``take``, which adds into a view of the gradient
-    buffer, and ``selective_scan_core``, whose six gradients share one
-    rebuild, write their own. The node holds no array of its own: the
+    op but the scan builds ``backward_fn`` with ``_grads`` from one gradient
+    function per input; ``selective_scan_core``, whose six gradients share
+    one rebuild, writes its own. The node holds no array of its own: the
     gradient functions keep exactly the arrays they read, so an op result's
     ``data`` lives only as long as the calling code or a function needs it.
     """
@@ -518,7 +520,7 @@ def _grads(out_data: np.ndarray, op: str, flops: int, *pairs) -> Tensor:
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 #
-# Every op but ``take`` and ``selective_scan_core`` goes through ``_grads``
+# Every op but the scan (``selective_scan_core``) goes through ``_grads``
 # with one gradient function per input. A function closes over only the
 # arrays it reads, never an input's Tensor, and may return the gradient at
 # the output's broadcast shape: ``_accumulate`` sums it back down to the
@@ -719,10 +721,8 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def _is_basic_index(idx) -> bool:
-    """True for an index of ints, slices and Ellipsis only. Such an index
-    selects each element at most once, so a gradient can add straight into
-    the selected view; an advanced index may repeat elements, whose
-    contributions must be summed with np.add.at."""
+    """True for an index of ints, slices and Ellipsis only, the indexes
+    ``take`` accepts: each selects an element at most once."""
     for part in idx if isinstance(idx, tuple) else (idx,):
         if not (part is Ellipsis or isinstance(part, slice)
                 or (isinstance(part, (int, np.integer))
@@ -732,25 +732,22 @@ def _is_basic_index(idx) -> bool:
 
 
 def take(a: Tensor, idx) -> Tensor:
-    basic = _is_basic_index(idx)
+    """``a.data[idx]`` for a basic index; any other raises ContractError.
+    The gradient is a zero array of ``a``'s shape with g stored at idx."""
+    if not _is_basic_index(idx):
+        raise ContractError("take wants an index of ints, slices and "
+                            "Ellipsis, got %r" % (idx,))
     out = a.data[idx]
-    if np.isscalar(out) or out.ndim == 0:
-        out = np.asarray(out)
-    elif basic and _grad_enabled:    # a closure saving a view pins all of a
+    if _grad_enabled:                # a closure saving a view pins all of a
         out = out.copy()
     shape_in = a.shape
 
-    def backward(g, ta):
-        if basic:
-            if ta.grad is None:
-                ta.grad = np.zeros(shape_in)
-            ta.grad[idx] += g
-        else:
-            buf = np.zeros(shape_in)
-            np.add.at(buf, idx, g)
-            ta._accumulate(buf)
+    def grad(g):
+        full = np.zeros(shape_in)
+        full[idx] = g
+        return full
 
-    return _make(out, (a,), "slice", backward)
+    return _grads(out, "slice", 0, a, grad)
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,18 @@ def read_pgm(path: str) -> np.ndarray:
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
 
 
+def _as_u8(img, writer: str) -> np.ndarray:
+    """``img`` as uint8; ContractError if the cast would change a value."""
+    u8 = np.asarray(img, dtype=np.uint8)
+    if not np.array_equal(u8, img):
+        raise ContractError("%s wants whole values in 0..255" % writer)
+    return u8
+
+
 def write_pgm(path: str, img: np.ndarray) -> None:
-    img = np.asarray(img, dtype=np.uint8)
+    img = _as_u8(img, "write_pgm")
+    if img.ndim != 2:
+        raise ContractError("write_pgm wants HxW, got %r" % (img.shape,))
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
         fh.write(img.tobytes())
@@ -209,7 +219,7 @@ def _chunk(ctype: bytes, data: bytes) -> bytes:
 
 def write_png(path: str, img: np.ndarray) -> None:
     """Write 8-bit grayscale (H, W) or RGB (H, W, 3)."""
-    img = np.asarray(img, dtype=np.uint8)
+    img = _as_u8(img, "write_png")
     if img.ndim == 2:
         color_type, channels = 0, 1
     elif img.ndim == 3 and img.shape[2] == 3:

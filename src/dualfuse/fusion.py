@@ -269,14 +269,9 @@ def decode(feat_t: Tensor | None, feat_m: Tensor | None,
     if len(present) == 2 and present[0].shape != present[1].shape:
         raise DimensionError("decoder inputs differ: %r vs %r"
                              % (present[0].shape, present[1].shape))
-    c = p.merge_w.shape[0]
-    expected_in = p.merge_w.shape[1]
     stacked = ad.concat(present, axis=0) if len(present) > 1 else present[0]
-    if stacked.shape[0] != expected_in:
-        raise DimensionError("decoder built for %d input channels, got %d"
-                             % (expected_in, stacked.shape[0]))
     merged = ad.conv2d(stacked, p.merge_w, pad=0) \
-        + p.merge_b.reshape(c, 1, 1)
+        + p.merge_b.reshape(-1, 1, 1)
     refined = transformer_block(merged, p.block)
     out = ad.conv2d(refined, p.out_w, pad=0) + p.out_b.reshape(1, 1, 1)
     return ad.sigmoid(out)

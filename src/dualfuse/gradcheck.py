@@ -135,10 +135,7 @@ def primitive_cases():
         ("concat", shaped(lambda x, y: ad.concat([x, y], axis=1), (2, 3), (2, 2),
                 label="concat_case")),
         ("slice", shaped(lambda x: x[1:3, :2], (4, 3), label="slice_case")),
-        # an advanced index with a repeated row, whose contributions must
-        # add, and an int index, which adds straight into one row
-        ("slice_repeated", shaped(lambda x: x[[0, 2, 0]], (4, 3),
-                label="slice_repeated_case")),
+        # an int index, whose gradient fills one row
         ("slice_int", shaped(lambda x: x[1], (4, 3), label="slice_int_case")),
         ("sum", shaped(lambda x: x.sum(axis=1), (3, 4), label="sum_case")),
         ("mean", shaped(lambda x: x.mean(axis=0, keepdims=True), (3, 4),

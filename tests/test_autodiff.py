@@ -613,6 +613,32 @@ def test_basic_slice_owns_its_memory(rng, idx):
     assert out.data.tobytes() == x.data[idx].tobytes()
 
 
+@pytest.mark.parametrize("idx", [[0, 2, 0], np.array([True, False] * 3),
+                                 (slice(None), [1])])
+def test_take_refuses_an_advanced_index(rng, idx):
+    x = parameter(rng.uniform(-1, 1, (6, 4)))
+    with pytest.raises(ContractError):
+        ad.take(x, idx)
+
+
+def test_a_sliced_parameter_gets_its_gradient_through_accumulate(
+        rng, monkeypatch):
+    x = parameter(rng.uniform(-1, 1, (4, 3)))
+    reached = []
+    accumulate = ad._GradTarget._accumulate
+
+    def recording(target, g):
+        reached.append(target)
+        accumulate(target, g)
+    monkeypatch.setattr(ad._GradTarget, "_accumulate", recording)
+    (x[1:3, 0].sum() + x[2].sum()).backward()
+    assert sum(t is x for t in reached) == 2
+    expected = np.zeros((4, 3))
+    expected[1:3, 0] += 1.0
+    expected[2] += 1.0
+    assert x.grad.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("ablation", [{}, {"mamba_as_conv": True},
                                       {"interaction": False}])
 def test_graph_holds_no_op_result_tensor(ablation):

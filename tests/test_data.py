@@ -1,5 +1,6 @@
 """Image IO: PGM/PNG codecs, pairing rules, crop sampling."""
 
+import os
 import struct
 import tracemalloc
 import zlib
@@ -26,6 +27,19 @@ def test_pgm_round_trip(tmp_path, rng):
     data.write_pgm(path, img)
     back = data.read_pgm(path)
     assert np.array_equal(img, back)
+
+
+@pytest.mark.parametrize("writer,img", [
+    (data.write_pgm, np.zeros((4, 5, 3), dtype=np.uint8)),   # not 2-D
+    (data.write_pgm, np.full((4, 5), 0.9)),                  # a fraction
+    (data.write_png, np.full((4, 5), 300.0)),                # above 255
+    (data.write_png, np.full((4, 5), -1)),                   # below 0
+])
+def test_writers_refuse_what_uint8_would_change(tmp_path, writer, img):
+    path = str(tmp_path / "x")
+    with pytest.raises(ContractError):
+        writer(path, img)
+    assert not os.path.exists(path)
 
 
 def test_pgm_with_comment(tmp_path):

@@ -1,6 +1,7 @@
 """No dead helpers in the package: every import is used, every
 module-level function and class is named outside its own definition, and
-every function reads each of its parameters."""
+every function reads each of its parameters. And one seam for gradients:
+only ``_GradTarget._accumulate`` adds into a ``.grad``."""
 
 import ast
 import os
@@ -125,3 +126,58 @@ def test_every_function_reads_each_of_its_parameters(trees):
 def test_every_allowed_parameter_exists_and_is_still_unread(trees):
     # a stale entry fails here instead of lingering
     assert sorted(UNREAD_ALLOWED - unread_parameters(trees)) == []
+
+
+# (module, function, statement) of each store to a ``.grad`` or into one
+# that is not a None clear, each with its reason. Only ``_accumulate`` adds
+# into a gradient, so every contribution passes that one seam.
+GRAD_STORES_ALLOWED = {
+    # a target's first contribution is copied in, every later one added
+    ("autodiff.py", "_GradTarget._accumulate", "Assign"),
+    ("autodiff.py", "_GradTarget._accumulate", "AugAssign"),
+    # a step whose helper was lost puts back the grads it had before
+    ("parallel.py", "training_step", "Assign"),
+    # the helper seeds a held graph's outputs with the caller's gradients
+    ("parallel.py", "_backward_group", "Assign"),
+}
+
+
+def stores_to_grad(target) -> bool:
+    """Whether an assignment target stores to a ``.grad`` attribute or to a
+    subscript of one."""
+    if isinstance(target, ast.Tuple):
+        return any(map(stores_to_grad, target.elts))
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return isinstance(target, ast.Attribute) and target.attr == "grad"
+
+
+def grad_stores(trees: dict) -> set:
+    """(module, enclosing function, statement type) of every store to a
+    ``.grad`` in the package but a store of None."""
+    found = set()
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name], module)
+                continue
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(child, "targets", None) or [child.target]
+                cleared = isinstance(child, ast.Assign) \
+                    and isinstance(child.value, ast.Constant) \
+                    and child.value.value is None
+                if not cleared and any(map(stores_to_grad, targets)):
+                    found.add((module, ".".join(scope),
+                               type(child).__name__))
+            visit(child, scope, module)
+
+    for path in package_modules(trees):
+        visit(trees[path], [], os.path.basename(path))
+    return found
+
+
+def test_only_accumulate_adds_into_a_gradient(trees):
+    found = grad_stores(trees)
+    assert sorted(found - GRAD_STORES_ALLOWED) == []
+    assert sorted(GRAD_STORES_ALLOWED - found) == []
