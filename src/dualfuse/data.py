@@ -94,7 +94,8 @@ def read_pgm(path: str) -> np.ndarray:
 
 def _as_u8(img, writer: str) -> np.ndarray:
     """``img`` as uint8; ContractError if the cast would change a value."""
-    u8 = np.asarray(img, dtype=np.uint8)
+    with np.errstate(invalid="ignore"):     # NaN and Inf fail the compare
+        u8 = np.asarray(img, dtype=np.uint8)
     if not np.array_equal(u8, img):
         raise ContractError("%s wants whole values in 0..255" % writer)
     return u8

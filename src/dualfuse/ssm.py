@@ -25,7 +25,11 @@ STATE_DIM = 8
 EXPANSION = 2
 DELTA_INIT = 0.05          # softplus(delta_bias) at init: small, stable steps
 
-SCAN_DIRECTIONS = ("row", "row_reversed", "col", "col_reversed")
+# The four traversal orders (row, row reversed, column, column reversed):
+# the axes of a C x H x W map that list its tokens, and whether the scan
+# runs backwards along them.
+SCAN_ORDERS = (((1, 2, 0), False), ((1, 2, 0), True),
+               ((2, 1, 0), False), ((2, 1, 0), True))
 
 
 @dataclass
@@ -113,37 +117,21 @@ def selective_scan(x: Tensor, p: ScanParams) -> Tensor:
     return ad.selective_scan_core(x, delta, b, c, a, p.skip)
 
 
-def _to_tokens(x: Tensor, direction: str) -> Tensor:
-    """Reorder a C x H x W map into an (HW, C) sequence for one direction."""
-    c, h, w = x.shape
-    if direction.startswith("col"):
-        x = x.transpose(0, 2, 1)
-    tokens = x.reshape(c, h * w).transpose()
-    if direction.endswith("reversed"):
-        tokens = ad.flip(tokens, 0)
-    return tokens
-
-
-def _from_tokens(tokens: Tensor, direction: str, h: int, w: int) -> Tensor:
-    """Fold a scanned (HW, C) sequence back to its original spatial order."""
-    if direction.endswith("reversed"):
-        tokens = ad.flip(tokens, 0)
-    c = tokens.shape[1]
-    if direction.startswith("col"):
-        return tokens.transpose().reshape(c, w, h).transpose(0, 2, 1)
-    return tokens.transpose().reshape(c, h, w)
-
-
 def cross_scan_2d(x: Tensor, p: ScanParams) -> Tensor:
     """Sum of the selective scan over all four spatial traversal orders."""
     if x.ndim != 3:
         raise DimensionError("cross_scan_2d expects a CxHxW map, got %r"
                              % (x.shape,))
-    _, h, w = x.shape
     out = None
-    for direction in SCAN_DIRECTIONS:
-        scanned = selective_scan(_to_tokens(x, direction), p)
-        folded = _from_tokens(scanned, direction, h, w)
+    for axes, backwards in SCAN_ORDERS:
+        grid = x.transpose(*axes)
+        tokens = grid.reshape(-1, x.shape[0])
+        if backwards:
+            tokens = ad.flip(tokens, 0)
+        scanned = selective_scan(tokens, p)
+        if backwards:
+            scanned = ad.flip(scanned, 0)
+        folded = scanned.reshape(*grid.shape).transpose(*np.argsort(axes))
         out = folded if out is None else out + folded
     return out
 

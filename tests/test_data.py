@@ -34,6 +34,8 @@ def test_pgm_round_trip(tmp_path, rng):
     (data.write_pgm, np.full((4, 5), 0.9)),                  # a fraction
     (data.write_png, np.full((4, 5), 300.0)),                # above 255
     (data.write_png, np.full((4, 5), -1)),                   # below 0
+    (data.write_pgm, np.full((4, 5), np.nan)),               # not a number
+    (data.write_png, np.full((4, 5), np.inf)),               # infinite
 ])
 def test_writers_refuse_what_uint8_would_change(tmp_path, writer, img):
     path = str(tmp_path / "x")

@@ -270,12 +270,32 @@ def cross_scan_oracle(x, p):
 
 def test_each_direction_is_a_bijective_reordering(rng):
     x = rng.uniform(-1, 1, (3, 4, 5))
-    for direction in ssm.SCAN_DIRECTIONS:
-        tokens = ssm._to_tokens(Tensor(x), direction)
+    orders = []
+    for axes, backwards in ssm.SCAN_ORDERS:
+        grid = x.transpose(axes)
+        tokens = grid.reshape(-1, 3)
         assert tokens.shape == (20, 3)
-        back = ssm._from_tokens(tokens, direction, 4, 5)
-        assert back.data.tobytes() == x.tobytes()
-    assert len(ssm.SCAN_DIRECTIONS) == 4
+        orders.append((tokens[::-1] if backwards else tokens).tobytes())
+        back = tokens.reshape(grid.shape).transpose(np.argsort(axes))
+        assert back.tobytes() == x.tobytes()
+    assert len(set(orders)) == len(ssm.SCAN_ORDERS) == 4
+
+
+def test_cross_scan_records_one_transpose_in_and_out_per_order(rng,
+                                                                monkeypatch):
+    ops = []
+    node_init = ad.Node.__init__
+
+    def recording_init(self, *args):
+        node_init(self, *args)
+        ops.append(self.op)
+    monkeypatch.setattr(ad.Node, "__init__", recording_init)
+    x = ad.parameter(rng.uniform(-1, 1, (3, 4, 5)))
+    ssm.cross_scan_2d(x, make_scan(channels=3))
+    counts = {op: ops.count(op) for op in
+              ("transpose", "reshape", "flip", "matmul", "selective_scan_core")}
+    assert counts == {"transpose": 8, "reshape": 8, "flip": 4, "matmul": 12,
+                      "selective_scan_core": 4}
 
 
 def test_cross_scan_degenerate_grid(rng):
