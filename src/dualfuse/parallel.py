@@ -41,21 +41,23 @@ ops that read a stand-in ahead of the rest when, and only when, that keeps
 the invariant, and a graph the serial backward reaches late, as it
 reaches the scan side after the attention side and the head, runs in the
 helper while the caller runs those. One request at most is in flight: a
-request waits for the reply still due, which is kept for its graph.
+request waits for the reply still due, which is kept for its graph, and a
+graph's next backward group waits until its last has been added in.
 
 An exception from either half is raised in the caller only after the
 helper's reply has been read, so no reply is left in the pipe for the next
-call. The end of ``training_step`` is the one place that ends a held graph
-whose backward did not finish: it reads the reply still due and has the
-helper drop every graph it holds, as all are the step's. A call that finds
-the helper dead, or loses it before the reply, runs ``g`` itself, and the
-next call forks a new one. A helper lost during a held graph's backward is
-shut down, and ``training_step`` reruns the whole step serially: the
-serial path is the byte oracle, so the rerun gives the same bytes. Only
-one thread uses the helper at a time; a call from another thread runs
-serially. A function crosses the pipe by module and name, so a wrapper
-that copies its wrapped function's name (``functools.wraps``) sends the
-wrapped function.
+call. A training step owns the helper, holding ``_lock`` from start to
+end, and its end is the one place that ends a held graph whose backward
+did not finish: it reads the reply still due and has the helper drop
+every graph it holds, as all are the step's. A call that finds the helper
+dead, or loses it before the reply, runs ``g`` itself, and the next call
+forks a new one. A helper lost during a held graph's backward is shut
+down, and ``training_step`` reruns the whole step serially: the serial
+path is the byte oracle, so the rerun gives the same bytes. A call or a
+step that finds ``_lock`` held by another thread runs serially. A
+function crosses the pipe by module and name, so a wrapper that copies
+its wrapped function's name (``functools.wraps``) sends the wrapped
+function.
 
 The helper is daemonic, closes its copy of the caller's pipe end (so it exits
 on end-of-file when the caller exits or dies) and is joined at interpreter
@@ -81,7 +83,7 @@ import types
 
 from . import autodiff as ad
 
-_lock = threading.RLock()   # held by a call and by each held graph: one thread
+_lock = threading.RLock()   # held by a call and by a training step: one thread
 _helper = None              # (process, connection) once forked
 _in_helper = False
 _in_step = False            # inside training_step, helper allowed
@@ -128,14 +130,14 @@ def helper_peak_rss() -> int:
 def training_step(step, targets: list):
     """``step()``, one training step that builds its graph and runs its
     backward, with each grad-mode ``both`` inside allowed to run its second
-    call on the helper. A graph the helper still holds at the end, because
-    the step failed or its backward never reached the stand-ins, is dropped
-    there and only there (see ``_attempt``). When the helper is lost during
-    the backward, each of ``targets`` (the tensors the step adds gradients
-    into) gets back the ``grad`` it had before, and ``step()`` runs again
-    serially. Each attempt counts its flops into the installed
-    ``FlopCounter`` only when it succeeds, so a rerun step counts the
-    serial flops once."""
+    call on the helper, which the step owns. A graph the helper still holds
+    at the end, because the step failed or its backward never reached the
+    stand-ins, is dropped there and only there (see ``_attempt``). When the
+    helper is lost during the backward, each of ``targets`` (the tensors
+    the step adds gradients into) gets back the ``grad`` it had before, and
+    ``step()`` runs again serially. Each attempt counts its flops into the
+    installed ``FlopCounter`` only when it succeeds, so a rerun step counts
+    the serial flops once."""
     saved = [None if t.grad is None else t.grad.copy() for t in targets]
     try:
         return _attempt(step, True)
@@ -146,27 +148,30 @@ def training_step(step, targets: list):
 
 
 def _attempt(step, helper: bool):
-    """One run of ``step()``. Its end reads the reply still due, has the
-    helper drop its graphs and finishes each pending ``_Half``. The drop
-    goes only while a graph is pending: this thread then still holds
-    ``_lock`` through it, and once the last has finished another thread
-    may be using the pipe."""
+    """One run of ``step()``. With ``helper``, and ``_lock`` free to take,
+    the step owns the helper and holds ``_lock`` to its end, which reads the
+    reply still due, has the helper drop its graphs, finishes each pending
+    ``_Half`` and releases ``_lock``. Otherwise it runs serially."""
     global _in_step
-    _in_step = helper
+    owner = helper and _lock.acquire(blocking=False)
+    if owner:
+        _in_step = True
     try:
         with ad.FlopCounter() as flops:
             value = step()
     finally:
-        _in_step = False
-        try:
-            if _pending and _helper is not None:
-                _read_due()
-                _helper[1].send_bytes(_dumps(("drop",)))
-        except (EOFError, OSError):     # the helper died: it holds nothing
-            _shutdown()
-        finally:
-            for half in list(_pending):
-                half._finish()
+        if owner:
+            _in_step = False
+            try:
+                if _helper is not None:
+                    _read_due()
+                    _helper[1].send_bytes(_dumps(("drop",)))
+            except (EOFError, OSError):     # the helper died: it holds nothing
+                _shutdown()
+            finally:
+                for half in list(_pending):
+                    half._finish()
+                _lock.release()
     ad._count(flops.total)
     return value
 
@@ -311,15 +316,14 @@ class _Sink:
 
 def both(first: tuple, second: tuple) -> tuple:
     """``(first[0](*first[1:]), second[0](*second[1:]))``, the second on the
-    helper process when ``_helper_usable()`` and no other thread is using
-    it. In grad mode the request carries a graph key, and the helper keeps
-    ``second``'s graph when that returns a tensor with grad; the graph's
-    ``_Half`` then joins ``_pending`` and keeps its hold on ``_lock``. A
-    call that cannot reach the helper, loses it before the reply, or is
-    refused with ``_Serial``, runs ``second`` here. An exception from
-    ``first`` is raised once the reply has been read; in grad mode the
-    half is held first, with no stand-ins, so the end of the step drops
-    whatever graph ``second`` left in the helper."""
+    helper process when ``_helper_usable()`` and no other thread holds
+    ``_lock``, which the call holds until it returns. In grad mode the
+    request carries a graph key, and the helper keeps ``second``'s graph
+    when that returns a tensor with grad; the graph's ``_Half`` then joins
+    ``_pending``. A call that cannot reach the helper, loses it before the
+    reply, or is refused with ``_Serial``, runs ``second`` here. An
+    exception from ``first`` is raised once the reply has been read; the
+    end of the step drops whatever graph ``second`` left in the helper."""
     if not _helper_usable() or not _lock.acquire(blocking=False):
         return first[0](*first[1:]), second[0](*second[1:])
     half = _Half()
@@ -349,8 +353,6 @@ def both(first: tuple, second: tuple) -> tuple:
             _shutdown()
             raise
         if failure is not None:
-            if reply is not None and ad._grad_enabled:
-                half.hold([])
             raise failure
         if reply is None:
             return result, second[0](*second[1:])
@@ -363,8 +365,7 @@ def both(first: tuple, second: tuple) -> tuple:
             half.hold(reads)
         return result, value
     finally:
-        if half.helper is None:
-            _lock.release()
+        _lock.release()
 
 
 def _read_due() -> None:
@@ -392,11 +393,10 @@ class _Half:
     In backward the graph splits into groups, one per head: the stand-ins
     first reached from a head are its group's members, and the helper runs
     a group's part of the graph from their gradients (see
-    ``autodiff.StandIn`` for the calls). Groups are sent in the order they
-    run, each once all its members are final; when one group's part may
-    add into another's members (``chained``), each also waits until the one
-    before has been added in. A group waits for the reply still due to
-    any graph's group before it goes (``_read_due``)."""
+    ``autodiff.StandIn`` for the calls). Groups go in the order they run,
+    one at a time: each once its members are final and the group before,
+    whose part may add into them, has been added in, and after the reply
+    still due to any graph has been read (``_read_due``)."""
 
     def __init__(self):
         self.key = next(_keys)
@@ -405,9 +405,8 @@ class _Half:
         self.reach: list = []
         self.groups: list = []      # (head, member indices), in run order
         self.waiting: set = set()   # member indices not yet final
-        self.chained = False
-        self.sent = self.applied = 0
-        self.inbox: list = []       # replies read, not yet added in
+        self.applied = 0            # groups added in
+        self.inbox: list = []       # the reply read, not yet added in
         self.helper = None          # the helper that holds the graph
         self.done = False
 
@@ -430,7 +429,6 @@ class _Half:
             if stand_in.index in claimed:
                 continue
             above = self.reach[stand_in.index]
-            self.chained |= not claimed.isdisjoint(above)
             members = [stand_in.index] + [j for j in above if j not in claimed]
             claimed.update(members)
             self.groups.append((stand_in, members))
@@ -444,27 +442,25 @@ class _Half:
         self._flush()
 
     def _flush(self) -> None:
-        """Send every group that may go now, in run order."""
+        """Send group ``applied`` once its members are final, unless it has
+        gone: a reply of this graph is then due or unread."""
         global _due
-        while self.sent < len(self.groups) \
-                and (not self.chained or self.sent == self.applied):
-            members = self.groups[self.sent][1]
-            if not self.waiting.isdisjoint(members):
-                return
-            heads = None if self.sent else \
-                [head.index for head, _ in reversed(self.groups)]
-            grads = {j: self.stand_ins[j].grad for j in members}
-            self.sent += 1
-            if _helper is not self.helper:
-                raise _HelperLost   # already shut down
-            try:
-                _read_due()
-                _helper[1].send_bytes(_dumps(("grads", self.key, heads,
-                                              grads)))
-            except (EOFError, OSError):
-                _shutdown()
-                raise _HelperLost from None
-            _due = self
+        if self.applied == len(self.groups) or _due is self or self.inbox \
+                or not self.waiting.isdisjoint(self.groups[self.applied][1]):
+            return
+        members = self.groups[self.applied][1]
+        heads = None if self.applied else \
+            [head.index for head, _ in reversed(self.groups)]
+        grads = {j: self.stand_ins[j].grad for j in members}
+        if _helper is not self.helper:
+            raise _HelperLost   # already shut down
+        try:
+            _read_due()
+            _helper[1].send_bytes(_dumps(("grads", self.key, heads, grads)))
+        except (EOFError, OSError):
+            _shutdown()
+            raise _HelperLost from None
+        _due = self
 
     def reached(self, stand_in) -> None:
         """At a head's place: add in its group's contribution log. Raises
@@ -496,7 +492,6 @@ class _Half:
             self.done = True
             self.inbox.clear()
             _pending.remove(self)
-            _lock.release()
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +545,7 @@ def _serve(conn, caller_conn) -> None:
     while True:
         try:
             data = conn.recv_bytes()
-        except EOFError:
+        except (EOFError, OSError):     # closed, with or without a reply unread
             return
         unpickler = _Unpickler(data)
         message = unpickler.load()

@@ -172,6 +172,20 @@ def test_a_dead_helper_is_replaced(helper):
     assert after_death.tobytes() == replaced.tobytes() == serial.tobytes()
 
 
+def test_a_pipe_closed_with_a_reply_unread_ends_the_helper_cleanly(helper):
+    # closing a socket with unread data resets it, so the helper's next
+    # read fails with ConnectionResetError, not end-of-file; the helper
+    # returns all the same, with no traceback and exit code 0
+    helper(True)
+    with ad.no_grad():
+        assert parallel.both((pow, 2, 3), (divmod, 7, 2)) == (8, (3, 1))
+    process, conn = parallel._helper
+    conn.send_bytes(parallel._dumps(("call", (divmod, 7, 2), -1, None)))
+    assert conn.poll(30)
+    parallel._shutdown()
+    assert process.exitcode == 0
+
+
 def test_grad_mode_never_reaches_the_helper(helper, monkeypatch):
     def no_helper():
         raise AssertionError("a graph-building forward used the helper")
@@ -618,16 +632,17 @@ def feeding_pair(x, w):
 
 def test_outputs_that_feed_each_other_keep_the_bytes(helper, monkeypatch):
     # the caller's backward reaches t first, so the serial backward runs
-    # u's part, which adds into t, before t's: t's group waits until that
-    # contribution has been added to t's stand-in, in its serial place
-    chained = []
-    begin = parallel._Half.begin
+    # u's part, which adds into t, before t's: t's group goes only after
+    # u's contribution has been added to t's stand-in, in its serial place
+    sent = []     # per group sent: its members, and the groups added in first
+    dumps = parallel._dumps
 
-    def recording_begin(self, found):
-        heads = begin(self, found)
-        chained.append(self.chained)
-        return heads
-    monkeypatch.setattr(parallel._Half, "begin", recording_begin)
+    def recording_dumps(obj, **grad):
+        if isinstance(obj, tuple) and obj[:1] == ("grads",):
+            half, = [h for h in parallel._pending if h.key == obj[1]]
+            sent.append((sorted(obj[3]), half.applied))
+        return dumps(obj, **grad)
+    monkeypatch.setattr(parallel, "_dumps", recording_dumps)
     grads = []
     for on in (False, True):
         helper(on)
@@ -640,7 +655,7 @@ def test_outputs_that_feed_each_other_keep_the_bytes(helper, monkeypatch):
         parallel.training_step(step, [w])
         grads.append(w.grad.tobytes())
     assert grads[0] == grads[1]
-    assert chained == [True]
+    assert sent == [([1], 0), ([0], 1)]
 
 
 @pytest.mark.parametrize("where", ["forward", "between"])
@@ -682,6 +697,35 @@ def test_a_second_backward_through_a_used_stand_in_is_refused(helper):
                            match="rebuild the forward pass"):
             parallel.training_step(step, [w])
         assert not parallel._pending and lock_is_free()
+    assert not helper_state(helper)
+
+
+def test_a_training_step_holds_the_lock_from_its_start(helper):
+    # the step owns the helper: another thread's call runs serially from
+    # the step's first line, before any call of the step has used the pipe
+    helper(True)
+    free = []
+    parallel.training_step(lambda: free.append(lock_is_free()), [])
+    assert free == [False]
+    assert lock_is_free()
+
+
+def test_a_failed_first_call_holds_no_half(helper):
+    # the second call's graph stays in the helper, with no half here to
+    # stand for it, until the step's end has the helper drop it
+    rng = np.random.default_rng(0)
+    w = ad.parameter(rng.uniform(-1, 1, 8))
+    x = ad.Tensor(rng.uniform(-1, 1, 8))
+    seen = []
+
+    def step():
+        with pytest.raises(ZeroDivisionError):
+            parallel.both((divmod, 1, 0), (scaled, x, w))
+        seen.append((list(parallel._pending), helper_state(helper)))
+    helper(True)
+    parallel.training_step(step, [w])
+    assert seen == [([], True)]
+    assert not parallel._pending and lock_is_free()
     assert not helper_state(helper)
 
 
