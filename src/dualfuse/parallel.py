@@ -445,10 +445,9 @@ class _Half:
         """Send group ``applied`` once its members are final, unless it has
         gone: a reply of this graph is then due or unread."""
         global _due
-        if self.applied == len(self.groups) or _due is self or self.inbox \
-                or not self.waiting.isdisjoint(self.groups[self.applied][1]):
-            return
         members = self.groups[self.applied][1]
+        if _due is self or self.inbox or not self.waiting.isdisjoint(members):
+            return
         heads = None if self.applied else \
             [head.index for head, _ in reversed(self.groups)]
         grads = {j: self.stand_ins[j].grad for j in members}
@@ -545,7 +544,7 @@ def _serve(conn, caller_conn) -> None:
     while True:
         try:
             data = conn.recv_bytes()
-        except (EOFError, OSError):     # closed, with or without a reply unread
+        except (EOFError, OSError):     # closed, a reply unread or not
             return
         unpickler = _Unpickler(data)
         message = unpickler.load()
