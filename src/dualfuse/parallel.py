@@ -54,10 +54,14 @@ dead, or loses it before the reply, runs ``g`` itself, and the next call
 forks a new one. A helper lost during a held graph's backward is shut
 down, and ``training_step`` reruns the whole step serially: the serial
 path is the byte oracle, so the rerun gives the same bytes. A call or a
-step that finds ``_lock`` held by another thread runs serially. A
-function crosses the pipe by module and name, so a wrapper that copies
-its wrapped function's name (``functools.wraps``) sends the wrapped
-function.
+step that finds ``_lock`` held by another thread runs serially.
+
+What cannot cross the pipe runs in the caller, and the helper lives: a
+request, value or exception that cannot be pickled makes the call run
+``g`` in the caller, and a backward group's reply that cannot be pickled
+makes ``training_step`` rerun the step serially. A function crosses the
+pipe by module and name, so a wrapper that copies its wrapped function's
+name (``functools.wraps``) sends the wrapped function.
 
 The helper is daemonic, closes its copy of the caller's pipe end (so it exits
 on end-of-file when the caller exits or dies) and is joined at interpreter
@@ -133,11 +137,11 @@ def training_step(step, targets: list):
     call on the helper, which the step owns. A graph the helper still holds
     at the end, because the step failed or its backward never reached the
     stand-ins, is dropped there and only there (see ``_attempt``). When the
-    helper is lost during the backward, each of ``targets`` (the tensors
-    the step adds gradients into) gets back the ``grad`` it had before, and
-    ``step()`` runs again serially. Each attempt counts its flops into the
-    installed ``FlopCounter`` only when it succeeds, so a rerun step counts
-    the serial flops once."""
+    backward cannot finish in the helper (``_HelperLost``), each of
+    ``targets`` (the tensors the step adds gradients into) gets back the
+    ``grad`` it had before, and ``step()`` runs again serially. Each
+    attempt counts its flops into the installed ``FlopCounter`` only when
+    it succeeds, so a rerun step counts the serial flops once."""
     saved = [None if t.grad is None else t.grad.copy() for t in targets]
     try:
         return _attempt(step, True)
@@ -181,8 +185,9 @@ def _attempt(step, helper: bool):
 # ---------------------------------------------------------------------------
 
 class _HelperLost(Exception):
-    """The helper that holds a graph was lost during its backward; the
-    place that finds it shuts the helper down first."""
+    """A held graph's backward cannot finish in the helper: it was lost,
+    and the place that finds it shuts it down first, or it could not
+    pickle a group's reply, and replied with this exception."""
 
 
 class _Serial(Exception):
@@ -192,7 +197,8 @@ class _Serial(Exception):
     could reach between the remote graph's contributions into the first;
     or (raised by the helper) it returned a tensor with grad that no op
     made, such as a parameter it was given, into which the serial backward
-    adds each reader's contribution, as no stand-in can."""
+    adds each reader's contribution, as no stand-in can; or it could not
+    pickle the call's reply."""
 
 
 def _by_name(module: str, qualname: str):
@@ -332,10 +338,11 @@ def both(first: tuple, second: tuple) -> tuple:
             request = _dumps(("call", second, _cpu(),
                               half.key if ad._grad_enabled else None),
                              leaves=half.leaves)
+        except Exception:   # _Serial, or the request cannot be pickled
+            return first[0](*first[1:]), second[0](*second[1:])
+        try:
             conn = _connection()
             conn.send_bytes(request)
-        except _Serial:
-            return first[0](*first[1:]), second[0](*second[1:])
         except OSError:     # no fork, or the helper died since the last call
             _shutdown()
             return first[0](*first[1:]), second[0](*second[1:])
@@ -463,8 +470,9 @@ class _Half:
 
     def reached(self, stand_in) -> None:
         """At a head's place: add in its group's contribution log. Raises
-        ``_HelperLost`` when the helper that holds the graph is gone; any
-        other failure propagates, and the end of the step ends the graph."""
+        ``_HelperLost`` when the helper that holds the graph is gone or its
+        reply could not cross; any other failure propagates, and the end of
+        the step ends the graph."""
         if self.applied == len(self.groups) \
                 or stand_in is not self.groups[self.applied][0]:
             return      # a member: its head comes later
@@ -557,10 +565,13 @@ def _serve(conn, caller_conn) -> None:
             continue
         else:
             reply = _backward_group(*message[1:])
-        # a reply that cannot be pickled ends the helper: the caller then
-        # reads end-of-file and runs the call itself
         try:
-            conn.send_bytes(_dumps(reply))
+            data = _dumps(reply)
+        except Exception:   # it cannot cross: the caller runs it, serially
+            lost = _Serial() if message[0] == "call" else _HelperLost()
+            data = _dumps((False, lost, 0, _peak()))
+        try:
+            conn.send_bytes(data)
         except OSError:
             return
 
@@ -570,13 +581,16 @@ def _call(call: tuple, key, leaves: list) -> tuple:
     its outputs, the outputs above each output and the leaves each output
     was computed from, and keep its graph in ``_held`` under ``key`` when it
     returns tensors with grad. Refuse with ``_Serial`` an output with grad
-    that no op made."""
+    that no op made and a value that cannot be pickled."""
     ad._grad_enabled = key is not None
     try:
         with ad.FlopCounter() as flops:
             value = call[0](*call[1:])
         outputs: list = []
-        payload = _dumps(value, outputs=outputs)
+        try:
+            payload = _dumps(value, outputs=outputs)
+        except Exception:   # it cannot cross: the caller runs the call itself
+            raise _Serial from None
         nodes = [t._node for t in outputs]
         if any(node is None for node in nodes):
             raise _Serial

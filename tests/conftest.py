@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import os
 import shutil
 import subprocess
@@ -104,14 +105,31 @@ def pytest_sessionfinish(session):
 
 
 def numpy_build() -> str:
-    """numpy's version and the BLAS it was built with, for byte-pin
-    failures: pinned digests hold for one numpy and BLAS."""
+    """numpy's version, the BLAS it was built with, the kernel OpenBLAS
+    picked and the dispatch targets numpy enabled, for byte-pin failures:
+    pinned digests hold for one numpy and BLAS on one host class, as both
+    pick their kernels from the CPU at load time. The kernel's name comes
+    from ``scipy_openblas_get_corename64_``, found as
+    ``autodiff._pin_blas_threads`` finds its setter."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = "%s %s" % (blas.get("name"), blas.get("version"))
     except (KeyError, TypeError):     # numpy before 1.26
         name = "unknown BLAS"
-    return "numpy %s with %s" % (np.__version__, name)
+    try:
+        umath = np._core._multiarray_umath
+        targets = " ".join(t for t in umath.__cpu_dispatch__
+                           if umath.__cpu_features__.get(t)) or "none"
+    except AttributeError:     # numpy before 2
+        umath, targets = None, "unknown"
+    try:
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
+        kernel = corename().decode()
+    except (AttributeError, OSError):     # another BLAS
+        kernel = "unknown"
+    return "numpy %s with %s (%s kernel), dispatching %s" % (
+        np.__version__, name, kernel, targets)
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from dualfuse.toydata import make_toy_pairs
 from dualfuse.train import train
 
 from conftest import TOY_RUN, dense_attention_oracle
+from test_model import ABLATIONS
 from test_ssm import cross_scan_oracle, scan_oracle
 
 
@@ -165,16 +166,6 @@ def test_criterion_4_linear_complexity():
 # 5. interaction semantics + ablation matrix
 # ---------------------------------------------------------------------------
 
-ABLATION_MATRIX = {
-    "T": dict(mamba_branch=False, interaction=False,
-              cross_modal_attention=False),
-    "T+A": dict(mamba_branch=False, interaction=False),
-    "T+A+M": dict(interaction=False),
-    "T+A+M+I": dict(),
-    "T+C": dict(mamba_as_conv=True),
-}
-
-
 @criterion(5, "gate boundaries, weight convexity, all five ablations train")
 def test_criterion_5_interaction_and_ablations(tmp_path):
     rng = np.random.default_rng(3)
@@ -200,11 +191,10 @@ def test_criterion_5_interaction_and_ablations(tmp_path):
         assert np.max(np.abs(combined.data.sum(axis=1) - 1.0)) < 1e-6
     # the five ablation rows construct, train one epoch, checkpoint validly
     pairs = make_toy_pairs(8, 32, seed=7)
-    for name, toggles in ABLATION_MATRIX.items():
+    for name, toggles in ABLATIONS.items():
         cfg = RunConfig(channels=8, crop=32, batch=2, epochs_stage1=1,
                         epochs_stage2=1, lr=1e-3, seed=2,
-                        out_dir=str(tmp_path / name.replace("+", "_")),
-                        **toggles)
+                        out_dir=str(tmp_path / name), **toggles)
         result = train(cfg, pairs)
         loaded = load_checkpoint(result.checkpoint_path)
         fused = fuse_pair_arrays(pairs[0], loaded.model, loaded.config,

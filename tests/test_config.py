@@ -147,7 +147,7 @@ def test_dirs_that_config_text_cannot_hold_are_rejected(value, tmp_path):
     assert without_dirs(load_checkpoint(path).config) == without_dirs(cfg)
 
 
-_CONFIGS = st.builds(
+_ANY_CONFIG = st.builds(
     RunConfig,
     channels=st.integers(-2, 64), depth=st.integers(-1, 4),
     crop=st.integers(0, 256), batch=st.integers(-1, 8),
@@ -160,7 +160,7 @@ _CONFIGS = st.builds(
 
 
 @settings(max_examples=500, deadline=None)
-@given(_CONFIGS)
+@given(_ANY_CONFIG)
 def test_valid_config_round_trips_through_text(cfg):
     # the text a checkpoint stores must reload as the same config
     try:

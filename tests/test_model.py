@@ -15,6 +15,8 @@ from dualfuse.model import build_model, encode, fuse_pair, fuse_pair_arrays, \
     image_to_tensor, restore, stage1_parameter_tree, stage2_parameter_tree
 from dualfuse.toydata import make_toy_pairs
 
+# the paper's ablation rows, in its order: T, T+A, T+A+M, T+A+M+I (the full
+# model) and T+C (the scan swapped for a conv)
 ABLATIONS = {
     "attention_only": dict(mamba_branch=False, interaction=False,
                            cross_modal_attention=False),

@@ -26,20 +26,9 @@ from dualfuse.model import build_model, fuse_pair, fuse_pair_arrays, \
 from dualfuse.optim import AdamState
 from dualfuse.toydata import make_toy_pairs, write_toy_dataset
 from dualfuse.train import train
+from test_model import BUILDS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-
-CONFIGS = {
-    "default": dict(),
-    "mamba_as_conv": dict(mamba_as_conv=True),
-    "no_interaction": dict(interaction=False),
-    "no_transformer": dict(transformer_branch=False,
-                           cross_modal_attention=False),
-    "no_mamba": dict(mamba_branch=False),
-    "no_cross_modal": dict(cross_modal_attention=False),
-    "depth_2": dict(depth=2),
-}
-
 
 @pytest.fixture
 def helper(monkeypatch):
@@ -59,9 +48,9 @@ def fuse_both_ways(helper, pair, m, cfg, fusion_trained=True):
     return outs
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(BUILDS))
 def test_fused_bytes_equal_with_helper_on_and_off(name, helper):
-    cfg = RunConfig(channels=4, seed=2, **CONFIGS[name]).validate()
+    cfg = RunConfig(channels=4, seed=2, **BUILDS[name]).validate()
     m = build_model(cfg)
     pair = make_toy_pairs(1, 20, seed=3)[0]
     serial, two_core = fuse_both_ways(helper, pair, m, cfg)
@@ -186,6 +175,61 @@ def test_a_pipe_closed_with_a_reply_unread_ends_the_helper_cleanly(helper):
     assert process.exitcode == 0
 
 
+def local_function():
+    def seven():
+        return 7
+    return seven
+
+
+@pytest.mark.parametrize("second", [
+    (lambda: 7,), (local_function(),), (bool, threading.Lock())],
+    ids=["lambda", "local_function", "lock_argument"])
+def test_a_request_that_cannot_be_pickled_runs_here(second, helper):
+    # what cannot cross the pipe runs in the caller, as on one CPU, and
+    # the helper is neither sent it nor ended
+    helper(True)
+    with ad.no_grad():
+        assert parallel.both((int,), (int,)) == (0, 0)
+        pid = parallel._helper[0].pid
+        assert parallel.both((int,), second) == (0, second[0](*second[1:]))
+        assert parallel.both((int,), (int,)) == (0, 0)
+    assert parallel._helper[0].pid == pid and lock_is_free()
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception cannot be pickled")
+
+
+def raises_unpicklable():
+    raise Unpicklable("raised by the second call")
+
+
+def test_an_exception_the_helper_cannot_pickle_is_raised_here(helper, capfd):
+    # the helper replies that its reply cannot cross and lives on; the
+    # caller runs the second call itself, which raises the same exception
+    parallel._shutdown()    # a helper forked here writes to capfd's stderr
+    helper(True)
+    with ad.no_grad():
+        assert parallel.both((int,), (int,)) == (0, 0)
+        pid = parallel._helper[0].pid
+        with pytest.raises(Unpicklable, match="raised by the second call"):
+            parallel.both((int,), (raises_unpicklable,))
+        assert parallel.both((int,), (int,)) == (0, 0)
+    assert parallel._helper[0].pid == pid and lock_is_free()
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_a_value_the_helper_cannot_pickle_is_computed_here(helper):
+    helper(True)
+    with ad.no_grad():
+        assert parallel.both((int,), (int,)) == (0, 0)
+        pid = parallel._helper[0].pid
+        _, lock = parallel.both((int,), (threading.Lock,))
+    assert type(lock) is type(threading.Lock())
+    assert parallel._helper[0].pid == pid and lock_is_free()
+
+
 def test_grad_mode_never_reaches_the_helper(helper, monkeypatch):
     def no_helper():
         raise AssertionError("a graph-building forward used the helper")
@@ -252,17 +296,17 @@ def remote_backwards(monkeypatch):
 RESTORE, ENCODE, SCAN = ("restore", True), ("encode", True), \
     ("_scan_side", True)
 REMOTE_BACKWARDS = {
-    "default": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
+    "attention_only": [RESTORE] * 2 + [ENCODE] * 2,
     "depth_2": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
-    "mamba_as_conv": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
+    "full": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
     "no_cross_modal": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
     "no_interaction": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
-    "no_mamba": [RESTORE] * 2 + [ENCODE] * 2,
-    "no_transformer": [RESTORE] * 2 + [ENCODE] * 2,
+    "scan_as_conv": [RESTORE] * 2 + [SCAN, ENCODE] * 2,
+    "scan_only": [RESTORE] * 2 + [ENCODE] * 2,
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(BUILDS))
 def test_training_bytes_equal_with_helper_on_and_off(name, helper, tmp_path,
                                                      monkeypatch,
                                                      remote_backwards):
@@ -281,7 +325,7 @@ def test_training_bytes_equal_with_helper_on_and_off(name, helper, tmp_path,
         out = tmp_path / ("on" if on else "off")
         cfg = RunConfig(channels=4, crop=16, batch=1, epochs_stage1=1,
                         epochs_stage2=1, seed=1, out_dir=str(out),
-                        **CONFIGS[name])
+                        **BUILDS[name])
         with ad.FlopCounter() as flops:
             train(cfg, make_toy_pairs(2, 16, seed=3))
         files = {f: (out / f).read_bytes() for f in (

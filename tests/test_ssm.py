@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +192,21 @@ def scan_core_digest(length, needs):
 def test_scan_core_bytes_are_pinned(length, needs):
     assert scan_core_digest(length, needs) == SCAN_DIGESTS[length, needs], \
         "scan output or gradient bytes moved under %s" % numpy_build()
+
+
+def test_byte_pin_failures_name_the_host_class():
+    # OpenBLAS's kernel and numpy's dispatch targets, picked from the CPU at
+    # load time, move the pinned bytes' last bits; a child process emulates
+    # an AVX2-only host, and the failure message names it
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import conftest; print(conftest.numpy_build())")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    build = subprocess.run([sys.executable, "-c", code, tests], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=120).stdout
+    assert "Haswell" in build and "X86_V4" not in build, build
 
 
 def test_scan_core_keeps_a_nan_in_its_channel(rng):
