@@ -118,7 +118,10 @@ _PNG_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
 
 
 def read_png(path: str) -> np.ndarray:
-    """Returns (H, W) for grayscale or (H, W, 3) for color (alpha dropped)."""
+    """Returns (H, W) for grayscale or (H, W, 3) for color (alpha dropped).
+    Rows filtered with None, Sub or Up decode as whole-row numpy operations;
+    Average and Paeth rows, whose bytes depend on the byte decoded just
+    before, keep a per-byte loop."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != PNG_SIGNATURE:
@@ -191,6 +194,8 @@ def read_png(path: str) -> np.ndarray:
 def _unfilter(line, prev, filter_type, bpp, offset):
     if filter_type == 0:
         return line
+    if filter_type == 1:               # Sub: a running sum mod 256 per channel
+        return np.cumsum(line.reshape(-1, bpp), axis=0, dtype=np.uint8).reshape(-1)
     if filter_type == 2:               # Up
         return (line.astype(np.int32) + prev).astype(np.uint8)
     out = np.zeros_like(line, dtype=np.int32)
@@ -198,9 +203,7 @@ def _unfilter(line, prev, filter_type, bpp, offset):
         left = out[i - bpp] if i >= bpp else 0
         up = int(prev[i])
         up_left = int(prev[i - bpp]) if i >= bpp else 0
-        if filter_type == 1:           # Sub
-            base = left
-        elif filter_type == 3:         # Average
+        if filter_type == 3:           # Average
             base = (left + up) // 2
         elif filter_type == 4:         # Paeth
             p = left + up - up_left

@@ -132,6 +132,24 @@ def numpy_build() -> str:
         np.__version__, name, kernel, targets)
 
 
+# an AVX2-only x86-64 host: two variables, read when numpy loads, make a
+# child process pick OpenBLAS's Haswell kernel and numpy's X86_V3 loops
+AVX2_HOST = dict(OPENBLAS_CORETYPE="Haswell",
+                 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+
+
+def as_avx2_host(code: str) -> str:
+    """Run ``code`` in a child python under ``AVX2_HOST``, with ``tests/``
+    and ``scripts/`` on its path; return the child's stdout. A child that
+    fails raises ``subprocess.CalledProcessError``."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path[:0] = sys.argv[1:]; " + code,
+         tests, os.path.join(os.path.dirname(tests), "scripts")],
+        env=dict(os.environ, **AVX2_HOST), capture_output=True, text=True,
+        check=True, timeout=900).stdout
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -118,26 +118,24 @@ def _filter_row(filter_type, row, prev, bpp):
 
 
 def test_png_decoder_handles_all_filters(tmp_path, rng):
-    img = rng.integers(0, 256, (5, 6)).astype(np.uint8)
-    raw = bytearray()
-    prev = np.zeros(6, dtype=np.uint8)
-    for row_idx, filter_type in enumerate([0, 1, 2, 3, 4]):
-        raw.append(filter_type)
-        raw.extend(_filter_row(filter_type, img[row_idx], prev, 1).tobytes())
-        prev = img[row_idx]
-    ihdr = struct.pack(">IIBBBBB", 6, 5, 8, 0, 0, 0, 0)
-
-    def chunk(ctype, payload):
-        return struct.pack(">I", len(payload)) + ctype + payload \
-            + struct.pack(">I", zlib.crc32(ctype + payload) & 0xFFFFFFFF)
-
-    path = str(tmp_path / "f.png")
-    with open(path, "wb") as fh:
-        fh.write(data.PNG_SIGNATURE)
-        fh.write(chunk(b"IHDR", ihdr))
-        fh.write(chunk(b"IDAT", zlib.compress(bytes(raw))))
-        fh.write(chunk(b"IEND", b""))
-    assert np.array_equal(data.read_png(path), img)
+    # one row per filter type, gray (1 byte per pixel) and RGB (3)
+    for color_type, shape in ((0, (5, 6)), (2, (5, 6, 3))):
+        img = rng.integers(0, 256, shape).astype(np.uint8)
+        rows = img.reshape(5, -1)
+        raw = bytearray()
+        prev = np.zeros(rows.shape[1], dtype=np.uint8)
+        for row, filter_type in zip(rows, [0, 1, 2, 3, 4]):
+            raw.append(filter_type)
+            raw.extend(_filter_row(filter_type, row, prev, len(row) // 6).tobytes())
+            prev = row
+        ihdr = struct.pack(">IIBBBBB", 6, 5, 8, color_type, 0, 0, 0)
+        path = str(tmp_path / ("f%d.png" % color_type))
+        with open(path, "wb") as fh:
+            fh.write(data.PNG_SIGNATURE)
+            fh.write(data._chunk(b"IHDR", ihdr))
+            fh.write(data._chunk(b"IDAT", zlib.compress(bytes(raw))))
+            fh.write(data._chunk(b"IEND", b""))
+        assert np.array_equal(data.read_png(path), img)
 
 
 def test_png_short_ihdr(tmp_path):

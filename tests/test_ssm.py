@@ -1,10 +1,6 @@
 """Selective scan: recurrence oracle, cross-scan exactness, block semantics."""
 
-import hashlib
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -13,7 +9,7 @@ from dualfuse import autodiff as ad
 from dualfuse import complexity, gradcheck, params, ssm
 from dualfuse.autodiff import ContractError, DimensionError, Tensor
 
-from conftest import assert_close, numpy_build
+from conftest import as_avx2_host, assert_close
 
 
 def make_scan(channels=3, seed=0):
@@ -143,69 +139,11 @@ def test_scan_core_gradients_match_literal_adjoint(length, rng):
         assert_close(got.grad, expect, tol=1e-10)
 
 
-# sha256 over the output of selective_scan_core and then each input's
-# gradient (b"-" for an input that needs none), at (C, N) = (16, 8): chunk
-# length 32 (L = 1024), 1 (a prime L = 7) and a single token; every input
-# needing a gradient, only u, and only a
-SCAN_DIGESTS = {
-    (1024, "all"):
-        "a400a903b27d5789293efe1816fd7098f2a07c4c98d56a04248a6f147fd6702b",
-    (1024, "u"):
-        "469cc6d3eb51b06cc8bdbedf4f9a7165aebdc977cf1c28c4518f410ed66ccb10",
-    (1024, "a"):
-        "54a8895247f445f1effe44d96c8b98afa1af01815b18140ca9ef15eec7f9d65f",
-    (7, "all"):
-        "3009f75685f34e303f5a87fb9d5a544517db20b4e61ebbc0f1e62326ad27dfb1",
-    (7, "u"):
-        "03dd7f62d21f3c6b581fdc908c6534ee6116c33595c48538e38c3bfb65cb6fed",
-    (7, "a"):
-        "f638a5a1168a46e83aea2a24f5629c217dd0101d2c7fd49c76a7c36e54ffdb20",
-    (1, "all"):
-        "da9f5cfb4b2b441fc8f92ef358316b40358f98c7b0e5a3ace68fa8f5e1480c84",
-    (1, "u"):
-        "278373c3e2574fc0ec5cee3aee067525690486242a9c14ab8555cd3016e02114",
-    (1, "a"):
-        "eaa6051f62659a554540c65e6e4f56e36e9911c8274efec0c52c77fd11d054e5",
-}
-
-
-def scan_core_digest(length, needs):
-    rng = np.random.default_rng(length)
-    c, n = 16, 8
-    arrays = dict(u=rng.uniform(-1, 1, (length, c)),
-                  delta=rng.uniform(0.05, 0.8, (length, c)),
-                  b=rng.uniform(-1, 1, (length, n)),
-                  c=rng.uniform(-1, 1, (length, n)),
-                  a=rng.uniform(-1.5, -0.2, (c, n)), d=rng.uniform(-1, 1, c))
-    g = rng.uniform(-1, 1, (length, c))
-    inputs = [Tensor(x, requires_grad=needs in ("all", name))
-              for name, x in arrays.items()]
-    y = ad.selective_scan_core(*inputs)
-    (y * Tensor(g)).sum().backward()
-    digest = hashlib.sha256(y.data.tobytes())
-    for t in inputs:
-        digest.update(b"-" if t.grad is None else t.grad.tobytes())
-    return digest.hexdigest()
-
-
-@pytest.mark.parametrize("length,needs", sorted(SCAN_DIGESTS))
-def test_scan_core_bytes_are_pinned(length, needs):
-    assert scan_core_digest(length, needs) == SCAN_DIGESTS[length, needs], \
-        "scan output or gradient bytes moved under %s" % numpy_build()
-
-
 def test_byte_pin_failures_name_the_host_class():
     # OpenBLAS's kernel and numpy's dispatch targets, picked from the CPU at
     # load time, move the pinned bytes' last bits; a child process emulates
     # an AVX2-only host, and the failure message names it
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
-               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import conftest; print(conftest.numpy_build())")
-    tests = os.path.dirname(os.path.abspath(__file__))
-    build = subprocess.run([sys.executable, "-c", code, tests], env=env,
-                           capture_output=True, text=True, check=True,
-                           timeout=120).stdout
+    build = as_avx2_host("import conftest; print(conftest.numpy_build())")
     assert "Haswell" in build and "X86_V4" not in build, build
 
 
