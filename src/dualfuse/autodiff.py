@@ -3,8 +3,7 @@
 Every numeric value in the network flows through this module. A Tensor wraps
 one contiguous float64 numpy array plus an optional gradient buffer; a
 forward op whose inputs need gradients gives its result a graph Node with
-parent links and a backward closure, which every op but the scan builds
-with ``_grads`` from one gradient function per input, and ``backward()``
+parent links and one gradient function per input, and ``backward()``
 replays the recorded graph in exact reverse topological order, accumulating
 gradients additively into every reachable leaf with ``requires_grad``.
 Every contribution enters its target through ``_GradTarget._accumulate``.
@@ -178,22 +177,22 @@ class Node(_GradTarget):
 
     ``parents`` holds, per op input, that input's gradient target (its Node,
     or the Tensor itself for a leaf) or None when it needs no gradient;
-    ``backward_fn(g, *parents)`` adds the input gradients for cotangent g,
-    and is None once backward has run it. ``_make`` records the node. Every
-    op but the scan builds ``backward_fn`` with ``_grads`` from one gradient
-    function per input; ``selective_scan_core``, whose six gradients share
-    one rebuild, writes its own. The node holds no array of its own: the
-    gradient functions keep exactly the arrays they read, so an op result's
-    ``data`` lives only as long as the calling code or a function needs it.
+    ``grad_fns`` holds, in the same order, that input's gradient function,
+    g -> its gradient for cotangent g, or None where the parent is None.
+    Only ``_make`` records a node, and only ``_run`` calls its functions;
+    ``grad_fns`` is None once backward has run them. The node holds no
+    array of its own: the gradient functions keep exactly the arrays they
+    read, so an op result's ``data`` lives only as long as the calling code
+    or a function needs it.
     """
 
-    __slots__ = ("grad", "parents", "backward_fn", "op", "shape")
+    __slots__ = ("grad", "parents", "grad_fns", "op", "shape")
 
-    def __init__(self, shape: tuple, parents: tuple, backward_fn, op: str):
+    def __init__(self, shape: tuple, parents: tuple, grad_fns, op: str):
         self.grad = None
         self.shape = shape
         self.parents = parents
-        self.backward_fn = backward_fn
+        self.grad_fns = grad_fns
         self.op = op
 
 
@@ -251,10 +250,10 @@ class Tensor(_GradTarget):
         none, ``matmul`` the other operand, a conv its unpadded input or
         the kernel, ``silu`` its result), never an op result's Tensor, so
         an intermediate nothing reads is freed once the calling code drops
-        it. The graph is released as it is consumed:
-        once a node's closure has run, its ``grad``, closure and parent
-        links are cleared, so each saved array is freed as soon as the last
-        closure that reads it has run. Only leaves keep their ``grad``.
+        it. The graph is released as it is consumed: once a node's gradient
+        functions have run, its ``grad``, functions and parent links are
+        cleared, so each saved array is freed as soon as the last function
+        that reads it has run. Only leaves keep their ``grad``.
 
         A graph may read ``StandIn`` leaves, the outputs of a graph that
         another process holds; ``_schedule`` then orders the pass and
@@ -271,7 +270,7 @@ class Tensor(_GradTarget):
         order = toposort(self)
         halves: dict = {}
         for node in order:
-            if isinstance(node, Node) and node.backward_fn is None:
+            if isinstance(node, Node) and node.grad_fns is None:
                 raise GraphStateError(
                     "graph already consumed by a previous backward(); "
                     "rebuild the forward pass before differentiating again")
@@ -454,17 +453,20 @@ def _segments(heads: list) -> list:
 
 def _run(nodes: list, ready: dict) -> None:
     """The one backward loop, in both processes: pop the gradient targets
-    off the end of ``nodes`` and run each Node's gradient function,
-    releasing the Node's grad, closure and parent links (and, with the
-    list's reference gone, the Node itself) once it has run. After an op
-    whose id ``ready`` holds, each stand-in listed there is final
-    (``half.ready``); at a stand-in's own place its remote graph's
-    contributions are added in (``half.reached``)."""
+    off the end of ``nodes`` and, for each Node, add each gradient
+    function's result for the Node's ``grad`` to its parent, in parent
+    order, then release the Node's grad, functions and parent links (and,
+    with the list's reference gone, the Node itself). After an op whose id
+    ``ready`` holds, each stand-in listed there is final (``half.ready``);
+    at a stand-in's own place its remote graph's contributions are added
+    in (``half.reached``)."""
     while nodes:
         node = nodes.pop()
         if isinstance(node, Node):
-            node.backward_fn(node.grad, *node.parents)
-            node.grad = node.backward_fn = None
+            for target, grad in zip(node.parents, node.grad_fns):
+                if grad is not None:
+                    target._accumulate(grad(node.grad))
+            node.grad = node.grad_fns = None
             node.parents = ()
             for stand_in in ready.pop(id(node), ()):
                 stand_in.half.ready(stand_in)
@@ -473,46 +475,27 @@ def _run(nodes: list, ready: dict) -> None:
             node.parents = ()
 
 
-def _make(out_data: np.ndarray, parents: tuple, op: str, backward_fn,
-          flops: int = 0) -> Tensor:
-    """Wrap an op result; every op returns through here. Count the op's
-    ``flops`` into the installed FlopCounter and record a graph Node unless
-    grads are disabled or no input needs a gradient. A result that gets a
-    Node must be finite, or NonFiniteError names the op."""
+def _make(out_data: np.ndarray, op: str, flops: int, *pairs) -> Tensor:
+    """Wrap an op result; every op returns through here, and only here is a
+    graph Node made. ``pairs`` alternates the op's inputs with their
+    gradient functions, g -> that input's gradient. Count the op's
+    ``flops`` into the installed FlopCounter and record a Node unless grads
+    are disabled or no input needs a gradient. A result that gets a Node
+    must be finite, or NonFiniteError names the op. The Node keeps the
+    gradient functions; that of an input that needs no gradient is dropped
+    first, and with it every array it closes over."""
     _count(flops)
     out = Tensor(out_data)
     if _grad_enabled:
-        targets = tuple(map(_target, parents))
+        targets = tuple(map(_target, pairs[::2]))
         if any(t is not None for t in targets):
             if not np.isfinite(out_data).all():
                 raise NonFiniteError("op '%s' produced a non-finite value"
                                      % op)
-            out.requires_grad = True
-            out._node = Node(out.shape, targets, backward_fn, op)
-    return out
-
-
-def _grads(out_data: np.ndarray, op: str, flops: int, *pairs) -> Tensor:
-    """``_make`` for an op whose gradient for each input is a function of the
-    cotangent alone. ``pairs`` alternates the op's inputs with their
-    gradient functions, g -> that input's gradient. A recorded node gets a
-    backward that adds each function's result to its input's target; the
-    function of an input that needs no gradient is dropped first, and with
-    it every array it closes over."""
-    out = _make(out_data, pairs[::2], op, None, flops)
-    node = out._node
-    if node is not None:
-        grads = pairs[1::2]
-        if None in node.parents:
             grads = tuple(None if t is None else grad
-                          for t, grad in zip(node.parents, grads))
-
-        def backward(g, *targets):
-            for target, grad in zip(targets, grads):
-                if grad is not None:
-                    target._accumulate(grad(g))
-
-        node.backward_fn = backward
+                          for t, grad in zip(targets, pairs[1::2]))
+            out.requires_grad = True
+            out._node = Node(out.shape, targets, grads, op)
     return out
 
 
@@ -520,13 +503,13 @@ def _grads(out_data: np.ndarray, op: str, flops: int, *pairs) -> Tensor:
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 #
-# Every op but the scan (``selective_scan_core``) goes through ``_grads``
-# with one gradient function per input. A function closes over only the
-# arrays it reads, never an input's Tensor, and may return the gradient at
-# the output's broadcast shape: ``_accumulate`` sums it back down to the
-# input's. Where one input's gradient reads the other input's data (``mul``,
-# ``matmul``, a conv's weight), that data is saved only when the first input
-# requires grad, because ``_grads`` drops the function otherwise.
+# Every op hands ``_make`` one gradient function per input. A function
+# closes over only the arrays it reads, never an input's Tensor, and may
+# return the gradient at the output's broadcast shape: ``_accumulate`` sums
+# it back down to the input's. Where one input's gradient reads the other
+# input's data (``mul``, ``matmul``, a conv's weight), that data is saved
+# only when the first input requires grad, because ``_make`` drops the
+# function otherwise.
 
 def _same(g: np.ndarray) -> np.ndarray:
     return g
@@ -534,39 +517,39 @@ def _same(g: np.ndarray) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
-    return _grads(out, "add", out.size, a, _same, b, _same)
+    return _make(out, "add", out.size, a, _same, b, _same)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
-    return _grads(out, "sub", out.size, a, _same, b, np.negative)
+    return _make(out, "sub", out.size, a, _same, b, np.negative)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     xa, xb = a.data, b.data
     out = xa * xb
-    return _grads(out, "mul", out.size, a, lambda g: g * xb,
-                  b, lambda g: g * xa)
+    return _make(out, "mul", out.size, a, lambda g: g * xb,
+                 b, lambda g: g * xa)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     xa, xb = a.data, b.data
     out = xa / xb
-    return _grads(out, "div", out.size, a, lambda g: g / xb,
-                  b, lambda g: -g * xa / (xb * xb))
+    return _make(out, "div", out.size, a, lambda g: g / xb,
+                 b, lambda g: -g * xa / (xb * xb))
 
 
 def neg(a: Tensor) -> Tensor:
     out = -a.data
-    return _grads(out, "neg", out.size, a, np.negative)
+    return _make(out, "neg", out.size, a, np.negative)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     exponent = float(exponent)
     x = a.data
     out = x ** exponent
-    return _grads(out, "pow", out.size,
-                  a, lambda g: g * exponent * x ** (exponent - 1.0))
+    return _make(out, "pow", out.size,
+                 a, lambda g: g * exponent * x ** (exponent - 1.0))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
@@ -574,14 +557,14 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     and where either is NaN to the second."""
     xa, xb = a.data, b.data
     out = np.maximum(xa, xb)
-    return _grads(out, "maximum", out.size, a, lambda g: g * (xa >= xb),
-                  b, lambda g: g * ~(xa >= xb))
+    return _make(out, "maximum", out.size, a, lambda g: g * (xa >= xb),
+                 b, lambda g: g * ~(xa >= xb))
 
 
 def absolute(a: Tensor) -> Tensor:
     x = a.data
     out = np.abs(x)
-    return _grads(out, "abs", out.size, a, lambda g: g * np.sign(x))
+    return _make(out, "abs", out.size, a, lambda g: g * np.sign(x))
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +573,12 @@ def absolute(a: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-    return _grads(out, "exp", out.size, a, lambda g: g * out)
+    return _make(out, "exp", out.size, a, lambda g: g * out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid_np(a.data)
-    return _grads(out, "sigmoid", out.size, a, lambda g: g * out * (1.0 - out))
+    return _make(out, "sigmoid", out.size, a, lambda g: g * out * (1.0 - out))
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -609,8 +592,8 @@ def silu(a: Tensor) -> Tensor:
     x = a.data
     s = _sigmoid_np(x)
     out = x * s       # saved in place of x: backward's x * s is out
-    return _grads(out, "silu", 2 * out.size,
-                  a, lambda g: g * (s + out * (1.0 - s)))
+    return _make(out, "silu", 2 * out.size,
+                 a, lambda g: g * (s + out * (1.0 - s)))
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -630,18 +613,18 @@ def gelu(a: Tensor) -> Tensor:
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
-    return _grads(out, "gelu", 4 * out.size, a, grad)
+    return _make(out, "gelu", 4 * out.size, a, grad)
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-    return _grads(out, "tanh", out.size, a, lambda g: g * (1.0 - out * out))
+    return _make(out, "tanh", out.size, a, lambda g: g * (1.0 - out * out))
 
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
     out = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
-    return _grads(out, "softplus", 2 * out.size, a, lambda g: g * _sigmoid_np(x))
+    return _make(out, "softplus", 2 * out.size, a, lambda g: g * _sigmoid_np(x))
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -655,7 +638,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     def grad(g):
         return out * (g - (g * out).sum(axis=axis, keepdims=True))
 
-    return _grads(out, "softmax", 4 * out.size, a, grad)
+    return _make(out, "softmax", 4 * out.size, a, grad)
 
 
 def layer_norm(a: Tensor, axis: int) -> Tensor:
@@ -675,7 +658,7 @@ def layer_norm(a: Tensor, axis: int) -> Tensor:
         gy_dot = (g * out).sum(axis=axis, keepdims=True)
         return inv / n * (n * g - gy_sum - out * gy_dot)
 
-    return _grads(out, "layer_norm", 5 * out.size, a, grad)
+    return _make(out, "layer_norm", 5 * out.size, a, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +668,8 @@ def layer_norm(a: Tensor, axis: int) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     shape_in = a.shape
-    return _grads(a.data.reshape(shape), "reshape", 0,
-                  a, lambda g: g.reshape(shape_in))
+    return _make(a.data.reshape(shape), "reshape", 0,
+                 a, lambda g: g.reshape(shape_in))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -698,12 +681,12 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     # contiguous output keeps downstream kernels on one deterministic path
     out = np.ascontiguousarray(a.data.transpose(axes))
     inverse = np.argsort(axes)
-    return _grads(out, "transpose", 0, a, lambda g: g.transpose(inverse))
+    return _make(out, "transpose", 0, a, lambda g: g.transpose(inverse))
 
 
 def flip(a: Tensor, axis: int) -> Tensor:
-    return _grads(np.flip(a.data, axis=axis).copy(), "flip", 0,
-                  a, lambda g: np.flip(g, axis=axis))
+    return _make(np.flip(a.data, axis=axis).copy(), "flip", 0,
+                 a, lambda g: np.flip(g, axis=axis))
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -717,7 +700,7 @@ def concat(tensors, axis: int) -> Tensor:
         hi = lo + t.shape[axis]
         pairs += (t, operator.itemgetter(lead + (slice(lo, hi),)))
         lo = hi
-    return _grads(out, "concat", 0, *pairs)
+    return _make(out, "concat", 0, *pairs)
 
 
 def _is_basic_index(idx) -> bool:
@@ -738,7 +721,7 @@ def take(a: Tensor, idx) -> Tensor:
         raise ContractError("take wants an index of ints, slices and "
                             "Ellipsis, got %r" % (idx,))
     out = a.data[idx]
-    if _grad_enabled:                # a closure saving a view pins all of a
+    if _grad_enabled:                # a function saving a view pins all of a
         out = out.copy()
     shape_in = a.shape
 
@@ -747,7 +730,7 @@ def take(a: Tensor, idx) -> Tensor:
         full[idx] = g
         return full
 
-    return _grads(out, "slice", 0, a, grad)
+    return _make(out, "slice", 0, a, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +757,8 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(axis, a.ndim)
     out = a.data.sum(axis=axis, keepdims=keepdims)
     shape_in = a.shape
-    return _grads(np.asarray(out), "sum", a.size,
-                  a, lambda g: _spread(g, axis, keepdims, shape_in))
+    return _make(np.asarray(out), "sum", a.size,
+                 a, lambda g: _spread(g, axis, keepdims, shape_in))
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -783,8 +766,8 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.size if axis is None else int(np.prod([a.data.shape[ax] for ax in axis]))
     out = a.data.mean(axis=axis, keepdims=keepdims)
     shape_in = a.shape
-    return _grads(np.asarray(out), "mean", a.size,
-                  a, lambda g: _spread(g / count, axis, keepdims, shape_in))
+    return _make(np.asarray(out), "mean", a.size,
+                 a, lambda g: _spread(g / count, axis, keepdims, shape_in))
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +782,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError("matmul inner dims disagree: %r vs %r"
                              % (a.shape, b.shape))
     xa, xb = a.data, b.data
-    return _grads(xa @ xb, "matmul", 2 * a.shape[0] * a.shape[1] * b.shape[1],
-                  a, lambda g: g @ xb.T, b, lambda g: xa.T @ g)
+    return _make(xa @ xb, "matmul", 2 * a.shape[0] * a.shape[1] * b.shape[1],
+                 a, lambda g: g @ xb.T, b, lambda g: xa.T @ g)
 
 
 # ---------------------------------------------------------------------------
@@ -885,9 +868,9 @@ def _conv(x: Tensor, w: Tensor, op: str, pad: int | None = None,
         # (Co, n) @ (n, Ci): (k, k, Co, Ci)
         return (gf @ taps.swapaxes(-1, -2)).transpose(2, 3, 0, 1)
 
-    return _grads(out, op,
-                  2 * c_out * (1 if depthwise else c_in) * k * k * h_out * w_out,
-                  x, grad_x, w, grad_w)
+    return _make(out, op,
+                 2 * c_out * (1 if depthwise else c_in) * k * k * h_out * w_out,
+                 x, grad_x, w, grad_w)
 
 
 # Bytes of tap slices copied for one im2col matmul: the copy and the
@@ -984,7 +967,7 @@ def pad_reflect2d(x: Tensor, pad: int) -> Tensor:
             buf[ch] = np.bincount(idx, weights=gflat[ch], minlength=h * w)
         return buf.reshape(c, h, w)
 
-    return _grads(out, "pad_reflect2d", 0, x, grad)
+    return _make(out, "pad_reflect2d", 0, x, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,16 +1047,17 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
     2t + L/t steps (3*sqrt(L) for square maps such as 32x32 and 64x64). The
     gradient contractions are batched matmuls: per-token (C, N) x N and
     C x (C, N) products, and a per-channel (1, L) x (L, N) product for
-    ``a``. The backward closure keeps only the inputs (u, delta, b, c, a,
-    d). When backward starts it rebuilds the laid-out copies, then
-    ``decay`` and the state history ``hs`` through ``states_of``, the
-    helper forward ran: the decay ``einsum`` and ``exp``, the drive
-    ``einsum`` and the forward sweep, the same calls on the same inputs, so
-    every output and gradient byte matches kept copies. No (L, C, N) array
-    stays live between forward and backward; a grad-mode call leaves only
-    its (L, C) output. The rebuild makes a call's forward + backward about a fifth
-    slower (4.4 -> 5.2 ms at (L, C, N) = (1024, 16, 8), one BLAS thread on
-    a 2-core x86 host). Work is linear in L.
+    ``a``. The six gradient functions keep only the inputs and share one
+    rebuild, made by the first to run but ``d``'s and freed with them: the
+    laid-out copies, then ``decay`` and the state history ``hs`` through
+    ``states_of``, the helper forward ran (the same calls on the same
+    inputs, so every output and gradient byte matches kept copies), then
+    the adjoint sweep, and the decay product only once ``delta``'s or
+    ``a``'s function asks. No (L, C, N) array stays live between forward
+    and backward; a grad-mode call leaves only its (L, C) output. The
+    rebuild makes a call's forward + backward about a fifth slower (4.4 ->
+    5.2 ms at (L, C, N) = (1024, 16, 8), one BLAS thread on a 2-core x86
+    host). Work is linear in L.
     """
     if u.ndim != 2:
         raise DimensionError("selective_scan_core expects u[L,C], got %r"
@@ -1109,34 +1093,45 @@ def selective_scan_core(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
     hs = states_of(lay(dd), lay(dd * ud), lay(bd))[1]
     y = unlay((hs @ lay(cd)[..., None])[..., 0]) + sd * ud
 
-    def backward(g, tu, tdelta, tb, tc, ta, td):
-        # adjoint gh_t = g_t c_t + decay_{t+1} gh_{t+1}: the same recurrence
-        # run in place over views reversed in time within each chunk
-        dl, dul, bl = lay(dd), lay(dd * ud), lay(bd)
-        decay, hs = states_of(dl, dul, bl)
-        gl = lay(g)
-        gh_all = np.einsum("ikc,ikn->ikcn", gl, lay(cd))
-        _recur_chunked(decay[:0:-1], decay[0, 1:], gh_all[::-1], True)
-        gdu = unlay((gh_all @ bl[..., None])[..., 0])             # d(delta*u)
-        if tu is not None:
-            tu._accumulate(g * sd + gdu * dd)
-        if tdelta is not None or ta is not None:
+    shared: dict = {}
+
+    def rebuild(g, product=False):
+        if not shared:
+            dl, dul, bl = lay(dd), lay(dd * ud), lay(bd)
+            decay, hs = states_of(dl, dul, bl)
+            # adjoint gh_t = g_t c_t + decay_{t+1} gh_{t+1}, run in place
+            # over views reversed in time within each chunk
+            gl = lay(g)
+            gh = np.einsum("ikc,ikn->ikcn", gl, lay(cd))
+            _recur_chunked(decay[:0:-1], decay[0, 1:], gh[::-1], True)
+            shared.update(dl=dl, dul=dul, decay=decay, hs=hs, gl=gl, gh=gh,
+                          gdu=unlay((gh @ bl[..., None])[..., 0]))  # d(delta*u)
+        if product and "gda" not in shared:
             # gh_t * decay_t * h_{t-1}, formed in the rebuilt decay's buffer
-            gda = np.multiply(decay, gh_all, out=decay)
+            decay, hs = shared.pop("decay"), shared["hs"]
+            gda = shared["gda"] = np.multiply(decay, shared["gh"], out=decay)
             gda[1:] *= hs[:-1]
             gda[0, 1:] *= hs[-1, :-1]
             gda[0, 0] = 0.0
-            if tdelta is not None:
-                tdelta._accumulate(gdu * ud + unlay(np.einsum("ikcn,cn->ikc", gda, ad)))
-            if ta is not None:
-                ta._accumulate((dl.reshape(length, ch).T[:, None]   # layout order
-                                @ gda.reshape(length, ch, n).swapaxes(0, 1))[:, 0])
-        if tb is not None:
-            tb._accumulate(unlay((dul[:, :, None] @ gh_all)[:, :, 0]))
-        if tc is not None:
-            tc._accumulate(unlay((gl[:, :, None] @ hs)[:, :, 0]))
-        if td is not None:
-            td._accumulate((g * ud).sum(axis=0))
+        return shared
 
-    return _make(y, (u, delta, b, c, a, d), "selective_scan_core", backward,
-                 10 * length * ch * n + 2 * length * ch)
+    def grad_b(g):
+        r = rebuild(g)
+        return unlay((r["dul"][:, :, None] @ r["gh"])[:, :, 0])
+
+    def grad_c(g):
+        r = rebuild(g)
+        return unlay((r["gl"][:, :, None] @ r["hs"])[:, :, 0])
+
+    def grad_a(g):
+        r = rebuild(g, product=True)
+        return (r["dl"].reshape(length, ch).T[:, None]     # layout order
+                @ r["gda"].reshape(length, ch, n).swapaxes(0, 1))[:, 0]
+
+    return _make(
+        y, "selective_scan_core", 10 * length * ch * n + 2 * length * ch,
+        u, lambda g: g * sd + rebuild(g)["gdu"] * dd,
+        delta, lambda g: rebuild(g)["gdu"] * ud + unlay(
+            np.einsum("ikcn,cn->ikc", rebuild(g, product=True)["gda"], ad)),
+        b, grad_b, c, grad_c, a, grad_a,
+        d, lambda g: (g * ud).sum(axis=0))

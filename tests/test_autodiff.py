@@ -1,5 +1,6 @@
 """Engine-level contracts: op oracles, gradient checks, graph semantics."""
 
+import gc as cyclic_gc
 import os
 import subprocess
 import sys
@@ -478,7 +479,7 @@ def test_backward_releases_interior_nodes(rng):
     assert_close(h.data, x.data @ w.data)
     assert h.grad is None and loss.data is not None
     for node in interior:
-        assert node.grad is None and node.backward_fn is None
+        assert node.grad is None and node.grad_fns is None
         assert node.parents == ()
 
 
@@ -524,10 +525,10 @@ def test_unread_intermediate_is_freed_before_backward(rng, name):
     assert grads(True) == grads(False)
 
 
-def _saved_objects(fn):
-    """Everything a backward closure saves, through nested functions and
-    containers."""
-    stack = [cell.cell_contents for cell in fn.__closure__ or ()]
+def _saved_objects(fns):
+    """Everything a node's gradient functions save, through nested
+    functions and containers."""
+    stack = list(fns)
     while stack:
         obj = stack.pop()
         yield obj
@@ -540,7 +541,7 @@ def _saved_objects(fn):
 
 
 def _saved_arrays(t):
-    return [obj for obj in _saved_objects(t._node.backward_fn)
+    return [obj for obj in _saved_objects(t._node.grad_fns)
             if isinstance(obj, np.ndarray)]
 
 
@@ -656,7 +657,7 @@ def test_graph_holds_no_op_result_tensor(ablation):
         for p in node.parents:
             assert p is None or isinstance(p, ad.Node) or (
                 p._node is None and p.requires_grad), node.op
-        for obj in _saved_objects(node.backward_fn):
+        for obj in _saved_objects(node.grad_fns):
             assert not isinstance(obj, Tensor), "%s saves a Tensor" % node.op
 
 
@@ -726,10 +727,39 @@ def test_scan_core_keeps_no_state_sized_array_for_backward(rng):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    state_sized = [obj.shape for obj in _saved_objects(y._node.backward_fn)
+    state_sized = [obj.shape for obj in _saved_objects(y._node.grad_fns)
                    if isinstance(obj, np.ndarray) and obj.size >= length * c * n]
     assert state_sized == []
     assert kept < 0.25 * length * c * n * 8, "%.2f MB live" % (kept / 1e6)
+
+
+def test_scan_core_rebuild_dies_with_its_node(rng):
+    # the six gradient functions share one rebuild (laid-out inputs, decay,
+    # hs, the adjoint sweep), which dies with them when backward clears
+    # the node, with no help from the cycle collector: what stays live is
+    # the inputs' grads and the (L, C) output, and a rebuild kept past
+    # backward would add several (L, C, N) arrays of 1 MB each
+    length, c, n = 1024, 16, 8
+    inputs = [parameter(x) for x in (
+        rng.uniform(-1, 1, (length, c)), rng.uniform(0.05, 0.8, (length, c)),
+        rng.uniform(-1, 1, (length, n)), rng.uniform(-1, 1, (length, n)),
+        rng.uniform(-1.5, -0.2, (c, n)), rng.uniform(-1, 1, c))]
+    collecting = cyclic_gc.isenabled()
+    cyclic_gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = ad.selective_scan_core(*inputs)
+        y.sum().backward()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            cyclic_gc.enable()
+    # their arrays' bytes, plus 16 KB for the Python objects that hold
+    # them (about 2.5 KB on CPython 3.11)
+    bound = sum(t.grad.nbytes for t in inputs) + y.data.nbytes + (16 << 10)
+    assert live <= bound, "%d bytes live, bound %d" % (live, bound)
 
 
 def test_toposort_parents_precede_children(rng):

@@ -1,7 +1,9 @@
 """No dead helpers in the package: every import is used, every
 module-level function and class is named outside its own definition, and
 every function reads each of its parameters. And one seam for gradients:
-only ``_GradTarget._accumulate`` adds into a ``.grad``."""
+only ``_GradTarget._accumulate`` adds into a ``.grad``, only
+``autodiff._make`` records a graph node, and only backward reads a node's
+gradient functions."""
 
 import ast
 import os
@@ -152,28 +154,34 @@ def stores_to_grad(target) -> bool:
     return isinstance(target, ast.Attribute) and target.attr == "grad"
 
 
+def scoped_nodes(trees: dict):
+    """(module, enclosing function, node) for every syntax node of the
+    package but the function and class definitions themselves, whose
+    bodies are listed under their dotted names."""
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + [child.name], module)
+                continue
+            yield module, ".".join(scope), child
+            yield from visit(child, scope, module)
+
+    for path in package_modules(trees):
+        yield from visit(trees[path], [], os.path.basename(path))
+
+
 def grad_stores(trees: dict) -> set:
     """(module, enclosing function, statement type) of every store to a
     ``.grad`` in the package but a store of None."""
     found = set()
-
-    def visit(node, scope, module):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name], module)
-                continue
-            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = getattr(child, "targets", None) or [child.target]
-                cleared = isinstance(child, ast.Assign) \
-                    and isinstance(child.value, ast.Constant) \
-                    and child.value.value is None
-                if not cleared and any(map(stores_to_grad, targets)):
-                    found.add((module, ".".join(scope),
-                               type(child).__name__))
-            visit(child, scope, module)
-
-    for path in package_modules(trees):
-        visit(trees[path], [], os.path.basename(path))
+    for module, scope, node in scoped_nodes(trees):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            cleared = isinstance(node, ast.Assign) \
+                and isinstance(node.value, ast.Constant) \
+                and node.value.value is None
+            if not cleared and any(map(stores_to_grad, targets)):
+                found.add((module, scope, type(node).__name__))
     return found
 
 
@@ -181,3 +189,37 @@ def test_only_accumulate_adds_into_a_gradient(trees):
     found = grad_stores(trees)
     assert sorted(found - GRAD_STORES_ALLOWED) == []
     assert sorted(GRAD_STORES_ALLOWED - found) == []
+
+
+# (module, function, use) of each ``Node(...)`` call and each read of a
+# ``.grad_fns``, each with its reason. One constructor records every graph
+# node, and one backward loop applies its gradient functions.
+NODE_USES_ALLOWED = {
+    # every op returns through _make, which alone records a node
+    ("autodiff.py", "_make", "Node"),
+    # the one backward loop, in both processes, applies a node's functions
+    ("autodiff.py", "_run", "grad_fns"),
+    # a spent node (functions None) refuses a second backward
+    ("autodiff.py", "Tensor.backward", "grad_fns"),
+}
+
+
+def node_uses(trees: dict) -> set:
+    """(module, enclosing function, use) of every call to ``Node`` (bare
+    or as a module attribute) and every load of a ``.grad_fns`` in the
+    package."""
+    found = set()
+    for module, scope, node in scoped_nodes(trees):
+        if isinstance(node, ast.Call) and "Node" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.add((module, scope, "Node"))
+        elif isinstance(node, ast.Attribute) and node.attr == "grad_fns" \
+                and isinstance(node.ctx, ast.Load):
+            found.add((module, scope, "grad_fns"))
+    return found
+
+
+def test_only_make_records_a_node_and_only_backward_reads_its_functions(trees):
+    found = node_uses(trees)
+    assert sorted(found - NODE_USES_ALLOWED) == []
+    assert sorted(NODE_USES_ALLOWED - found) == []

@@ -173,7 +173,7 @@ def test_every_trained_tensor_gets_a_gradient_and_every_node_is_spent(
         loss.backward()
         assert [n for n, t in named if t.grad is None] == [], stage
         assert nodes, stage
-        assert [n.op for n in nodes if n.backward_fn is not None] == [], stage
+        assert [n.op for n in nodes if n.grad_fns is not None] == [], stage
         for _, t in named:
             t.grad = None
 

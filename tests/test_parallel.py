@@ -349,7 +349,7 @@ def poisoned_restore(img, m):
 
     def fail(g):
         raise ad.NonFiniteError("op 'poison' produced a non-finite gradient")
-    return ad._grads(out.data, "poison", 0, out, fail)
+    return ad._make(out.data, "poison", 0, out, fail)
 
 
 def helper_holds_a_graph() -> bool:
@@ -461,7 +461,7 @@ def test_a_step_that_fails_while_a_reply_is_due_reads_it(helper,
         def fail(g):
             due.append(parallel._due is not None)
             raise ad.NonFiniteError("op 'poison' raised")
-        return ad._grads(out.data, "poison", 0, out, fail)
+        return ad._make(out.data, "poison", 0, out, fail)
     helper(True)
     with pytest.raises(ad.NonFiniteError):
         step_gradients(m, cfg, pairs[0], first=poisoned_while_due)
