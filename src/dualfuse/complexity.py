@@ -43,16 +43,15 @@ def measure_selective_scan_flops(lengths) -> list[int]:
     return totals
 
 
-def linear_fit(xs, ys) -> tuple[float, float, float]:
-    """Least-squares line; returns (intercept, slope, r_squared)."""
+def linear_fit(xs, ys) -> float:
+    """r_squared of the least-squares line."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     slope, intercept = np.polyfit(xs, ys, 1)
     pred = intercept + slope * xs
     ss_res = float(np.sum((ys - pred) ** 2))
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(intercept), float(slope), r2
+    return 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
 def quadratic_excess(xs, ys) -> float:
@@ -70,12 +69,8 @@ def quadratic_excess(xs, ys) -> float:
 
 
 def linearity_report(xs, ys) -> dict:
-    intercept, slope, r2 = linear_fit(xs, ys)
     return {
-        "sizes": list(xs),
         "flops": list(ys),
-        "intercept": intercept,
-        "slope": slope,
-        "r_squared": r2,
+        "r_squared": linear_fit(xs, ys),
         "quadratic_share": quadratic_excess(xs, ys),
     }

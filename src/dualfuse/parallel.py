@@ -45,16 +45,18 @@ request waits for the reply still due, which is kept for its graph, and a
 graph's next backward group waits until its last has been added in.
 
 An exception from either half is raised in the caller only after the
-helper's reply has been read, so no reply is left in the pipe for the next
-call. A training step owns the helper, holding ``_lock`` from start to
-end, and its end is the one place that ends a held graph whose backward
-did not finish: it reads the reply still due and has the helper drop
-every graph it holds, as all are the step's. A call that finds the helper
-dead, or loses it before the reply, runs ``g`` itself, and the next call
-forks a new one. A helper lost during a held graph's backward is shut
-down, and ``training_step`` reruns the whole step serially: the serial
-path is the byte oracle, so the rerun gives the same bytes. A call or a
-step that finds ``_lock`` held by another thread runs serially.
+helper's reply has been read, so no reply is left in the pipe for the
+next call. A training step, one optimizer step's forward and backward
+passes, owns the helper, holding ``_lock`` from start to end. It clears
+the gradients it adds into first, and its end is the one place that ends
+a held graph whose backward did not finish: it reads the reply still due
+and has the helper drop every graph it holds, as all are the step's. A
+call that finds the helper dead, or loses it before the reply, runs
+``g`` itself, and the next call forks a new one. A helper lost during a
+held graph's backward is shut down, and ``training_step`` reruns the
+step serially from its first line: the serial path is the byte oracle,
+so the rerun gives the same bytes. A call or a step that finds ``_lock``
+held by another thread runs serially.
 
 What cannot cross the pipe runs in the caller, and the helper lives: a
 request, value or exception that cannot be pickled makes the call run
@@ -131,23 +133,20 @@ def helper_peak_rss() -> int:
     return _helper_peak
 
 
-def training_step(step, targets: list):
-    """``step()``, one training step that builds its graph and runs its
-    backward, with each grad-mode ``both`` inside allowed to run its second
-    call on the helper, which the step owns. A graph the helper still holds
-    at the end, because the step failed or its backward never reached the
-    stand-ins, is dropped there and only there (see ``_attempt``). When the
-    backward cannot finish in the helper (``_HelperLost``), each of
-    ``targets`` (the tensors the step adds gradients into) gets back the
-    ``grad`` it had before, and ``step()`` runs again serially. Each
-    attempt counts its flops into the installed ``FlopCounter`` only when
-    it succeeds, so a rerun step counts the serial flops once."""
-    saved = [None if t.grad is None else t.grad.copy() for t in targets]
+def training_step(step):
+    """``step()``, one optimizer step's forward and backward passes, with
+    each grad-mode ``both`` inside allowed to run its second call on the
+    helper, which the step owns. ``step()`` clears the gradients it adds
+    into before anything else, so when the backward cannot finish in the
+    helper (``_HelperLost``) it runs again serially from its first line. A
+    graph the helper still holds at the end, because the step failed or its
+    backward never reached the stand-ins, is dropped there and only there
+    (see ``_attempt``). Each attempt counts its flops into the installed
+    ``FlopCounter`` only when it succeeds, so a rerun step counts the serial
+    flops once."""
     try:
         return _attempt(step, True)
     except _HelperLost:
-        for t, grad in zip(targets, saved):
-            t.grad = grad
         return _attempt(step, False)
 
 
@@ -624,8 +623,8 @@ def _backward_group(key: int, heads, grads: dict) -> tuple:
         log: list = []
         redirect = {id(t): _Sink(i, t.shape, log) for i, t in enumerate(leaves)}
         for j, node in enumerate(nodes):
-            if j in grads:
-                node.grad = grads[j]
+            if j in grads:     # no grad yet: a non-member's goes to a _Sink
+                node._accumulate(grads[j])
             else:
                 redirect[id(node)] = _Sink(len(leaves) + j, node.shape, log)
         part = parts.pop(0)

@@ -60,24 +60,24 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
     tree = (stage1_parameter_tree if stage == "I"
             else stage2_parameter_tree)(model)
     named = [pair for section in tree for pair in named_parameters(section)]
-    targets = [t for _, t in named]
     adam = AdamState()
     steps = 0
     for epoch in range(epochs):
         lr = lr_at_epoch(cfg.lr, cfg.lr_decay, cfg.lr_decay_every,
                          epoch_offset + epoch)
         for batch_idx in _batches(len(dataset), cfg.batch, rng):
-            # backward gives each a gradient; adam_step refuses a None one
-            for _, t in named:
-                t.grad = None
-            scale = 1.0 / len(batch_idx)
-            intensity = structural = total = 0.0
-            for idx in batch_idx:
-                pair = crop_sampler(dataset[idx], cfg.crop, rng)
-                img_a = image_to_tensor(pair.a)
-                img_b = image_to_tensor(pair.b)
+            pairs = [crop_sampler(dataset[idx], cfg.crop, rng)
+                     for idx in batch_idx]
+            scale = 1.0 / len(pairs)
 
-                def sample():
+            def step():
+                # backward gives each a gradient; adam_step refuses a None one
+                for _, t in named:
+                    t.grad = None
+                intensity = structural = total = 0.0
+                for pair in pairs:
+                    img_a = image_to_tensor(pair.a)
+                    img_b = image_to_tensor(pair.b)
                     if stage == "I":
                         pred_a, pred_b = parallel.both(
                             (restore, img_a, model), (restore, img_b, model))
@@ -86,14 +86,14 @@ def _run_stage(stage: str, model: ModelParams, cfg: RunConfig,
                         fused = fuse_pair(img_a, img_b, model)
                         breakdown = stage2_loss(fused, img_a, img_b)
                     (breakdown.total * Tensor(scale)).backward()
-                    return breakdown
-                # modality b's restore or encode, forward and backward, runs
-                # on the helper when there is one; a sample whose helper is
-                # lost in backward reruns serially (see parallel)
-                breakdown = parallel.training_step(sample, targets)
-                intensity += breakdown.intensity.item() * scale
-                structural += breakdown.ssim_or_grad.item() * scale
-                total += breakdown.total.item() * scale
+                    intensity += breakdown.intensity.item() * scale
+                    structural += breakdown.ssim_or_grad.item() * scale
+                    total += breakdown.total.item() * scale
+                return intensity, structural, total
+            # modality b's restore or encode, forward and backward, runs on
+            # the helper when there is one; a step whose helper is lost in
+            # backward reruns serially from its first line (see parallel)
+            intensity, structural, total = parallel.training_step(step)
             adam_step(named, adam, lr)
             steps += 1
             log_rows.append([stage, str(epoch_offset + epoch),

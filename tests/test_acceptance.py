@@ -12,15 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from dualfuse import attention, complexity, fusion, gradcheck, metrics, ssm
+from dualfuse import complexity, fusion, gradcheck, metrics, ssm
 from dualfuse.attention import apply_attention, channel_attention
 from dualfuse.autodiff import Tensor, no_grad
 from dualfuse.blocks import make_interaction_params, positional_blend
 from dualfuse.checkpoint import load_checkpoint
 from dualfuse.config import RunConfig
 from dualfuse.losses import stage2_loss
-from dualfuse.model import build_model, encode, fuse_pair_arrays, \
-    image_to_tensor
+from dualfuse.model import encode, fuse_pair_arrays, image_to_tensor
 from dualfuse.toydata import make_toy_pairs
 from dualfuse.train import train
 

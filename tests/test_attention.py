@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualfuse import attention as attn
-from dualfuse import autodiff as ad
 from dualfuse import complexity, gradcheck, params
 from dualfuse.autodiff import ContractError, DimensionError, Tensor
 

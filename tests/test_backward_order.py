@@ -212,6 +212,8 @@ def draw_step(seed: int, between):
     order = rng.sample(range(12), 12)
 
     def step():
+        for w in ws:
+            w.grad = None
         h = ws[0] * x
         outputs = []
         for first, second in calls:
@@ -271,7 +273,7 @@ def plan(monkeypatch):
 
 def watchdog(seconds: float):
     """Kill the helper, if any, after ``seconds``, so a stalled step fails
-    (its sample reruns serially) instead of hanging; ``watchdog(0)`` stops
+    (it reruns serially) instead of hanging; ``watchdog(0)`` stops
     it."""
     def kill_helper(*_):
         if parallel._helper is not None:
@@ -296,7 +298,7 @@ def test_drawn_steps_keep_their_bytes_with_the_helper_on_off_or_lost(plan):
                     plan.kill_after = rng.randrange(groups)
                 watchdog(30)
                 with ad.FlopCounter() as flops:
-                    parallel.training_step(step, ws)
+                    parallel.training_step(step)
                 watchdog(0)
                 assert plan.kill_after is None
                 runs.append(([None if w.grad is None else w.grad.tobytes()

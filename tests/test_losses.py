@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from dualfuse import autodiff as ad
 from dualfuse import gradcheck, losses
 from dualfuse.autodiff import ContractError, DimensionError, Tensor
 

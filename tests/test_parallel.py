@@ -374,21 +374,23 @@ def step_gradients(m, cfg, *pairs, stage="I", first=restore, second=restore,
         else stage2_parameter_tree(m)
     targets = [t for section in tree
                for _, t in params.named_parameters(section)]
-    try:
-        for pair in pairs:
-            a, b = image_to_tensor(pair.a), image_to_tensor(pair.b)
+    images = [(image_to_tensor(pair.a), image_to_tensor(pair.b))
+              for pair in pairs]
 
-            def sample():
-                if stage == "I":
-                    pred_a, pred_b = parallel.both((first, a, m),
-                                                   (second, b, m))
-                    loss = stage1_loss(a, pred_a, b, pred_b).total
-                else:
-                    loss = stage2_loss(fuse_pair(a, b, m), a, b).total
-                if between is not None:
-                    between()
-                loss.backward()
-            parallel.training_step(sample, targets)
+    def step():
+        for t in targets:
+            t.grad = None
+        for a, b in images:
+            if stage == "I":
+                pred_a, pred_b = parallel.both((first, a, m), (second, b, m))
+                loss = stage1_loss(a, pred_a, b, pred_b).total
+            else:
+                loss = stage2_loss(fuse_pair(a, b, m), a, b).total
+            if between is not None:
+                between()
+            loss.backward()
+    try:
+        parallel.training_step(step)
         return b"".join(t.grad.tobytes() for t in targets)
     finally:
         for t in targets:
@@ -481,7 +483,7 @@ def test_a_gradient_larger_than_the_pipe_buffer_does_not_stall(
     # doubles) and the scan side's reply are each larger than the pipe's
     # buffer: sent while that reply is due, it would leave neither side
     # reading. A helper still busy a minute after the forward is killed, so
-    # a stall fails the test (the sample then reruns serially) instead of
+    # a stall fails the test (the step then reruns serially) instead of
     # hanging it
     one, other = socket.socketpair()    # what multiprocessing's Pipe makes
     try:
@@ -514,6 +516,30 @@ def test_a_gradient_larger_than_the_pipe_buffer_does_not_stall(
     assert remote_backwards == [SCAN, ENCODE]
 
 
+class Killer:
+    """Kills the helper at its first call while ``armed`` and ``when()``,
+    once; ``at_group(monkeypatch, name, applied)`` calls it each time a
+    held graph of ``name`` has added in ``applied`` of its groups."""
+
+    def __init__(self, when):
+        self.when, self.armed, self.killed = when, False, []
+
+    def __call__(self):
+        if self.armed and self.when():
+            self.armed = False
+            self.killed.append(parallel._helper[0])
+            kill(self.killed[0])
+
+    def at_group(self, monkeypatch, name, applied):
+        reached = parallel._Half.reached
+
+        def kill_after(half, stand_in):
+            reached(half, stand_in)
+            if half.name == name and half.applied == applied:
+                self()
+        monkeypatch.setattr(parallel._Half, "reached", kill_after)
+
+
 # Where the kill tests below lose the helper: the stage, the build, the
 # samples in the step, the point in the last sample's first attempt, and
 # the graphs the helper held as ``remote_backwards`` lists them.
@@ -528,48 +554,36 @@ KILL_POINTS = {
     "no_interaction_after_the_first_group": (
         "II", dict(interaction=False), 1, ("encode", 1),
         [SCAN, ("encode", False)]),
-    # the first sample's gradients are in place when the second's helper
-    # is lost with the scan side's contributions added in
+    # the first sample's graphs ran wholly on the helper when the second's
+    # helper is lost with the scan side's contributions added in
     "batch_2_second_sample": ("II", {}, 2, ("_scan_side", 1),
                               [SCAN, ENCODE, SCAN, ("encode", False)]),
 }
 
 
 @pytest.mark.parametrize("point", sorted(KILL_POINTS))
-def test_a_helper_lost_in_backward_reruns_the_sample_serially(
+def test_a_helper_lost_in_backward_reruns_the_step_serially(
         point, helper, monkeypatch, remote_backwards):
-    # the sample whose helper is lost reruns on the serial path from the
-    # gradients it started with, and counts the serial flops once; the
+    # the step whose helper is lost reruns on the serial path from its
+    # first line, every sample of it, and counts the serial flops once; the
     # next step forks a new helper
     stage, config, samples, where, expected = KILL_POINTS[point]
     cfg = RunConfig(channels=4, seed=2, **config)
     m = build_model(cfg)
     pairs = make_toy_pairs(samples, 20, seed=3)
-    armed, forwards, killed = [], [], []
-
-    def kill_once():
-        if armed and len(forwards) == samples:
-            armed.clear()
-            killed.append(parallel._helper[0])
-            kill(killed[0])
+    forwards = []
+    killer = Killer(lambda: len(forwards) == samples)
 
     def between():      # records the graphs the helper holds per forward
         forwards.append(len(parallel._pending))
         if where == "forward":
-            kill_once()
+            killer()
     if where != "forward":
-        name, applied = where
-        reached = parallel._Half.reached
-
-        def kill_after(self, stand_in):
-            reached(self, stand_in)
-            if self.name == name and self.applied == applied:
-                kill_once()
-        monkeypatch.setattr(parallel._Half, "reached", kill_after)
+        killer.at_group(monkeypatch, *where)
     runs = []
     for on, lose in ((False, False), (True, True), (True, False)):
         helper(on)
-        armed[:] = [True] if lose else []
+        killer.armed = lose
         forwards.clear()
         with ad.FlopCounter() as flops:
             grads = step_gradients(m, cfg, *pairs, stage=stage,
@@ -579,14 +593,65 @@ def test_a_helper_lost_in_backward_reruns_the_sample_serially(
         (replaced, replaced_flops, _) = runs
     assert retried == replaced == serial
     assert retried_flops == replaced_flops == serial_flops > 0
-    # the last sample ran twice: first with graphs on the helper, then
+    # every sample ran twice: first with graphs on the helper, then
     # serially with none
-    assert len(killed) == 1 and lost[samples - 1] > 0 and lost[-1] == 0
-    assert len(lost) == samples + 1
-    assert parallel._helper[0].pid != killed[0].pid
+    assert len(killer.killed) == 1
+    assert min(lost[:samples]) > 0 and lost[samples:] == [0] * samples
+    assert parallel._helper[0].pid != killer.killed[0].pid
     again = [RESTORE] if stage == "I" else [SCAN, ENCODE]
     assert remote_backwards == expected + again * samples
     assert not helper_state(helper)
+
+
+def test_training_at_batch_2_keeps_its_bytes_with_the_helper_lost(
+        helper, tmp_path, monkeypatch, remote_backwards):
+    # a step whose helper is lost in its second sample's backward reruns
+    # from its first line with the crops drawn before it: a rerun that drew
+    # its own would draw new ones and change every byte after it
+    killer = Killer(lambda: remote_backwards.count(ENCODE) == 1)
+    killer.at_group(monkeypatch, "_scan_side", 1)
+    runs = []
+    for on, lose in ((False, False), (True, False), (True, True)):
+        helper(on)
+        killer.armed = lose
+        remote_backwards.clear()
+        out = tmp_path / ("%s_%s" % (on, lose))
+        cfg = RunConfig(channels=4, crop=16, batch=2, epochs_stage1=1,
+                        epochs_stage2=1, seed=1, out_dir=str(out))
+        train(cfg, make_toy_pairs(3, 20, seed=3))
+        runs.append({f: (out / f).read_bytes() for f in (
+            "loss_log.csv", "checkpoint_stage1.tmam", "checkpoint.tmam")})
+    assert runs[0] == runs[1] == runs[2]
+    # the first stage-II step lost its second sample's encode(b); the
+    # rerun held no graph, and the second step's sample ran on a new helper
+    assert len(killer.killed) == 1
+    assert remote_backwards == [RESTORE] * 3 + [SCAN, ENCODE, SCAN,
+                                                ("encode", False), SCAN, ENCODE]
+
+
+def summed(x, w):
+    return ad.reduce_sum(scaled(x, w))
+
+
+def test_a_loss_the_helper_returns_keeps_the_bytes(helper, remote_backwards):
+    # the loss is the second call's output: backward starts at its
+    # stand-in, which no op reads, so its gradient is final before any op
+    # runs and the helper runs the whole backward
+    grads = []
+    for on in (False, True):
+        helper(on)
+        rng = np.random.default_rng(0)
+        w = ad.parameter(rng.uniform(-1, 1, 8))
+        x = ad.Tensor(rng.uniform(-1, 1, 8))
+
+        def step():
+            _, loss = parallel.both((pow, 2, 3), (summed, x, w))
+            assert isinstance(loss, ad.StandIn) == on
+            loss.backward()
+        parallel.training_step(step)
+        grads.append(w.grad.tobytes())
+    assert grads[0] == grads[1]
+    assert remote_backwards == [("summed", True)]
 
 
 def test_a_scan_side_forward_error_in_the_helper_reaches_the_caller(
@@ -662,7 +727,7 @@ def test_op_result_inputs_keep_the_bytes(third, helper, remote_backwards):
             if third is not None:
                 out = out + v[0] * v[1]
             (out * c).sum().backward()
-        parallel.training_step(step, [w1, w2])
+        parallel.training_step(step)
         grads.append(w1.grad.tobytes() + w2.grad.tobytes())
     assert grads[0] == grads[1]
     assert remote_backwards == [("shared_reader", True), ("scaled", True)]
@@ -696,7 +761,7 @@ def test_outputs_that_feed_each_other_keep_the_bytes(helper, monkeypatch):
         def step():
             _, (t, u) = parallel.both((pow, 2, 3), (feeding_pair, x, w))
             ((u * t) * ad.Tensor([0.3, 0.9, -0.4])).sum().backward()
-        parallel.training_step(step, [w])
+        parallel.training_step(step)
         grads.append(w.grad.tobytes())
     assert grads[0] == grads[1]
     assert sent == [([1], 0), ([0], 1)]
@@ -718,7 +783,7 @@ def test_a_failed_step_leaves_the_helper_no_graph(where, helper):
         assert isinstance(outs[1], ad.StandIn)
         divmod(1, 0)
     with pytest.raises(ZeroDivisionError):
-        parallel.training_step(step, [])
+        parallel.training_step(step)
     assert not parallel._pending and lock_is_free()
     assert not helper_state(helper)
 
@@ -739,7 +804,7 @@ def test_a_second_backward_through_a_used_stand_in_is_refused(helper):
             (u * c).sum().backward()
         with pytest.raises(ad.GraphStateError,
                            match="rebuild the forward pass"):
-            parallel.training_step(step, [w])
+            parallel.training_step(step)
         assert not parallel._pending and lock_is_free()
     assert not helper_state(helper)
 
@@ -749,7 +814,7 @@ def test_a_training_step_holds_the_lock_from_its_start(helper):
     # the step's first line, before any call of the step has used the pipe
     helper(True)
     free = []
-    parallel.training_step(lambda: free.append(lock_is_free()), [])
+    parallel.training_step(lambda: free.append(lock_is_free()))
     assert free == [False]
     assert lock_is_free()
 
@@ -767,7 +832,7 @@ def test_a_failed_first_call_holds_no_half(helper):
             parallel.both((divmod, 1, 0), (scaled, x, w))
         seen.append((list(parallel._pending), helper_state(helper)))
     helper(True)
-    parallel.training_step(step, [w])
+    parallel.training_step(step)
     assert seen == [([], True)]
     assert not parallel._pending and lock_is_free()
     assert not helper_state(helper)
@@ -819,7 +884,7 @@ def test_a_grad_leaf_returned_by_the_second_call_runs_serially(helper):
                                  (operator.getitem, (p,), 0))
             (q * q * ad.Tensor([0.3, 0.9, -0.4])).sum().backward()
         with ad.FlopCounter() as flops:
-            parallel.training_step(step, [p])
+            parallel.training_step(step)
         runs.append((p.grad.tobytes(), flops.total))
         assert not parallel._pending and lock_is_free()
     assert runs[0] == runs[1] and runs[0][1] > 0
@@ -855,7 +920,7 @@ def test_a_helper_that_dies_mid_call_is_replaced(grad, helper):
                     t, u = parallel.both((scaled, x, w),
                                          (dies_in_the_helper, x[::-1], w))
                     (t * u).sum().backward()
-                parallel.training_step(step, [w])
+                parallel.training_step(step)
                 out = w.grad.tobytes()
                 w.grad = None
             else:

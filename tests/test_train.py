@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-from dualfuse import params
 from dualfuse.autodiff import NonFiniteError
 from dualfuse.checkpoint import load_checkpoint
 from dualfuse.config import RunConfig
